@@ -3,7 +3,7 @@
 Usage, from the root of a checkout:
 
     python3 perfbench/run.py --workload cocycle-classify --seed 1 \
-        --seconds 20 --trace 0
+        --seconds 35 --trace 0
 
 ``--workload all`` runs the three workloads in turn, each ending with
 its own result line.
@@ -14,23 +14,32 @@ generated from ``--seed`` before anything is timed and written as JSON
 input files; the program sees only those files and its argv.
 
 Each run spawns a few probe processes that only import the CLI, then
-runs the cycle again and again, each time in a fresh single-threaded
-worker, until the jobs have taken ``--seconds`` and the cycle has run
-at least MIN_CYCLES times.  A worker is a single client in a closed
+runs the cycle in WORKERS fresh single-threaded workers, one after
+another.  A worker runs the whole cycle once, then the jobs that are
+not marked ``once`` again and again until its share of ``--seconds``
+of job time is used; so every job is timed at least WORKERS times, and
+a quick one many times more.  A worker is a single client in a closed
 loop: the next job starts when the previous one returns.  Every job's
-exit code and stdout are checked against an answer the benchmark derives
-on its own.
+exit code and stdout are checked against an answer the benchmark
+derives on its own.
 
-A job's time is the shortest of its times over the repetitions: every
-repetition runs the same job in the same state, so the shortest is the
-one least slowed by other load on the machine, which on a shared host
-comes and goes within seconds.  The throughput, median and tail are
-taken over those per-job times.
+On a shared host the speed at which the interpreter runs can swing by
+up to 1.8x, within seconds and over minutes, and every job slows
+alike.  So the worker times a fixed piece of pure-Python work
+(``worker.calibrate``) before and after each job, and each time is
+scaled by CALIBRATION_S over that calibration: the time the job would
+take on a machine where the calibration takes CALIBRATION_S.  The
+calibration does not touch cyclotwist, so a change to the program
+moves the scaled times as it moves the raw ones.  A job's time is the
+median of its scaled times over its runs (every run of a job does the
+same work in the same state), and the throughput, median and tail are
+taken over those per-job times.  Set-up times are scaled the same way,
+by a calibration made right after the import.
 
 With ``--trace 0`` the run reports the end-to-end metrics.  With
-``--trace 1`` it runs the cycle untraced and then traced from outside
-the package, for a third of the time each, and reports the per-layer
-metrics and the tracing overhead.
+``--trace 1`` it runs single passes of the cycle, untraced and traced
+from outside the package in turn, for ``--seconds`` of job time, and
+reports the per-layer metrics per traced pass and the tracing overhead.
 
 The last line of stdout is one JSON object: correct, attempted, failed
 and metrics.  The lines before it print every metric by name and unit.
@@ -60,10 +69,13 @@ from perfbench.tracer import COMPUTED, layer_metrics  # noqa: E402
 WORKER = ROOT / "perfbench" / "worker.py"
 OUT_DIR = ROOT / ".perfbench_out"
 PROBES = 12         # import-only spawns per run for setup_s
-MIN_CYCLES = 3      # repetitions of the cycle behind each job's time
+WORKERS = 3         # fresh workers per run, each running the whole cycle
 JOB_TIMEOUT = 30.0  # seconds; a job past this is stopped and counted failed
 RUNAWAY = 3.0       # stop a run at this multiple of --seconds of job time
 TAIL_BEYOND = 10    # jobs that must lie beyond the reported tail percentile
+# Times are scaled to a machine on which worker.calibrate() takes this
+# long, its usual time on the machine of the figures in notes.json.
+CALIBRATION_S = 5e-4
 
 
 class RunError(Exception):
@@ -119,51 +131,81 @@ def _write_inputs(jobs, tmp):
     return path
 
 
-def _stream(job_file, tmp, seconds, min_cycles, trace, spans_stem=None):
-    """Repeat the cycle, each time in a fresh worker, until the jobs have
-    taken ``seconds`` and it ran min_cycles times; the runaway guard cuts
-    a cycle short past RUNAWAY times ``seconds``."""
-    out = {"setups": [], "cycles": [], "broken": [], "rss_kb": [],
-           "layers": []}
+def _worker(job_file, tmp, n, budget, cap, trace, spans=None):
+    """Run worker n with ``budget`` and ``cap`` seconds of job time; its
+    result, with its set-up time and job time added."""
+    result_path = tmp / "result.json"
+    args = ["--jobs", str(job_file), "--cycle", str(n),
+            "--budget", repr(budget), "--limit", repr(cap),
+            "--timeout", repr(JOB_TIMEOUT), "--trace", str(trace),
+            "--result", str(result_path)]
+    if spans:
+        args += ["--spans", spans]
+    spawned, _ = _spawn(args, cap + JOB_TIMEOUT + 30)
+    with open(result_path, "r", encoding="utf-8") as fh:
+        result = json.load(fh)
+    result["setup"] = _scaled(result["imported"] - spawned,
+                              result["calibration"])
+    result["busy"] = sum(r[2] for r in result["records"])
+    return result
+
+
+def _measure(job_file, tmp, seconds):
+    """WORKERS workers, each given an equal share of the job time left;
+    the runaway guard cuts the run short past RUNAWAY times seconds."""
+    results = []
     busy = 0.0
     cap = seconds * RUNAWAY
-    while busy < seconds or len(out["cycles"]) < min_cycles:
-        cycle = len(out["cycles"])
-        result_path = tmp / "result.json"
-        args = ["--jobs", str(job_file), "--cycle", str(cycle),
-                "--limit", repr(cap - busy), "--timeout", repr(JOB_TIMEOUT),
-                "--trace", str(trace), "--result", str(result_path)]
-        if spans_stem:
-            args += ["--spans", "%s-c%d.jsonl.gz" % (spans_stem, cycle)]
-        spawned, _ = _spawn(args, cap - busy + JOB_TIMEOUT + 30)
-        with open(result_path, "r", encoding="utf-8") as fh:
-            result = json.load(fh)
-        out["setups"].append(result["imported"] - spawned)
-        out["cycles"].append(result["records"])
-        out["broken"] += result["checker_broken"]
-        out["rss_kb"].append(result["maxrss_kb"])
-        if trace:
-            out["layers"].append(result["layers"])
-        busy += sum(r[1] for r in result["records"])
+    for n in range(WORKERS):
+        budget = (seconds - busy) / (WORKERS - n)
+        results.append(_worker(job_file, tmp, n, budget, cap - busy, 0))
+        busy += results[-1]["busy"]
         if busy >= cap:
             break
-    return out
+    return results
+
+
+def _traced(job_file, tmp, seconds, stem):
+    """Single passes of the cycle, untraced and traced in turn, until
+    one of each ran and the jobs took ``seconds``; (untraced, traced)."""
+    runs = ([], [])
+    busy = 0.0
+    cap = seconds * RUNAWAY
+    while not runs[1] or busy < seconds:
+        trace = len(runs[0]) > len(runs[1])
+        n = len(runs[0]) + len(runs[1])
+        spans = "%s-c%d.jsonl.gz" % (stem, n) if trace else None
+        runs[trace].append(_worker(job_file, tmp, n, 0.0, cap - busy,
+                                   int(trace), spans))
+        busy += runs[trace][-1]["busy"]
+        if busy >= cap:
+            break
+    return runs
+
+
+def _scaled(seconds, calibration):
+    """A time taken when the calibration took ``calibration`` seconds,
+    scaled to a machine on which it takes CALIBRATION_S."""
+    return seconds * CALIBRATION_S / calibration
 
 
 def _probe_setup():
     spawned, out = _spawn(["--probe"], 60)
-    return float(out.strip()) - spawned
+    imported, calibration = (float(x) for x in out.split())
+    return _scaled(imported - spawned, calibration)
 
 
-def job_times(cycles):
-    """Per job of the cycle: (shortest time over repetitions, all runs
-    passed)."""
-    out = []
-    for i in range(max(len(c) for c in cycles)):
-        runs = [c[i] for c in cycles if i < len(c)]
-        out.append((min(r[1] for r in runs),
-                    all(r[2] is None for r in runs)))
-    return out
+def job_times(results):
+    """{job index: (median of its scaled times, number of runs, all runs
+    passed)} over the jobs that ran."""
+    runs = {}
+    for result in results:
+        for i, _, dur, reason, calibration in result["records"]:
+            runs.setdefault(i, []).append((_scaled(dur, calibration),
+                                           reason is None))
+    return {i: (statistics.median(d for d, _ in r), len(r),
+                all(ok for _, ok in r))
+            for i, r in runs.items()}
 
 
 def _tail(times):
@@ -174,13 +216,15 @@ def _tail(times):
     return xs[idx], 100.0 * (idx + 1) / len(xs)
 
 
-def end_to_end(setups, stream):
-    per_job = job_times(stream["cycles"])
-    times = [t for t, _ in per_job]
-    passed = sum(1 for _, ok in per_job if ok)
+def end_to_end(setups, results):
+    per_job = job_times(results).values()
+    times = [t for t, _, _ in per_job]
+    reps = [k for _, k, _ in per_job]
+    passed = sum(1 for _, _, ok in per_job if ok)
     n = len(times)
     tail, pct = _tail(times)
-    reps = "each the best of %d runs" % len(stream["cycles"])
+    reps = "each the median of %d to %d runs" % (min(reps), max(reps))
+    rss = [r["maxrss_kb"] for r in results]
     return {
         "setup_s": (statistics.median(setups), "s",
                     "median of %d spawns" % len(setups)),
@@ -191,18 +235,17 @@ def end_to_end(setups, stream):
                       "median of %d jobs, %s" % (n, reps)),
         "job_tail_s": (tail, "s", "p%.2f of %d jobs, %d beyond, %s"
                        % (pct, n, min(TAIL_BEYOND, n - 1), reps)),
-        "peak_rss_mb": (statistics.median(stream["rss_kb"]) / 1024.0, "MB",
-                        "median ru_maxrss of %d workers"
-                        % len(stream["rss_kb"])),
+        "peak_rss_mb": (statistics.median(rss) / 1024.0, "MB",
+                        "median ru_maxrss of %d workers" % len(rss)),
     }
 
 
 def _overhead(plain, traced):
-    """Traced over untraced job time, per job the best of its runs, on
-    the jobs both streams ran, minus one."""
-    a, b = job_times(plain["cycles"]), job_times(traced["cycles"])
-    n = min(len(a), len(b))
-    return sum(t for t, _ in b[:n]) / sum(t for t, _ in a[:n]) - 1
+    """Traced over untraced job time, per job the median of its scaled
+    runs, on the jobs both ran, minus one."""
+    a, b = job_times(plain), job_times(traced)
+    both = a.keys() & b.keys()
+    return sum(b[i][0] for i in both) / sum(a[i][0] for i in both) - 1
 
 
 def run(workload, seed, seconds, trace):
@@ -216,27 +259,27 @@ def run(workload, seed, seconds, trace):
         job_file = _write_inputs(jobs, tmp)
         setups = [_probe_setup() for _ in range(PROBES)]
         if not trace:
-            stream = _stream(job_file, tmp, seconds, MIN_CYCLES, 0)
-            streams = [stream]
-            metrics = end_to_end(setups + stream["setups"], stream)
+            results = _measure(job_file, tmp, seconds)
+            metrics = end_to_end(setups + [r["setup"] for r in results],
+                                 results)
         else:
             stem = OUT_DIR / ("spans-%s-seed%d" % (workload, seed))
-            plain = _stream(job_file, tmp, seconds / 3.0, 1, 0)
-            traced = _stream(job_file, tmp, seconds / 3.0, 1, 1, stem)
-            streams = [plain, traced]
+            plain, traced = _traced(job_file, tmp, seconds, stem)
+            results = plain + traced
             metrics = {name: (value, unit, COMPUTED[name][1]
-                              if name in COMPUTED else "traced run")
+                              if name in COMPUTED else "per traced pass")
                        for name, (value, unit)
-                       in layer_metrics(traced["layers"]).items()}
+                       in layer_metrics([r["layers"]
+                                         for r in traced]).items()}
             metrics["trace_overhead_frac"] = (
                 _overhead(plain, traced), "ratio",
                 "traced / untraced job time on the same jobs, minus 1")
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
-    records = [r for st in streams for c in st["cycles"] for r in c]
-    failures = [r for r in records if r[2] is not None]
-    broken = sorted({k for st in streams for k in st["broken"]})
-    for kind, dur, reason in failures[:20]:
+    records = [rec for r in results for rec in r["records"]]
+    failures = [r for r in records if r[3] is not None]
+    broken = sorted({k for r in results for k in r["checker_broken"]})
+    for _, kind, dur, reason, _ in failures[:20]:
         print("FAILED %s (%.3f s): %s" % (kind, dur, reason))
     if broken:
         print("CHECKER BROKEN: a wrong answer passed for %s"

@@ -244,12 +244,17 @@ class Tracer:
 
 
 def layer_metrics(summaries) -> dict:
-    """{metric: (value, unit)} over the summaries of one run's workers."""
+    """{metric: (value, unit)} per traced pass: the mean over the
+    summaries of one run's traced workers, each of which ran the cycle
+    once."""
     calls, self_s, t = Counter(), Counter(), Counter()
     for sm in summaries:
         calls.update(sm["calls"])
         self_s.update(sm["self_s"])
         t.update(sm["totals"])
+    for counter in (calls, self_s, t):
+        for name in counter:
+            counter[name] /= len(summaries)
     out = {}
     for name in REPORTED:
         out[name + ".calls"] = (calls[name], "count")

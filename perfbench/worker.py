@@ -3,14 +3,18 @@ stream in-process through ``cyclotwist.cli.main(argv)``.
 
 Set-up ends when ``import cyclotwist.cli`` returns; the worker records
 that instant on the system-wide monotonic clock so the parent can
-subtract the moment it spawned the process.  With ``--probe`` the
-worker prints that instant and exits.
+subtract the moment it spawned the process, and then times a fixed
+piece of pure-Python work (``calibrate``).  With ``--probe`` the worker
+prints those two and exits.
 
-Otherwise it runs the one cycle of jobs in ``--jobs``, in order, and
-stops early only once the jobs have taken ``--limit`` seconds in total.
-Each job is timed from the call of ``main`` to its return, with stdout
-and stderr captured, under a wall-clock timeout that counts as a
-failure.  Outputs are checked between jobs, outside the timed interval.
+Otherwise it runs the cycle of jobs in ``--jobs`` once, in order, and
+then the jobs not marked ``once`` again and again, in the same order,
+until the jobs have taken ``--budget`` seconds in total.  It stops
+early, even within the first pass, once they have taken ``--limit``
+seconds.  Each job is timed from the call of ``main`` to its return,
+with stdout and stderr captured, under a wall-clock timeout that counts
+as a failure.  Outputs are checked between jobs, outside the timed
+interval.
 """
 
 import sys
@@ -65,6 +69,22 @@ def run_job(argv, timeout):
     return rc, out.getvalue(), time.perf_counter() - start
 
 
+def calibrate():
+    """Seconds for a fixed piece of pure-Python work (integer arithmetic
+    and dict lookups, inserts and deletes), a probe of how fast the
+    machine runs the interpreter at this moment."""
+    start = time.perf_counter()
+    table = {}
+    acc = 0
+    for i in range(1500):
+        key = (i * 7919) % 1021
+        acc = (acc * 31 + table.get(key, i)) % 1000003
+        table[key] = acc
+        if acc & 1:
+            table.pop((key * 3) % 1021, None)
+    return time.perf_counter() - start
+
+
 def _inputs(job):
     files = {}
     for name, path in job["paths"].items():
@@ -73,13 +93,31 @@ def _inputs(job):
     return files
 
 
-def stream(jobs, limit, timeout, tracer, cycle):
+def _schedule(jobs, budget):
+    """Indices of the jobs to run: the whole cycle, then the repeatable
+    jobs for as long as ``budget()`` says there is time left."""
+    yield from range(len(jobs))
+    again = [i for i, job in enumerate(jobs) if not job["once"]]
+    while again:
+        for i in again:
+            if not budget():
+                return
+            yield i
+
+
+def stream(jobs, budget, limit, timeout, tracer, cycle):
+    """Records [job index, kind, seconds, failure or None, calibration
+    seconds]: the mean of the calibrations just before and just after
+    the job, each the best of three."""
     records = []
-    broken = []
+    broken = set()
+    inputs = {}
     busy = 0.0
-    for i, job in enumerate(jobs):
+    before = min(calibrate() for _ in range(3))
+    for i in _schedule(jobs, lambda: busy < budget):
         if busy >= limit:
             break
+        job = jobs[i]
         out_path = job["out"]
         if out_path and os.path.exists(out_path):
             os.remove(out_path)
@@ -87,13 +125,17 @@ def stream(jobs, limit, timeout, tracer, cycle):
             tracer.job = "%d:%d" % (cycle, i)
         rc, out, dur = run_job(job["run_argv"], timeout)
         busy += dur
-        files = _inputs(job)
+        if i not in inputs:
+            inputs[i] = _inputs(job)
+        files = inputs[i]
         reason = checks.check(job, rc, out, files, out_path)
         if rc == job["expect"]["rc"] and checks.check(
                 checks.wrong(job), rc, out, files, out_path) is None:
-            broken.append(job["kind"])
-        records.append([job["kind"], dur, reason])
-    return records, broken
+            broken.add(job["kind"])
+        after = min(calibrate() for _ in range(3))
+        records.append([i, job["kind"], dur, reason, (before + after) / 2])
+        before = after
+    return records, sorted(broken)
 
 
 def main():
@@ -101,14 +143,16 @@ def main():
     ap.add_argument("--probe", action="store_true")
     ap.add_argument("--jobs")
     ap.add_argument("--cycle", type=int, default=0)
+    ap.add_argument("--budget", type=float, default=0.0)
     ap.add_argument("--limit", type=float)
     ap.add_argument("--timeout", type=float)
     ap.add_argument("--trace", type=int, default=0)
     ap.add_argument("--result")
     ap.add_argument("--spans")
     args = ap.parse_args()
+    calibration = min(calibrate() for _ in range(3))
     if args.probe:
-        print(repr(IMPORTED))
+        print(repr(IMPORTED), repr(calibration))
         return 0
     signal.signal(signal.SIGALRM, _alarm)
     with open(args.jobs, "r", encoding="utf-8") as fh:
@@ -117,10 +161,11 @@ def main():
     if args.trace:
         tracer = Tracer()
         tracer.install()
-    records, broken = stream(jobs, args.limit, args.timeout, tracer,
-                             args.cycle)
+    records, broken = stream(jobs, args.budget, args.limit, args.timeout,
+                             tracer, args.cycle)
     result = {
         "imported": IMPORTED,
+        "calibration": calibration,
         "records": records,
         "checker_broken": broken,
         "maxrss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,

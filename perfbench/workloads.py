@@ -8,7 +8,15 @@ never from cyclotwist itself.
 A mix is one cycle of jobs with the job kinds interleaved.  A run
 repeats the cycle, each time in a fresh worker process, so every
 repetition pays the same cold start and nothing carries over from one
-to the next.
+to the next.  After its first pass a worker runs the cycle's jobs
+again, in order, except those marked ``once``: the jobs that change
+the program's state (the first class solve for each m) and the few
+slowest ones.  So a quick job is timed many more times than a cold or
+slow one within the same run.
+
+Each mix puts its median job and its tail job (the eleventh slowest)
+inside a group of jobs of about equal cost, so the two figures do not
+jump between unlike jobs from seed to seed.
 
 Sizes stay inside ranges known to be cheap: cocycle m <= 10 (the class
 solver's memory grows about as m^6), Pimsner n <= 16 (2^n subsets are
@@ -35,18 +43,23 @@ def _interleave(groups):
     return out
 
 
-def _job(kind, argv, expect, files=None):
+def _job(kind, argv, expect, files=None, once=False):
     return {"kind": kind, "argv": argv, "expect": expect,
-            "files": files or {}}
+            "files": files or {}, "once": once}
 
 
 # -------------------------------------------------------- cocycle-classify
 
-# tables per m.  The thirteen at m = 10 make its warm class solve the
-# commonest slow job, so the tail percentile lands on it; the eight at
-# m = 6 put the median job among its quick solves and checks.
-COCYCLE_TABLES = {10: 13, 9: 4, 8: 3, 7: 3, 6: 8, 5: 3, 4: 3, 3: 2, 2: 2}
-COCYCLE_PERTURBED = 1  # of the tables per m, this many have a bad entry
+# tables per m: (with class and check, class only, check only).  The
+# thirteen checks at m = 10 form the group the tail job falls in (above
+# them: the cold solves and two warm m = 10 class solves); the fourteen
+# class solves at m = 6 form the group the median job falls in.  m = 9
+# gets checks only: its cold solve would add a second to every fresh
+# worker.
+COCYCLE_TABLES = {10: (3, 0, 10), 9: (0, 0, 2), 8: (2, 0, 0),
+                  7: (2, 0, 0), 6: (7, 7, 0), 5: (2, 0, 0),
+                  4: (2, 0, 0), 3: (2, 0, 0), 2: (2, 0, 0)}
+COCYCLE_PERTURBED = (8, 7, 6, 5, 4, 3, 2)  # one bad table at each m
 
 
 def _cocycle_table(rng, m):
@@ -72,28 +85,32 @@ def _perturb(rng, m, den, vals):
 
 def cocycle_cycle(rng):
     per_m = []
-    for m, count in COCYCLE_TABLES.items():
+    for m, (both, class_only, check_only) in COCYCLE_TABLES.items():
+        # the first table is never the bad one, so the first class job
+        # of each m is the one that builds the solver
+        bad_at = rng.randrange(1, both) if m in COCYCLE_PERTURBED else None
         jobs = []
-        bad_at = set(rng.sample(range(count), COCYCLE_PERTURBED))
-        for t in range(count):
+        for t in range(both + class_only + check_only):
             k, den, vals = _cocycle_table(rng, m)
-            if t in bad_at:
+            if t == bad_at:
                 vals = _perturb(rng, m, den, vals)
             table = {"m": m, "denominator": den, "values": vals}
             files = {"table": table}
-            ok = t not in bad_at
-            # a table that is not a cocycle has no class: usage error
-            jobs.append(_job("cocycle-class",
-                             ["cocycle", "class", "--file", "{table}"],
-                             {"rc": 0 if ok else 2, "m": m, "k": k},
-                             files))
-            jobs.append(_job("cocycle-check",
-                             ["cocycle", "check", "--file", "{table}"],
-                             {"rc": 0, "ok": ok}, files))
+            ok = t != bad_at
+            if t < both + class_only:
+                # a table that is not a cocycle has no class: usage error
+                jobs.append(_job("cocycle-class",
+                                 ["cocycle", "class", "--file", "{table}"],
+                                 {"rc": 0 if ok else 2, "m": m, "k": k},
+                                 files, once=t == 0))
+            if t < both or t >= both + class_only:
+                jobs.append(_job("cocycle-check",
+                                 ["cocycle", "check", "--file", "{table}"],
+                                 {"rc": 0, "ok": ok}, files))
         per_m.append(jobs)
     extra = []
     for _ in range(2):
-        m, n = rng.choice([(2, 3), (3, 4), (4, 5), (3, 5), (5, 6)])
+        m, n = rng.choice([(2, 3), (3, 4), (2, 5), (3, 5)])
         k = rng.randrange(m * n)
         extra.append(_job("cocycle-crt",
                           ["cocycle", "crt", "--m", str(m), "--n", str(n),
@@ -139,10 +156,11 @@ def _split_p31():
                  "{out}"],
                 {"rc": 0, "L0": q * h, "L1": (h - q) * h, "ambient": h * h,
                  "order": h},
-                {"lattice": {"p": p, "rank": 1, "n_gens": gens}})
+                {"lattice": {"p": p, "rank": 1, "n_gens": gens}},
+                once=True)
 
 
-def _split_conjugated(rng, p, rank):
+def _split_conjugated(rng, p, rank, once=False):
     """A free lattice conjugated by a random unimodular T, and the image
     of N0 = (+)_s a_s R with a_s in {1, 2}: [M:N] = 2^(h * #{a_s = 2})."""
     h = (p - 1) // 2
@@ -171,7 +189,7 @@ def _split_conjugated(rng, p, rank):
                 {"rc": 0, "L0": q * h, "L1": (d - q) * h, "ambient": d * h,
                  "order": h},
                 {"lattice": {"p": p, "rank": rank, "beta": beta,
-                             "n_gens": oracles.matmul(gens0, tinv)}})
+                             "n_gens": oracles.matmul(gens0, tinv)}}, once)
 
 
 def _involution(rng, p, shape):
@@ -252,17 +270,19 @@ def _resolve(rng, p, shape):
 
 
 def lattice_cycle(rng):
-    # the ten p = 13 rank-2 splits are the commonest slow job, so the
-    # tail percentile lands on them; the p = 31 split, the p = 11 free
-    # involution and two p = 17 splits are the slowest jobs of a cycle.
-    # Three resolutions per shape and prime put the median job among
-    # these quick ones.
-    splits = [_split_p31()]
-    splits += [_split_conjugated(rng, 17, 2) for _ in range(2)]
-    splits += [_split_conjugated(rng, 13, 2) for _ in range(10)]
+    # the p = 31 and p = 17 splits are the slowest jobs of a cycle and
+    # run once per worker.  The twelve p = 13 rank-2 splits form the
+    # group the tail job falls in.  The median job falls among the sign
+    # and mod-2 resolutions at p = 7 to 13.  The free involution runs at
+    # p = 5 and 7 only: at p = 11 it would take about as long as the rest
+    # of the cycle, and timing it in every worker would leave no time to
+    # time the other jobs more than once.
+    splits = [_split_p31(), _split_conjugated(rng, 17, 2, once=True)]
+    splits += [_split_conjugated(rng, 13, 2) for _ in range(12)]
     splits += [_split_conjugated(rng, p, rng.choice([1, 2])) for p in (7, 11)]
     invs = [_involution(rng, p, shape) for p in (5, 7, 11)
-            for shape in ("free", "trivial", "eigen")]
+            for shape in ("free", "trivial", "eigen")
+            if (p, shape) != (11, "free")]
     ress = [_resolve(rng, p, shape) for p in (5, 7, 11, 13)
             for shape in ("sign", "mod2", "free") for _ in range(3)]
     for g in (splits, invs, ress):
@@ -272,13 +292,13 @@ def lattice_cycle(rng):
 
 # -------------------------------------------------------------- scan-sweep
 
-def _pimsner(n, mult, expect_count=None):
+def _pimsner(n, mult, expect_count=None, once=False):
     expect = oracles.pimsner_verdicts(mult)
     expect["rc"] = 0
     expect["count"] = expect_count
     return _job("pimsner-check",
                 ["pimsner", "check", "--file", "{spec}"], expect,
-                {"spec": {"n": n, "mult": mult}})
+                {"spec": {"n": n, "mult": mult}}, once)
 
 
 def _pimsner_cyclic(rng, n):
@@ -300,7 +320,7 @@ def _pimsner_diagonal(rng, n):
     diag = [rng.choice([1, 2, "inf"]) for _ in range(n)]
     diag[rng.randrange(n)] = "inf"
     mult = [[diag[i] if i == j else 0 for j in range(n)] for i in range(n)]
-    return _pimsner(n, mult, expect_count=2 ** n - 2)
+    return _pimsner(n, mult, expect_count=2 ** n - 2, once=True)
 
 
 def _pimsner_random(rng, n):
@@ -330,9 +350,9 @@ def _fibonacci_query(rng):
 
 
 def _action_query(rng, kind):
-    """One millisecond obstruction query: the run time is almost all
-    per-call CLI overhead."""
-    m, n = rng.randint(1, 48), rng.randint(1, 48)
+    """One millisecond obstruction query: with m, n <= 12 the run time
+    is almost all per-call CLI overhead."""
+    m, n = rng.randint(1, 12), rng.randint(1, 12)
     k = rng.randrange(m)
     return _job("obstruction-" + kind,
                 ["obstruction", kind, "--m", str(m), "--n", str(n),
@@ -364,32 +384,32 @@ def _small(rng, kind):
 
 
 def scan_cycle(rng):
-    # the fourteen cyclic n = 15 scans are the commonest slow job, so the
-    # tail percentile lands on them; the two diagonal scans, which list
-    # 2^14 - 2 witnesses, are the slowest jobs of a cycle
-    slow = [_pimsner_cyclic(rng, 15) for _ in range(14)]
-    slow += [_pimsner_diagonal(rng, 14) for _ in range(2)]
-    slow += [_pimsner_random(rng, 14) for _ in range(6)]
-    for _ in range(6):
-        n = rng.randint(1400, 1500)
+    # the two diagonal scans, which list 2^13 - 2 witnesses, are the
+    # slowest jobs of a cycle and run once per worker.  The twelve
+    # cyclic n = 14 scans form the group the tail job falls in; the
+    # random scans and the sweeps cost less than those.
+    slow = [_pimsner_cyclic(rng, 14) for _ in range(12)]
+    slow += [_pimsner_diagonal(rng, 13) for _ in range(2)]
+    slow += [_pimsner_random(rng, 12) for _ in range(4)]
+    for _ in range(3):
+        n = rng.randint(950, 1050)
         slow.append(_job("sweep-fibonacci",
                          ["sweep", "fibonacci", "--max-n", str(n)],
                          {"rc": 0, "n": n,
                           "accepted": oracles.fibonacci_accepted(n)}))
-    for _ in range(2):
-        mx = rng.randint(20, 28)
-        slow.append(_job("sweep-agreement",
-                         ["sweep", "agreement", "--max", str(mx)],
-                         {"rc": 0, "max": mx,
-                          "checked": oracles.agreement_triples(mx)}))
-    slow += [_fibonacci_query(rng) for _ in range(20)]
+    mx = rng.randint(20, 28)
+    slow.append(_job("sweep-agreement",
+                     ["sweep", "agreement", "--max", str(mx)],
+                     {"rc": 0, "max": mx,
+                      "checked": oracles.agreement_triples(mx)}))
+    slow += [_fibonacci_query(rng) for _ in range(10)]
     slow += [_small(rng, kind) for kind in ("det", "cheb", "factor2",
-                                            "minpoly") for _ in range(3)]
-    # two thirds of the jobs are action queries, so job_p50_s measures
-    # the per-call overhead of the CLI
+                                            "minpoly") for _ in range(2)]
+    # most jobs are action queries, so job_p50_s measures the per-call
+    # overhead of the CLI
     quick = [_action_query(rng, kind) for kind in ("cuntz", "tensor",
                                                    "intro")
-             for _ in range(36)]
+             for _ in range(24)]
     for g in (slow, quick):
         rng.shuffle(g)
     return _interleave([slow, quick])

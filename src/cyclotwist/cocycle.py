@@ -12,7 +12,7 @@ Class identification is a linear solve: c - omega_m^k = d(beta) for a
 2-cochain beta with values in (1/L)Z/Z, L = lcm(m, denominators of c).
 After scaling by L this is an integer system mod L whose matrix depends
 only on m, so its Smith form is computed once and reused; each candidate
-k then costs one vector pass.
+k then costs one back-substitution (``exactalg.snf_back_substitute``).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .exactalg import IntMatrix, smith_normal_form
+from .exactalg import IntMatrix, smith_normal_form, snf_back_substitute
 
 
 class Cocycle3:
@@ -185,7 +185,7 @@ def coboundary(m: int, beta) -> Cocycle3:
     return Cocycle3.from_function(m, d)
 
 
-# one coboundary matrix per group order, with its Smith form and the
+# per group order: the Smith form of the coboundary matrix and the
 # U-image of the scaled standard table m*omega_m^1
 _SOLVER_CACHE: dict = {}
 
@@ -210,23 +210,22 @@ def _coboundary_matrix(m: int) -> IntMatrix:
 def _solver_data(m: int):
     data = _SOLVER_CACHE.get(m)
     if data is None:
-        A = _coboundary_matrix(m)
-        snf = smith_normal_form(A)
+        snf = smith_normal_form(_coboundary_matrix(m))
         base = omega(m, 1)
         w = [int(v * m) for v in base.values]  # integer table m*omega_m^1
         Uw = snf.U.apply(w)
-        data = (A, snf, Uw)
+        data = (snf, Uw)
         _SOLVER_CACHE[m] = data
     return data
 
 
-def cohomology_class(c: Cocycle3, verify: bool = True) -> CohClass:
+def cohomology_class(c: Cocycle3) -> CohClass:
     """The unique k with c cohomologous to omega_m^k, by linear solving.
 
     Tries k = 0..m-1 in order and returns the first k for which
     c - omega_m^k is a coboundary of a 2-cochain with denominator
-    dividing L = lcm(m, denominators of c).  With ``verify`` the
-    recovered beta is substituted back and checked exactly.
+    dividing L = lcm(m, denominators of c).  The recovered beta is
+    substituted back and checked exactly.
 
     Raises NotClassified when no k works, which signals a non-cocycle
     input (or a genuinely unreachable denominator; never observed for
@@ -235,43 +234,22 @@ def cohomology_class(c: Cocycle3, verify: bool = True) -> CohClass:
     m = c.m
     if m == 1:
         return CohClass(1, 0)
-    A, snf, Uwm = _solver_data(m)
+    snf, Uwm = _solver_data(m)
     L0 = c.denominator_lcm()
     L = L0 // gcd(L0, m) * m
     scale = L // m
-    b0 = [int(v * L) for v in c.values]
-    c_u = snf.U.apply(b0)
-    diag = snf.diagonal()
-    n_rows, n_cols = A.rows, A.cols
-    gcds = [gcd(diag[i], L) if i < len(diag) else L for i in range(n_rows)]
+    c_u = snf.U.apply([int(v * L) for v in c.values])
     for k in range(m):
-        ok = True
-        for i in range(n_rows):
-            if (c_u[i] - k * scale * Uwm[i]) % gcds[i]:
-                ok = False
-                break
-        if not ok:
+        # U*(L*(c - omega_m^k)) without a second pass through U
+        x = snf_back_substitute(
+            snf, [a - k * scale * w for a, w in zip(c_u, Uwm)], L)
+        if x is None:
             continue
-        # reconstruct a certificate beta and (optionally) re-check it
-        y = [0] * n_cols
-        for i in range(min(n_rows, n_cols)):
-            s = diag[i]
-            if not s:
-                continue
-            g = gcds[i]
-            ci = (c_u[i] - k * scale * Uwm[i]) % L
-            lred = L // g
-            if lred > 1:
-                y[i] = (ci // g) * pow(s // g, -1, lred) % lred
-        x = [v % L for v in snf.V.apply(y)]
-        if verify:
-            beta = [
-                [Fraction(x[i * m + j], L) for j in range(m)] for i in range(m)
-            ]
-            if c.sub(omega(m, k)) != coboundary(m, beta):
-                raise AssertionError(
-                    "solver returned an invalid coboundary certificate"
-                )
+        beta = [[Fraction(x[i * m + j], L) for j in range(m)]
+                for i in range(m)]
+        if c.sub(omega(m, k)) != coboundary(m, beta):
+            raise AssertionError(
+                "solver returned an invalid coboundary certificate")
         return CohClass(m, k)
     raise NotClassified(
         "no class in 0..%d matches at denominator %d" % (m - 1, L)

@@ -3,24 +3,27 @@
 Everything downstream (fusion determinants, coboundary solving, lattice
 certificates, resolution exactness) reduces to integer matrix arithmetic.
 All entries are Python ints, so nothing overflows and floats appear nowhere
-in this module.
+in this module.  Each solver exists once, here:
 
-Workhorses:
-
-* ``IntMatrix``         dense integer matrix, immutable after construction
-* ``smith_normal_form`` S = U*A*V with unimodular U, V and the divisibility
+* ``IntMatrix``          dense integer matrix, immutable after construction
+* ``smith_normal_form``  S = U*A*V with unimodular U, V and the divisibility
   chain d_1 | d_2 | ...; the exactness oracle for all module computations
-* ``det_exact``         fraction-free Bareiss determinant
-* ``charpoly_exact``    division-free characteristic polynomial (Berkowitz)
-* ``chebyshev_u``       U_n(X/2) as an integer polynomial
-* ``solve_linear_mod``  decides A*x = b (mod L) through the SNF
-* ``PolyZ`` / ``PolyF2`` dense polynomials, lowest degree first
+* ``snf_back_substitute`` the one Smith-form back-substitution: solves
+  S*y = U*b over Z or mod L; ``solve_linear`` and ``solve_linear_mod``
+  are its front ends
+* ``F2Echelon``          the one GF(2) echelon: rank, residue,
+  coordinate-tracked solve and the reduced form with its free columns,
+  on vectors packed into int bitmasks by ``pack_mod2``
+* ``factorize`` / ``radical`` / ``is_prime``  the integer helpers
+* ``det_exact``          fraction-free Bareiss determinant
+* ``charpoly_exact``     division-free characteristic polynomial (Berkowitz)
+* ``chebyshev_u``        U_n(X/2) as an integer polynomial
+* ``PolyZ`` / ``PolyF2``  dense polynomials, lowest degree first
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 
@@ -464,11 +467,7 @@ class PolyZ:
         return g
 
     def reduce_mod2(self) -> "PolyF2":
-        bits = 0
-        for i, c in enumerate(self.coeffs):
-            if c & 1:
-                bits |= 1 << i
-        return PolyF2(bits)
+        return PolyF2(pack_mod2(self.coeffs))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, PolyZ) and self.coeffs == other.coeffs
@@ -495,11 +494,7 @@ class PolyF2:
 
     @classmethod
     def from_coeffs(cls, coeffs) -> "PolyF2":
-        bits = 0
-        for i, c in enumerate(coeffs):
-            if int(c) % 2:
-                bits |= 1 << i
-        return cls(bits)
+        return cls(pack_mod2(int(c) for c in coeffs))
 
     def coeffs(self) -> list:
         return [(self.bits >> i) & 1 for i in range(self.degree() + 1)]
@@ -664,9 +659,45 @@ def charpoly_exact(A: IntMatrix) -> PolyZ:
     return PolyZ(list(reversed(C)))
 
 
-def matvec_mod(M: IntMatrix, v, L: int) -> list:
-    out = M.apply(v)
-    return [x % L for x in out]
+def snf_back_substitute(snf: SNFResult, c, modulus: int = 0):
+    """Solve A*x = b through its Smith form, given c = U*b.
+
+    With S = U*A*V diagonal the system is s_i * y_i = c_i, one coordinate
+    at a time, and x = V*y.  Over Z (``modulus`` 0) each s_i must divide
+    c_i; mod L each gcd(s_i, L) must, and x is reduced mod L.  Returns
+    None when some coordinate has no solution.
+    """
+    diag = snf.diagonal()
+    y = [0] * snf.V.rows
+    for i, ci in enumerate(c):
+        s = diag[i] if i < len(diag) else 0
+        if modulus:
+            ci %= modulus
+            g = gcd(s, modulus)
+            if ci % g:
+                return None
+            if s:
+                lred = modulus // g
+                y[i] = (ci // g) * pow(s // g, -1, lred) % lred
+        elif s == 0:
+            if ci:
+                return None
+        else:
+            q, r = divmod(ci, s)
+            if r:
+                return None
+            y[i] = q
+    x = snf.V.apply(y)
+    return [v % modulus for v in x] if modulus else x
+
+
+def _snf_rhs(A: IntMatrix, b, snf: SNFResult | None):
+    b = [int(x) for x in b]
+    if len(b) != A.rows:
+        raise ValueError("right-hand side length mismatch")
+    if snf is None:
+        snf = smith_normal_form(A)
+    return snf, snf.U.apply(b)
 
 
 def solve_linear_mod(A: IntMatrix, b, L: int, snf: SNFResult | None = None):
@@ -679,31 +710,8 @@ def solve_linear_mod(A: IntMatrix, b, L: int, snf: SNFResult | None = None):
     """
     if L < 1:
         raise ValueError("modulus must be >= 1")
-    b = [int(x) for x in b]
-    if len(b) != A.rows:
-        raise ValueError("right-hand side length mismatch")
-    if snf is None:
-        snf = smith_normal_form(A)
-    c = snf.U.apply(b)
-    m, n = A.rows, A.cols
-    diag = snf.diagonal()
-    y = [0] * n
-    for i in range(m):
-        s = diag[i] if i < len(diag) else 0
-        ci = c[i] % L
-        g = gcd(s, L)
-        if g == 0:
-            g = L
-        if ci % g:
-            return None
-        if i < n and s:
-            lred = L // g
-            if lred > 1:
-                y[i] = (ci // g) * pow(s // g, -1, lred) % lred
-            else:
-                y[i] = 0
-    x = snf.V.apply(y)
-    return [v % L for v in x]
+    snf, c = _snf_rhs(A, b, snf)
+    return snf_back_substitute(snf, c, L)
 
 
 def solve_linear(A: IntMatrix, b, snf: SNFResult | None = None):
@@ -712,26 +720,8 @@ def solve_linear(A: IntMatrix, b, snf: SNFResult | None = None):
     Same Smith-form mechanics as solve_linear_mod but over Z itself:
     each diagonal entry must divide its transformed coordinate.
     """
-    b = [int(x) for x in b]
-    if len(b) != A.rows:
-        raise ValueError("right-hand side length mismatch")
-    if snf is None:
-        snf = smith_normal_form(A)
-    c = snf.U.apply(b)
-    m, n = A.rows, A.cols
-    diag = snf.diagonal()
-    y = [0] * n
-    for i in range(m):
-        s = diag[i] if i < len(diag) else 0
-        if s == 0:
-            if c[i] != 0:
-                return None
-        else:
-            if c[i] % s:
-                return None
-            if i < n:
-                y[i] = c[i] // s
-    return snf.V.apply(y)
+    snf, c = _snf_rhs(A, b, snf)
+    return snf_back_substitute(snf, c)
 
 
 def kernel_basis(A: IntMatrix, snf: SNFResult | None = None) -> list:
@@ -748,10 +738,115 @@ def kernel_basis(A: IntMatrix, snf: SNFResult | None = None) -> list:
     return [[V.at(i, j) for i in range(n)] for j in range(r, n)]
 
 
-def frac_gcd_lcm_denominator(values) -> int:
-    """lcm of the denominators of an iterable of Fractions."""
-    L = 1
-    for v in values:
-        d = Fraction(v).denominator
-        L = L // gcd(L, d) * d
-    return L
+def pack_mod2(vec) -> int:
+    """An integer vector reduced mod 2, packed as a bitmask: bit j is set
+    iff vec[j] is odd."""
+    bits = 0
+    for j, x in enumerate(vec):
+        if x & 1:
+            bits |= 1 << j
+    return bits
+
+
+class F2Echelon:
+    """Echelon basis of a subspace of GF(2)^n, vectors packed as bitmasks.
+
+    Each row is keyed by its pivot, its highest set bit, and carries the
+    combination of inserted vectors that produced it (bit i for the i-th
+    insertion), so ``solve`` returns coordinates in the inserted vectors.
+    ``reduce`` brings the rows to the reduced form, which is unique for
+    the span, and ``normal_form`` then gives the canonical coset
+    representative: zero on every pivot column.
+    """
+
+    def __init__(self, vectors=()):
+        self.rows = {}      # pivot -> row
+        self.combos = {}    # pivot -> inserted vectors summing to the row
+        self.inserted = 0
+        for v in vectors:
+            self.add(v)
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+    def _reduce(self, w: int):
+        """(residue, combination) after clearing leading pivots of w; the
+        residue is zero iff w lies in the span."""
+        combo = 0
+        while w:
+            piv = w.bit_length() - 1
+            row = self.rows.get(piv)
+            if row is None:
+                break
+            w ^= row
+            combo ^= self.combos[piv]
+        return w, combo
+
+    def residue(self, w: int) -> int:
+        return self._reduce(w)[0]
+
+    def add(self, w: int) -> bool:
+        """Insert w; True iff it was independent of the span so far."""
+        w, combo = self._reduce(w)
+        combo ^= 1 << self.inserted
+        self.inserted += 1
+        if not w:
+            return False
+        piv = w.bit_length() - 1
+        self.rows[piv] = w
+        self.combos[piv] = combo
+        return True
+
+    def solve(self, w: int):
+        """Bitmask of inserted vectors summing to w, or None."""
+        w, combo = self._reduce(w)
+        return None if w else combo
+
+    def reduce(self) -> None:
+        """Clear every pivot column outside its own row."""
+        for piv in sorted(self.rows, reverse=True):
+            row, combo = self.rows[piv], self.combos[piv]
+            for other, orow in self.rows.items():
+                if other != piv and (orow >> piv) & 1:
+                    self.rows[other] = orow ^ row
+                    self.combos[other] ^= combo
+
+    def normal_form(self, w: int) -> int:
+        """w with every pivot column cleared; needs ``reduce`` first."""
+        for piv, row in self.rows.items():
+            if (w >> piv) & 1:
+                w ^= row
+        return w
+
+    def free_columns(self, n: int) -> list:
+        """The non-pivot columns among 0..n-1, increasing."""
+        return [j for j in range(n) if j not in self.rows]
+
+
+def factorize(n: int) -> dict:
+    """Prime factorization by trial division; {p: exponent}, {} for 1."""
+    if n < 1:
+        raise ValueError("need a positive integer")
+    out: dict = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def radical(n: int) -> int:
+    """Product of the distinct prime divisors."""
+    r = 1
+    for p in factorize(n):
+        r *= p
+    return r
+
+
+def is_prime(n: int) -> bool:
+    return n >= 2 and factorize(n) == {n: 1}

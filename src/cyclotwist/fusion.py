@@ -23,6 +23,8 @@ from .exactalg import (
     charpoly_exact,
     chebyshev_u,
     det_exact,
+    is_prime,
+    radical,
     smith_normal_form,
 )
 
@@ -280,23 +282,6 @@ def regular_matrix(R: FusionRing, tau) -> IntMatrix:
     )
 
 
-def _radical(n: int) -> int:
-    if n < 1:
-        raise ValueError("radical of a non-positive integer")
-    rad = 1
-    rest = n
-    p = 2
-    while p * p <= rest:
-        if rest % p == 0:
-            rad *= p
-            while rest % p == 0:
-                rest //= p
-        p += 1 if p == 2 else 2
-    if rest > 1:
-        rad *= rest
-    return rad
-
-
 def global_det(R: FusionRing) -> DetReport:
     """Z = sum over labels of M(pi) M(dual pi), with |det| and its radical.
 
@@ -308,7 +293,7 @@ def global_det(R: FusionRing) -> DetReport:
     for p in range(r):
         Z = Z + regular_matrix(R, p) @ regular_matrix(R, R.dual[p])
     d = abs(det_exact(Z))
-    return DetReport(ring=R, Z=Z, det_abs=d, radical=_radical(d))
+    return DetReport(ring=R, Z=Z, det_abs=d, radical=radical(d))
 
 
 @dataclass(frozen=True)
@@ -494,7 +479,7 @@ def group_ring_iso_check(p: int) -> GroupRingIsoReport:
     """
     from .numring import real_cyclotomic
 
-    if p < 3 or not _is_prime(p) or p % 2 == 0:
+    if p < 3 or not is_prime(p) or p % 2 == 0:
         raise ValueError("p must be an odd prime")
     k = p - 2
     R = tlj(k)
@@ -565,14 +550,3 @@ def group_ring_iso_check(p: int) -> GroupRingIsoReport:
         doubled_charpoly_is_chebyshev=doubled,
         failures=tuple(failures),
     )
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True

@@ -4,7 +4,10 @@ The ring R is the ring of integers of the maximal real subfield of the
 p-th cyclotomic field (p an odd prime), generated by beta = 2cos(2pi/p)
 with monic minimal polynomial mu of degree (p-1)/2.  Everything here is
 exact: elements are integer coefficient vectors in the power basis of
-beta, and all module claims are certified by Smith normal forms.
+beta.  Linear algebra comes from ``exactalg``: Smith-form solves for
+Z-spans and the one GF(2) echelon for everything mod 2.  Each
+certificate is checked in its own verify(), and the constructions below
+return a certificate only after that verify() has passed.
 
 Contents:
 
@@ -14,10 +17,12 @@ Contents:
 * ``idempotents_mod2`` CRT idempotents of R/2R
 * ``galois``           matrices of the Galois group on the power basis
 * ``lattice_split``    the constructive proof that M[G]/N[G] splits off a
-  free part: M[G] = L_0 + L_1 with N[G] = 2L_0 + L_1, SNF-certified
+  free part: M[G] = L_0 + L_1 with N[G] = 2L_0 + L_1 (SplitCertificate)
 * ``involution_split`` eigenlattice decomposition for an R-linear
   involution Y, with a Higman certificate for the projective remainder
+  (InvolutionSplit)
 * ``resolve_z2_module`` four-term resolutions of R[Z/2Z]-modules
+  (Resolution)
 * ``higman_check``     verify x = phi(x) + phi(xY)Y
 """
 
@@ -26,29 +31,20 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from math import gcd
 
 from .exactalg import (
+    F2Echelon,
     IntMatrix,
     PolyF2,
     PolyZ,
     chebyshev_t2,
     chebyshev_u,
+    is_prime,
     kernel_basis,
+    pack_mod2,
     smith_normal_form,
     solve_linear,
 )
-
-
-def _is_odd_prime(p: int) -> bool:
-    if p < 3 or p % 2 == 0:
-        return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 2
-    return True
 
 
 class RealCyclotomic:
@@ -115,7 +111,7 @@ def real_cyclotomic(p: int) -> RealCyclotomic:
     >>> real_cyclotomic(5).mu
     PolyZ([-1, 1, 1])
     """
-    if not _is_odd_prime(p):
+    if not (p % 2 and is_prime(p)):
         raise ValueError("p must be an odd prime, got %r" % (p,))
     f = chebyshev_u(p - 1)
     dg = (p - 1) // 2
@@ -379,37 +375,18 @@ def _row_basis_rows(rows, dim: int) -> list:
 
 class _SpanChecker:
     """Membership oracle for the Z-span of a fixed set of row vectors;
-    one Smith form, then each query is a single transform pass."""
+    one Smith form, then each query is one back-substitution."""
 
-    def __init__(self, basis_rows, dim: int):
-        self.dim = dim
-        self.rows = [list(r) for r in basis_rows]
-        if self.rows:
-            At = IntMatrix.from_rows(self.rows).transpose()
-            self.snf = smith_normal_form(At)
-            self.diag = self.snf.diagonal()
-            self.nrows = At.rows
-        else:
-            self.snf = None
+    def __init__(self, basis_rows):
+        self.At = (IntMatrix.from_rows(basis_rows).transpose()
+                   if basis_rows else None)
+        self.snf = smith_normal_form(self.At) if basis_rows else None
 
     def coords(self, v):
         """x with x . basis = v, or None."""
-        if self.snf is None:
+        if self.At is None:
             return [] if not any(v) else None
-        c = self.snf.U.apply(list(v))
-        y = [0] * len(self.rows)
-        for i in range(self.nrows):
-            s = self.diag[i] if i < len(self.diag) else 0
-            ci = c[i] if i < len(c) else 0
-            if s == 0:
-                if ci:
-                    return None
-                continue
-            if ci % s:
-                return None
-            if i < len(y):
-                y[i] = ci // s
-        return self.snf.V.apply(y)
+        return solve_linear(self.At, v, self.snf)
 
     def contains(self, v) -> bool:
         return self.coords(v) is not None
@@ -444,108 +421,27 @@ def _f2_poly_eval(poly: PolyF2, A_rows, n: int) -> tuple:
     return res
 
 
-def _f2_rank(rows) -> int:
-    table = []
-    rank = 0
-    for r in rows:
-        for t in table:
-            if r and t.bit_length() == r.bit_length():
-                r ^= t
-        while r:
-            hit = False
-            for t in table:
-                if t.bit_length() == r.bit_length():
-                    r ^= t
-                    hit = True
-                    break
-            if not hit:
-                table.append(r)
-                rank += 1
-                r = 0
-    return rank
-
-
-class _F2Solver:
-    """Echelon form with coordinate tracking over GF(2); solves for the
-    expression of a vector in the original (independent) rows."""
-
-    def __init__(self, rows):
-        self.table = {}
-        for i, r in enumerate(rows):
-            v, c = r, 1 << i
-            while v:
-                piv = v.bit_length() - 1
-                if piv in self.table:
-                    tv, tc = self.table[piv]
-                    v ^= tv
-                    c ^= tc
-                else:
-                    self.table[piv] = (v, c)
-                    break
-            else:
-                raise AssertionError("solver rows are dependent")
-
-    def solve(self, w: int):
-        c = 0
-        while w:
-            piv = w.bit_length() - 1
-            if piv not in self.table:
-                return None
-            tv, tc = self.table[piv]
-            w ^= tv
-            c ^= tc
-        return c
-
-
 class _Quotient:
     """M/N as an F2-space for 2M <= N <= M, with projection and lifts.
 
-    Rows of N are echelonized mod 2; quotient coordinates are the
-    non-pivot columns of the reduced form.
+    Quotient coordinates are the free columns of the reduced echelon
+    form of N mod 2.
     """
 
     def __init__(self, dim: int, n_rows):
-        ech = {}
-        for v in n_rows:
-            b = 0
-            for j, x in enumerate(v):
-                if x & 1:
-                    b |= 1 << j
-            while b:
-                piv = b.bit_length() - 1
-                if piv in ech:
-                    b ^= ech[piv]
-                else:
-                    ech[piv] = b
-                    break
-        # back-substitute so each pivot occurs in exactly one row
-        for piv in sorted(ech, reverse=True):
-            row = ech[piv]
-            for piv2 in ech:
-                if piv2 != piv and (ech[piv2] >> piv) & 1:
-                    ech[piv2] ^= row
+        self.ech = F2Echelon(pack_mod2(v) for v in n_rows)
+        self.ech.reduce()
         self.dim = dim
-        self.ech = ech
-        self.free_cols = [j for j in range(dim) if j not in ech]
+        self.free_cols = self.ech.free_columns(dim)
         self.qdim = len(self.free_cols)
-        self._col_pos = {j: k for k, j in enumerate(self.free_cols)}
 
-    def project_bits(self, b: int) -> int:
-        for piv, row in self.ech.items():
-            if (b >> piv) & 1:
-                b ^= row
+    def project_vec(self, v) -> int:
+        b = self.ech.normal_form(pack_mod2(v))
         out = 0
-        for j, k in self._col_pos.items():
+        for k, j in enumerate(self.free_cols):
             if (b >> j) & 1:
                 out |= 1 << k
         return out
-
-    def project_vec(self, v) -> int:
-        b = 0
-        for j, x in enumerate(v):
-            if x & 1:
-                b |= 1 << j
-        return self.project_bits(b)
 
     def lift(self, k: int) -> list:
         v = [0] * self.dim
@@ -649,8 +545,11 @@ def _div2_lattice(rows, dim: int) -> list:
     return _row_basis_rows([v[:dim] for v in ker], dim)
 
 
-def _free_r_basis(ring: RealCyclotomic, span_rows, beta: IntMatrix,
-                  max_tries: int = 20000) -> list:
+# candidates the greedy free-basis search tries before it gives up
+_FREE_BASIS_MAX_TRIES = 20000
+
+
+def _free_r_basis(ring: RealCyclotomic, span_rows, beta: IntMatrix) -> list:
     """Greedy free R-basis of the beta-stable lattice spanned by span_rows.
 
     Candidates are accepted when the Smith form of the stacked beta
@@ -666,7 +565,7 @@ def _free_r_basis(ring: RealCyclotomic, span_rows, beta: IntMatrix,
     k = m // deg
     if k == 0:
         return []
-    Vcheck = _SpanChecker(V, dim)
+    Vcheck = _SpanChecker(V)
     beta_abs = []
     for v in V:
         c = Vcheck.coords(_row_act(beta, v))
@@ -714,9 +613,9 @@ def _free_r_basis(ring: RealCyclotomic, span_rows, beta: IntMatrix,
     tries = 0
     for cand in candidates():
         tries += 1
-        if tries > max_tries:
-            raise RuntimeError(
-                "free R-basis search stalled after %d candidates" % max_tries)
+        if tries > _FREE_BASIS_MAX_TRIES:
+            raise RuntimeError("free R-basis search stalled after %d "
+                               "candidates" % _FREE_BASIS_MAX_TRIES)
         orbit = []
         v = cand
         for _ in range(deg):
@@ -744,9 +643,9 @@ class SplitCertificate:
     """Certified splitting M[G] = L_0 (+) L_1 with N[G] = 2 L_0 (+) L_1.
 
     Row bases of L_0 and L_1 live in Z^(dim(M) * |G|), the copies of M
-    indexed by the Galois group laid out block by block.  Construction
-    asserts the three Smith-form facts; verify() recomputes them from
-    the stored matrices alone.
+    indexed by the Galois group laid out block by block.  verify()
+    recomputes the three Smith-form facts from the stored matrices
+    alone; lattice_split returns a certificate only after it passes.
     """
 
     def __init__(self, p: int, base_dim: int, group_order: int,
@@ -777,7 +676,7 @@ class SplitCertificate:
             return False
         # 2 L_0 <= N[G] and L_1 <= N[G], exactly, one group copy at a time
         d = self.base_dim
-        ncheck = _SpanChecker(self.n_basis.to_rows(), d)
+        ncheck = _SpanChecker(self.n_basis.to_rows())
         for v in rows0:
             for g in range(self.group_order):
                 if not ncheck.contains([2 * a for a in v[g * d:(g + 1) * d]]):
@@ -789,34 +688,12 @@ class SplitCertificate:
         # N[G] <= 2 L_0 + L_1: with L_0 (+) L_1 = Z^D already certified,
         # v lies in 2 L_0 + L_1 iff v mod 2 lies in the span of L_1 mod 2
         # (any mod-2 discrepancy b has v - b in 2 Z^D = 2 L_0 + 2 L_1)
-        span = {}
-        for v in rows1:
-            b = 0
-            for j, x in enumerate(v):
-                if x & 1:
-                    b |= 1 << j
-            res = _span_residue(span, b)
-            if res:
-                span[res.bit_length() - 1] = res
+        span = F2Echelon(pack_mod2(v) for v in rows1)
         for g in range(self.group_order):
             for i in range(self.n_basis.rows):
-                b = 0
-                for j, x in enumerate(self.n_basis.row(i)):
-                    if x & 1:
-                        b |= 1 << (g * d + j)
-                if _span_residue(span, b):
+                if span.residue(pack_mod2(self.n_basis.row(i)) << (g * d)):
                     return False
         return True
-
-
-def _span_residue(span: dict, w: int) -> int:
-    while w:
-        piv = w.bit_length() - 1
-        if piv in span:
-            w ^= span[piv]
-        else:
-            break
-    return w
 
 
 def lattice_split(p: int, M: RLattice, n_gens) -> SplitCertificate:
@@ -828,7 +705,7 @@ def lattice_split(p: int, M: RLattice, n_gens) -> SplitCertificate:
     satisfy 2M <= N <= M.  L_0 is spanned by amplified basis vectors
     whose classes form a free R/2R-basis of (M/N)[G]; L_1 is spanned by
     the corrected complements, which land in N[G].  Everything is exact
-    and the returned certificate is Smith-form checked.
+    and the certificate is returned only after its verify() passes.
     """
     ring = M.ring
     if ring.p != p:
@@ -851,7 +728,7 @@ def lattice_split(p: int, M: RLattice, n_gens) -> SplitCertificate:
             orbit_rows.append(v)
             v = _row_act(beta, v)
     H = _row_basis_rows(orbit_rows, d)
-    hcheck = _SpanChecker(H, d)
+    hcheck = _SpanChecker(H)
     for i in range(d):
         e2 = [0] * d
         e2[i] = 2
@@ -882,22 +759,18 @@ def lattice_split(p: int, M: RLattice, n_gens) -> SplitCertificate:
     # stage 1: greedy component bases B_i inside the R-basis
     B_sets = [[] for _ in range(nprimes)]
     for i in range(nprimes):
-        span = {}
-        got = 0
+        span = F2Echelon()
         for idx in range(r):
             w = _f2_vec_act(Q.project_vec(A[idx]), E[i])
-            if not w or not _span_residue(span, w):
+            if not w or not span.residue(w):
                 continue
             cur = w
             for _ in range(f):
-                res = _span_residue(span, cur)
-                if not res:
+                if not span.add(cur):
                     raise AssertionError("beta orbit collapsed inside span")
-                span[res.bit_length() - 1] = res
                 cur = _f2_vec_act(cur, betaQ)
             B_sets[i].append(idx)
-            got += f
-        if got != _f2_rank(list(E[i])):
+        if span.rank != F2Echelon(E[i]).rank:
             raise AssertionError("component %d not fully spanned" % i)
 
     # stage 2: correct the complement of each B_i to kill its component
@@ -915,14 +788,16 @@ def lattice_split(p: int, M: RLattice, n_gens) -> SplitCertificate:
             for _ in range(f):
                 basis_rows.append(cur)
                 cur = _f2_vec_act(cur, betaQ)
-        solver = _F2Solver(basis_rows) if basis_rows else None
+        solver = F2Echelon(basis_rows)
+        if solver.rank != len(basis_rows):
+            raise AssertionError("solver rows are dependent")
         for idx in range(r):
             if idx in Bj:
                 continue
             w = _f2_vec_act(Q.project_vec(A[idx]), E[j])
             if not w:
                 continue
-            coords = solver.solve(w) if solver else None
+            coords = solver.solve(w)
             if coords is None:
                 raise AssertionError("component image escaped its span")
             corr = [0] * d
@@ -1034,12 +909,11 @@ def lattice_split(p: int, M: RLattice, n_gens) -> SplitCertificate:
             orbit.append(amp_act(orbit[-1]))
         orb_w.append(orbit)
         rows_check.extend(project_amp(v) for v in orbit)
-    if len(rows_check) != qdim * nG or \
-            _f2_rank(list(rows_check)) != qdim * nG:
+    solver = F2Echelon(rows_check)
+    if len(rows_check) != qdim * nG or solver.rank != qdim * nG:
         raise AssertionError("amplified classes are not a free basis")
 
     # stage 5: correct everything else into N[G]
-    solver = _F2Solver(rows_check) if rows_check else None
     L1 = []
     for gi in range(nG):
         for idx in range(r):
@@ -1048,7 +922,7 @@ def lattice_split(p: int, M: RLattice, n_gens) -> SplitCertificate:
             z = embed(gi, A[idx])
             qz = project_amp(z)
             if qz:
-                coords = solver.solve(qz) if solver else None
+                coords = solver.solve(qz)
                 if coords is None:
                     raise AssertionError("class escaped the free basis span")
                 pos = 0
@@ -1075,39 +949,8 @@ def lattice_split(p: int, M: RLattice, n_gens) -> SplitCertificate:
         IntMatrix.from_rows(L1_rows) if L1_rows else IntMatrix.zeros(0, Damp),
         IntMatrix.from_rows(H))
 
-    # construction-time certification
-    stacked = IntMatrix.from_rows(L0_rows + L1_rows)
-    diag = smith_normal_form(stacked).diagonal()
-    if len(diag) != Damp or any(s != 1 for s in diag):
-        raise AssertionError("L_0 + L_1 basis is not unimodular")
-    for v in L0_rows:
-        for gi in range(nG):
-            if not hcheck.contains([2 * a for a in v[gi * d:(gi + 1) * d]]):
-                raise AssertionError("2 L_0 escapes N[G]")
-    for v in L1_rows:
-        for gi in range(nG):
-            if not hcheck.contains(v[gi * d:(gi + 1) * d]):
-                raise AssertionError("L_1 escapes N[G]")
-    # N[G] <= 2 L_0 + L_1: given unimodularity above, membership in
-    # 2 L_0 + L_1 only depends on the class mod 2 L_0 + 2 L_1 = 2 Z^D,
-    # so it reduces to F2-span membership against L_1 mod 2
-    span = {}
-    for v in L1_rows:
-        b = 0
-        for j, x in enumerate(v):
-            if x & 1:
-                b |= 1 << j
-        res = _span_residue(span, b)
-        if res:
-            span[res.bit_length() - 1] = res
-    for gi in range(nG):
-        for hrow in H:
-            b = 0
-            for j, x in enumerate(hrow):
-                if x & 1:
-                    b |= 1 << (gi * d + j)
-            if _span_residue(span, b):
-                raise AssertionError("N[G] escapes 2 L_0 + L_1")
+    if not cert.verify():
+        raise AssertionError("split certificate failed verification")
     return cert
 
 
@@ -1229,7 +1072,7 @@ class InvolutionSplit:
             return False
         zrows = self.basis_zero.to_rows()
         if zrows:
-            zcheck = _SpanChecker(zrows, D)
+            zcheck = _SpanChecker(zrows)
             for v in zrows:
                 if not zcheck.contains(_row_act(beta_amp, v)):
                     return False
@@ -1296,7 +1139,7 @@ def involution_split(p: int, module: Z2Module, padding: int = 0) \
             for _ in range(deg):
                 T_rows.append(v)
                 v = _row_act(beta_t, v)
-        tcheck = _SpanChecker(T_rows, Dt)
+        tcheck = _SpanChecker(T_rows)
         n2_abs = []
         for v in N2:
             c = tcheck.coords(v)
@@ -1331,9 +1174,6 @@ def involution_split(p: int, module: Z2Module, padding: int = 0) \
                 raise AssertionError("P_tau basis is not 2-divisible")
             rows.append([a // 2 for a in v])
         p_bases[tau] = rows
-        for v in rows:
-            if _row_act(y_amp, v) != [tau * a for a in v]:
-                raise AssertionError("P_tau is not a Y-eigenlattice")
 
     zero_gens = halves[1][0] + halves[-1][0]
     P0 = _div2_lattice(zero_gens, Damp)
@@ -1350,7 +1190,7 @@ def involution_split(p: int, module: Z2Module, padding: int = 0) \
                 T0_rows.append(v)
                 v = _row_act(beta_amp, v)
         T0_mat = IntMatrix.from_rows(T0_rows)
-        t0check = _SpanChecker(T0_rows, Damp)
+        t0check = _SpanChecker(T0_rows)
         y_r = []
         for s in range(k0):
             c = t0check.coords(_row_act(y_amp, basis0[s]))
@@ -1388,10 +1228,8 @@ def involution_split(p: int, module: Z2Module, padding: int = 0) \
                   for v in range(k0)] for u in range(k0)]
         phi_z = _rmat_to_z(ring, phi_r, k0)
         y_z = _rmat_to_z(ring, y_r, k0)
-        module0 = Z2Module(RLattice.free(ring, k0), y_z)
-        if not higman_check(module0, phi_z):
-            raise AssertionError("solved phi fails the Higman identity")
-        higman = HigmanCertificate(module0, phi_z)
+        higman = HigmanCertificate(Z2Module(RLattice.free(ring, k0), y_z),
+                                   phi_z)
 
     def mat(rows):
         return IntMatrix.from_rows(rows) if rows else \
@@ -1401,13 +1239,8 @@ def involution_split(p: int, module: Z2Module, padding: int = 0) \
         p, padding, ambient, nG,
         mat(p_bases[1]), mat(p_bases[-1]), mat(P0),
         certs[1], certs[-1], higman, T0_mat)
-
-    rows = p_bases[1] + p_bases[-1] + P0
-    if len(rows) != Damp:
-        raise AssertionError("eigenpart ranks do not fill the module")
-    diag = smith_normal_form(IntMatrix.from_rows(rows)).diagonal()
-    if len(diag) != Damp or any(x != 1 for x in diag):
-        raise AssertionError("P_+ (+) P_- (+) P_0 is not all of L[G]")
+    if not split.verify():
+        raise AssertionError("involution certificate failed verification")
     return split
 
 
@@ -1491,13 +1324,13 @@ class Resolution:
         K_rows = _row_basis_rows(self.relations.to_rows(), D0)
         f1_rows = [self.f1.row(i) for i in range(self.f1.rows)]
         if K_rows:
-            kcheck = _SpanChecker(K_rows, D0)
+            kcheck = _SpanChecker(K_rows)
             if any(not kcheck.contains(v) for v in f1_rows):
                 return False
         elif any(any(v) for v in f1_rows):
             return False
         if f1_rows:
-            icheck = _SpanChecker(f1_rows, D0)
+            icheck = _SpanChecker(f1_rows)
             if any(not icheck.contains(v) for v in K_rows):
                 return False
         elif K_rows:
@@ -1507,13 +1340,13 @@ class Resolution:
         ker1 = kernel_basis(self.f1.transpose()) if mid else []
         f2_rows = [self.f2.row(i) for i in range(self.f2.rows)]
         if ker1:
-            kcheck = _SpanChecker(ker1, mid)
+            kcheck = _SpanChecker(ker1)
             if any(not kcheck.contains(v) for v in f2_rows):
                 return False
         elif any(any(v) for v in f2_rows):
             return False
         if f2_rows:
-            icheck = _SpanChecker(f2_rows, mid)
+            icheck = _SpanChecker(f2_rows)
             if any(not icheck.contains(v) for v in ker1):
                 return False
         elif ker1:
@@ -1556,7 +1389,7 @@ def resolve_z2_module(p: int, rank: int, relations) -> Resolution:
         else IntMatrix.zeros(0, D0)
     K_rows = _row_basis_rows(rel_rows, D0)
     if K_rows:
-        kcheck = _SpanChecker(K_rows, D0)
+        kcheck = _SpanChecker(K_rows)
         for v in K_rows:
             if not kcheck.contains(_row_act(tgt_beta, v)) or \
                     not kcheck.contains(_row_act(tgt_y, v)):

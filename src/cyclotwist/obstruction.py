@@ -16,52 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-
-def _prime_factors(n: int) -> dict:
-    """Prime factorization by trial division; {p: exponent}."""
-    if n < 1:
-        raise ValueError("need a positive integer")
-    out: dict = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
-def radical(n: int) -> int:
-    """Product of the distinct prime divisors."""
-    r = 1
-    for p in _prime_factors(n):
-        r *= p
-    return r
-
-
-def _is_odd_prime(p: int) -> bool:
-    return p > 2 and p % 2 == 1 and _prime_factors(p) == {p: 1}
-
-
-@dataclass(frozen=True)
-class CuntzKTheory:
-    """K_0(O_{n+1}) = Z/nZ, generated by the class of the unit."""
-
-    n: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("parameter must be >= 1")
-
-    @property
-    def k0_order(self) -> int:
-        return self.n
-
-    @property
-    def unit_class(self) -> int:
-        return 1 % self.n
+from .exactalg import factorize, radical
 
 
 @dataclass(frozen=True)
@@ -138,8 +93,8 @@ def exists_tensor_action(q: ActionQuery) -> bool:
 
     Primes dividing n but not m impose nothing (r = 0 makes min(r,s) = 0).
     """
-    en = _prime_factors(q.n) if q.n > 1 else {}
-    for p, r in _prime_factors(q.m).items() if q.m > 1 else ():
+    en = factorize(q.n)
+    for p, r in factorize(q.m).items():
         s = en.get(p, 0)
         if _ppart_divides(q.k, p, min(r, s)):
             continue
@@ -183,7 +138,7 @@ def fibonacci_acts(n: int) -> FibonacciReport:
         classification = False
     else:
         classification = True
-        for p, e in _prime_factors(n).items() if n > 1 else ():
+        for p, e in factorize(n).items():
             if p == 5:
                 if e > 1:
                     classification = False
@@ -204,20 +159,3 @@ def fibonacci_acts(n: int) -> FibonacciReport:
         brute=brute,
         classification=classification,
     )
-
-
-def trivial_k0_lift(q: ActionQuery) -> bool:
-    """The induced action on K_0(O_{n+1}) is trivial and lifts exactly
-    when the automorphism-level action exists; named alias so reports
-    can cite the bimodule-level statement."""
-    return exists_automorphism_action(q)
-
-
-def tlj_even_liftconst_probe(p: int, n: int) -> bool:
-    """Whether 2 acts invertibly on Z/nZ, the computable shadow of the
-    even-quotient lifting constraint at an odd prime level p."""
-    if not _is_odd_prime(p):
-        raise ValueError("level must be an odd prime")
-    if n < 1:
-        raise ValueError("order must be >= 1")
-    return n % 2 == 1

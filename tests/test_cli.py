@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from cyclotwist.cli import main
 
 # exit convention: 0 completed, 1 false verdict under --assert,
@@ -268,3 +270,79 @@ def test_obstruction_ev1_and_fibonacci(capsys):
     assert code == 0 and "witness: 4" in out
     assert run(capsys, ["obstruction", "fibonacci", "--n", "12",
                         "--assert"])[0] == 1
+
+
+_GOOD_INPUTS = {
+    "cocycle": {"m": 2, "denominator": 2, "values": [0] * 8},
+    "split": {"p": 5, "rank": 1, "n_gens": [[2, 0]]},
+    "involution": {"p": 5, "rank": 1, "y": [[1, 0], [0, 1]]},
+    "resolve": {"p": 5, "rank": 1, "relations": [[1, 0, 1, 0]]},
+    "corr": {"n": 1, "mult": [["inf"]]},
+}
+_COMMANDS = {
+    "cocycle": [["cocycle", "check"], ["cocycle", "class"]],
+    "split": [["numring", "split"]],
+    "involution": [["numring", "involution"]],
+    "resolve": [["numring", "resolve"]],
+    "corr": [["pimsner", "check"]],
+}
+
+
+@pytest.mark.parametrize("kind, field, value", [
+    ("cocycle", "values", [0] * 7 + [None]),
+    ("cocycle", "values", 5),
+    ("cocycle", "m", None),
+    ("resolve", "relations", 5),
+    ("split", "beta", 5),
+    ("split", "n_gens", [[2, 0], None]),
+    ("split", "p", "five"),
+    ("involution", "y", 5),
+    ("corr", "mult", 5),
+    ("corr", "mult", [5]),
+])
+def test_malformed_fields_exit_two(capsys, tmp_path, kind, field, value):
+    obj = dict(_GOOD_INPUTS[kind], **{field: value})
+    f = tmp_path / "in.json"
+    f.write_text(json.dumps(obj))
+    for argv in _COMMANDS[kind]:
+        code, out, err = run(capsys, argv + ["--file", str(f)])
+        assert code == 2 and out == ""
+        assert "field %r" % field in err
+
+
+_CERT_PATHS = [
+    ("split", "SplitCertificate",
+     {"p": 5, "rank": 2, "n_gens": [[2, 0, 0, 0], [0, 0, 1, 0]]}),
+    ("involution", "InvolutionSplit",
+     {"p": 5, "rank": 2, "y": [[0, 0, 1, 0], [0, 0, 0, 1],
+                               [1, 0, 0, 0], [0, 1, 0, 0]]}),
+    ("resolve", "Resolution",
+     {"p": 5, "rank": 1, "relations": [[1, 0, 1, 0], [0, 1, 0, 1]]}),
+]
+
+
+@pytest.mark.parametrize("sub, cls, obj", _CERT_PATHS)
+def test_certificates_verified_once_and_gate_output(capsys, tmp_path,
+                                                    monkeypatch, sub, cls,
+                                                    obj):
+    import cyclotwist.numring as numring
+
+    f = tmp_path / "in.json"
+    f.write_text(json.dumps(obj))
+    argv = ["numring", sub, "--file", str(f)]
+    verify = getattr(numring, cls).verify
+    calls = []
+
+    def counted(self):
+        calls.append(self)
+        return verify(self)
+
+    monkeypatch.setattr(getattr(numring, cls), "verify", counted)
+    code, out, _ = run(capsys, argv)
+    assert code == 0 and ": true" in out
+    assert len(calls) == 1
+
+    monkeypatch.setattr(getattr(numring, cls), "verify", lambda self: False)
+    code, out, err = run(capsys, argv)
+    assert code == 3 and out == ""
+    assert "invariant violation" in err

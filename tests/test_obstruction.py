@@ -3,9 +3,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cyclotwist.exactalg import factorize, is_prime
 from cyclotwist.obstruction import (
     ActionQuery,
-    CuntzKTheory,
     FibonacciReport,
     KSharpCuntz,
     ev1_image,
@@ -14,8 +14,6 @@ from cyclotwist.obstruction import (
     fibonacci_acts,
     intro_formulation,
     radical,
-    tlj_even_liftconst_probe,
-    trivial_k0_lift,
 )
 
 
@@ -75,15 +73,6 @@ def test_ev1_image_matches_circle_model():
             image = {ks.ev1(Fraction(j, m)) for j in range(m)}
             expected = {Fraction((g * t) % m, m) for t in range(m)}
             assert image == expected
-
-
-def test_cuntz_ktheory_shadow():
-    k = CuntzKTheory(6)
-    assert k.k0_order == 6
-    assert k.unit_class == 1
-    assert CuntzKTheory(1).unit_class == 0
-    with pytest.raises(ValueError):
-        CuntzKTheory(0)
     assert KSharpCuntz(4).ev1(Fraction(3, 8)) == Fraction(1, 2)
 
 
@@ -122,23 +111,11 @@ def test_fibonacci_witness_satisfies_equation():
             assert r.witness is None
 
 
-def test_trivial_k0_lift_alias():
-    for m, n, k in ((2, 2, 1), (4, 2, 2), (3, 6, 2), (12, 8, 4)):
-        q = ActionQuery(m, n, k)
-        assert trivial_k0_lift(q) == exists_automorphism_action(q)
-
-
 def test_radical():
     assert radical(1) == 1
     assert radical(12) == 6
     assert radical(49) == 7
     assert radical(30) == 30
-
-
-def test_tlj_even_liftconst_probe():
-    assert tlj_even_liftconst_probe(5, 3)
-    assert not tlj_even_liftconst_probe(5, 8)
-    with pytest.raises(ValueError):
-        tlj_even_liftconst_probe(9, 3)
-    with pytest.raises(ValueError):
-        tlj_even_liftconst_probe(2, 3)
+    assert factorize(360) == {2: 3, 3: 2, 5: 1} and factorize(1) == {}
+    assert [n for n in range(-1, 30) if is_prime(n)] == \
+        [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]

@@ -114,7 +114,15 @@ def _load_json(path: str) -> dict:
 _SHAPES = ("an integer", "a list of integers", "a list of integer rows")
 
 
-def _field(obj: dict, name: str, depth: int, leaf=int):
+def _int(value) -> int:
+    """A JSON integer; floats, booleans and strings are refused rather
+    than truncated or coerced."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(value)
+    return value
+
+
+def _field(obj: dict, name: str, depth: int, leaf=_int):
     """obj[name] read as one entry (depth 0), a list of entries (depth 1)
     or a list of rows of entries (depth 2), each entry passed through
     ``leaf``; any other shape is a ValueError naming the field."""
@@ -130,7 +138,7 @@ def _field(obj: dict, name: str, depth: int, leaf=int):
 
     try:
         return read(obj[name], depth)
-    except (TypeError, ValueError, OverflowError):
+    except TypeError:
         raise ValueError("field %r must be %s" % (name, _SHAPES[depth])) \
             from None
 

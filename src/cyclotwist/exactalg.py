@@ -355,10 +355,6 @@ class PolyZ:
     def x(cls) -> "PolyZ":
         return cls([0, 1])
 
-    @classmethod
-    def const(cls, c: int) -> "PolyZ":
-        return cls([c])
-
     def degree(self) -> int:
         # degree of the zero polynomial reported as -1
         return len(self.coeffs) - 1
@@ -459,12 +455,6 @@ class PolyZ:
         for c in reversed(self.coeffs):
             acc = acc @ M + ident.scale(c)
         return acc
-
-    def content(self) -> int:
-        g = 0
-        for c in self.coeffs:
-            g = gcd(g, c)
-        return g
 
     def reduce_mod2(self) -> "PolyF2":
         return PolyF2(pack_mod2(self.coeffs))
@@ -594,6 +584,19 @@ class PolyF2:
         return "PolyF2<%s>" % " + ".join(terms)
 
 
+def _chebyshev(n: int, first: int) -> PolyZ:
+    """P_n for P_0 = first, P_1 = X, P_{n+1} = X*P_n - P_{n-1}."""
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    prev = PolyZ([first])
+    if n == 0:
+        return prev
+    cur = PolyZ([0, 1])
+    for _ in range(n - 1):
+        prev, cur = cur, cur.shift(1) - prev
+    return cur
+
+
 def chebyshev_u(n: int) -> PolyZ:
     """U_n(X/2) as an integer polynomial.
 
@@ -602,15 +605,7 @@ def chebyshev_u(n: int) -> PolyZ:
     >>> chebyshev_u(2)
     PolyZ([-1, 0, 1])
     """
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    prev = PolyZ([1])
-    if n == 0:
-        return prev
-    cur = PolyZ([0, 1])
-    for _ in range(n - 1):
-        prev, cur = cur, cur.shift(1) - prev
-    return cur
+    return _chebyshev(n, 1)
 
 
 def chebyshev_t2(n: int) -> PolyZ:
@@ -620,15 +615,7 @@ def chebyshev_t2(n: int) -> PolyZ:
     Sends 2cos(t) to 2cos(n*t), which is how Galois conjugation acts on
     the real cyclotomic generator.
     """
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    prev = PolyZ([2])
-    if n == 0:
-        return prev
-    cur = PolyZ([0, 1])
-    for _ in range(n - 1):
-        prev, cur = cur, cur.shift(1) - prev
-    return cur
+    return _chebyshev(n, 2)
 
 
 def charpoly_exact(A: IntMatrix) -> PolyZ:

@@ -24,6 +24,19 @@ Contents:
 * ``resolve_z2_module`` four-term resolutions of R[Z/2Z]-modules
   (Resolution)
 * ``higman_check``     verify x = phi(x) + phi(xY)Y
+
+What each verify() proves from the stored matrices alone:
+
+* SplitCertificate: the rows of L_0 and of L_1 come in orbits of the
+  Galois-amplified beta of M, so both are R-submodules; together they
+  are a Z-basis of M[G]; N has elementary divisors 1 and 2 only, so
+  2Z^d <= N, membership in N is decided mod 2 and 2 L_0 + L_1 <= N[G];
+  and N[G] <= 2 L_0 + L_1, also mod 2.
+* InvolutionSplit: P_+ and P_- are orbit-laid, with Y = +1 and -1 on
+  them; P_+, P_-, P_0 together are a Z-basis; and the Higman
+  certificate is tied to P_0 by the stored basis T_0 of P_0, which
+  intertwines Y and beta with the certificate's module.
+* Resolution: equivariance of every map and exactness at each term.
 """
 
 from __future__ import annotations
@@ -69,12 +82,6 @@ class RealCyclotomic:
 
     def mul(self, a: PolyZ, b: PolyZ) -> PolyZ:
         return self.reduce(a * b)
-
-    def power(self, a: PolyZ, e: int) -> PolyZ:
-        acc = PolyZ([1])
-        for _ in range(e):
-            acc = self.mul(acc, a)
-        return acc
 
     def coeff_vector(self, a: PolyZ) -> list:
         a = self.reduce(a)
@@ -153,9 +160,6 @@ class PrimeFactorTwo:
     count: int
 
     def __post_init__(self):
-        prod = PolyF2(1)
-        for g in self.factors:
-            prod = prod * g
         if len(set(f.bits for f in self.factors)) != len(self.factors):
             raise ValueError("repeated factor: 2 would ramify")
         degs = {g.degree() for g in self.factors}
@@ -293,8 +297,7 @@ def galois(p: int, a: int) -> IntMatrix:
     representatives of (Z/pZ)^x / {+-1}.
     """
     ring = real_cyclotomic(p)
-    a0 = _canonical_rep(a, p)
-    image = ring.reduce(chebyshev_t2(a0))
+    image = _galois_images(ring)[_canonical_rep(a, p) - 1]
     cols = []
     acc = PolyZ([1])
     for _ in range(ring.degree):
@@ -302,6 +305,17 @@ def galois(p: int, a: int) -> IntMatrix:
         cols.append(ring.coeff_vector(acc))
         acc = ring.mul(acc, image)
     return IntMatrix.from_rows(cols).transpose()
+
+
+def _galois_images(ring: RealCyclotomic) -> list:
+    """sigma_a(beta) = 2T_a(beta/2) reduced mod mu, for a = 1..degree."""
+    return [ring.reduce(chebyshev_t2(a)) for a in range(1, ring.degree + 1)]
+
+
+def _amplify(ring: RealCyclotomic, beta: IntMatrix) -> list:
+    """The blocks sigma_a(beta), a = 1..degree: beta acting on the copy of
+    M twisted by sigma_a, the a-th block of the amplified module M[G]."""
+    return [t.eval_matrix(beta) for t in _galois_images(ring)]
 
 
 def galois_factor_permutation(p: int) -> dict:
@@ -315,8 +329,7 @@ def galois_factor_permutation(p: int) -> dict:
     fact = factor_two(p)
     f2 = ring.mu.reduce_mod2()
     perms = {}
-    for a in range(1, ring.degree + 1):
-        image = ring.reduce(chebyshev_t2(_canonical_rep(a, p)))
+    for a, image in enumerate(_galois_images(ring), 1):
         mapping = []
         for i, fi in enumerate(fact.factors):
             val = ring.reduce(PolyZ(list(fi.coeffs())).compose(image))
@@ -358,11 +371,57 @@ def _row_act(A: IntMatrix, v) -> list:
     return out
 
 
+def _act(blocks, v) -> list:
+    """v . diag(blocks): each block acts on its own slice of v."""
+    out = []
+    off = 0
+    for b in blocks:
+        out.extend(_row_act(b, v[off:off + b.rows]))
+        off += b.rows
+    return out
+
+
+def _orbit(v, blocks, n: int) -> list:
+    """[v, v.B, ..., v.B^(n-1)] for B = diag(blocks)."""
+    out = [list(v)]
+    for _ in range(n - 1):
+        out.append(_act(blocks, out[-1]))
+    return out
+
+
+def _in_orbits(rows, blocks, n: int) -> bool:
+    """rows is a run of whole orbits of length n under diag(blocks); with
+    mu(B) = 0 and n = deg(mu), their Z-span is then B-stable."""
+    return len(rows) % n == 0 and all(
+        rows[i:i + n] == _orbit(rows[i], blocks, n)
+        for i in range(0, len(rows), n))
+
+
+def _mat(rows, ncols: int) -> IntMatrix:
+    return IntMatrix.from_rows(rows) if rows else IntMatrix.zeros(0, ncols)
+
+
+def _unimodular(rows, ncols: int) -> bool:
+    """The rows extend to a Z-basis of Z^ncols: every elementary divisor
+    is 1, one per row.  With ncols rows they are a Z-basis."""
+    diag = smith_normal_form(_mat(rows, ncols)).diagonal()
+    return len(diag) == len(rows) and all(s == 1 for s in diag)
+
+
+def _same_span(a, b) -> bool:
+    """The row lists a and b have the same Z-span."""
+    for x, y in ((a, b), (b, a)):
+        check = _SpanChecker(x)
+        if not all(check.contains(v) for v in y):
+            return False
+    return True
+
+
 def _vec_sub(u, v):
     return [a - b for a, b in zip(u, v)]
 
 
-def _row_basis_rows(rows, dim: int) -> list:
+def _row_basis_rows(rows) -> list:
     """Integer basis of the Z-span of the given row vectors."""
     rows = [list(r) for r in rows if any(r)]
     if not rows:
@@ -478,17 +537,8 @@ class RLattice:
 
     @classmethod
     def free(cls, ring: RealCyclotomic, rank: int) -> "RLattice":
-        b0 = ring.beta_matrix().transpose()
-        deg = ring.degree
-        d = rank * deg
-        rows = []
-        for s in range(rank):
-            for c in range(deg):
-                row = [0] * d
-                for j, x in enumerate(b0.row(c)):
-                    row[s * deg + j] = x
-                rows.append(row)
-        return cls(ring, rank, IntMatrix.from_rows(rows))
+        return cls(ring, rank,
+                   _block_diag([ring.beta_matrix().transpose()] * rank))
 
 
 @dataclass(frozen=True)
@@ -524,9 +574,7 @@ def _block_diag(blocks) -> IntMatrix:
                 row[off + j] = x
             rows.append(row)
         off += b.cols
-    if not rows:
-        return IntMatrix.zeros(0, 0)
-    return IntMatrix.from_rows(rows)
+    return _mat(rows, n)
 
 
 def _div2_lattice(rows, dim: int) -> list:
@@ -542,22 +590,23 @@ def _div2_lattice(rows, dim: int) -> list:
             row[dim + i] = -rows[i][j]
         eqs.append(row)
     ker = kernel_basis(IntMatrix.from_rows(eqs))
-    return _row_basis_rows([v[:dim] for v in ker], dim)
+    return _row_basis_rows([v[:dim] for v in ker])
 
 
 # candidates the greedy free-basis search tries before it gives up
 _FREE_BASIS_MAX_TRIES = 20000
 
 
-def _free_r_basis(ring: RealCyclotomic, span_rows, beta: IntMatrix) -> list:
-    """Greedy free R-basis of the beta-stable lattice spanned by span_rows.
+def _free_r_basis(ring: RealCyclotomic, span_rows, blocks) -> list:
+    """Greedy free R-basis of the lattice spanned by span_rows, stable
+    under beta = diag(blocks).
 
     Candidates are accepted when the Smith form of the stacked beta
     orbits stays unimodular, so the result is a free basis by
     construction.  Raises RuntimeError if the greedy search stalls.
     """
-    dim = beta.rows
-    V = _row_basis_rows(span_rows, dim)
+    dim = sum(b.rows for b in blocks)
+    V = _row_basis_rows(span_rows)
     m = len(V)
     deg = ring.degree
     if m % deg:
@@ -568,7 +617,7 @@ def _free_r_basis(ring: RealCyclotomic, span_rows, beta: IntMatrix) -> list:
     Vcheck = _SpanChecker(V)
     beta_abs = []
     for v in V:
-        c = Vcheck.coords(_row_act(beta, v))
+        c = Vcheck.coords(_act(blocks, v))
         if c is None:
             raise ValueError("lattice is not stable under beta")
         beta_abs.append(c)
@@ -616,15 +665,8 @@ def _free_r_basis(ring: RealCyclotomic, span_rows, beta: IntMatrix) -> list:
         if tries > _FREE_BASIS_MAX_TRIES:
             raise RuntimeError("free R-basis search stalled after %d "
                                "candidates" % _FREE_BASIS_MAX_TRIES)
-        orbit = []
-        v = cand
-        for _ in range(deg):
-            orbit.append(v)
-            v = _row_act(beta_abs, v)
-        trial = stacked + orbit
-        snf = smith_normal_form(IntMatrix.from_rows(trial))
-        diag = snf.diagonal()
-        if len(diag) == len(trial) and all(s == 1 for s in diag):
+        trial = stacked + _orbit(cand, [beta_abs], deg)
+        if _unimodular(trial, m):
             chosen.append(cand)
             stacked = trial
             if len(chosen) == k:
@@ -643,55 +685,56 @@ class SplitCertificate:
     """Certified splitting M[G] = L_0 (+) L_1 with N[G] = 2 L_0 (+) L_1.
 
     Row bases of L_0 and L_1 live in Z^(dim(M) * |G|), the copies of M
-    indexed by the Galois group laid out block by block.  verify()
-    recomputes the three Smith-form facts from the stored matrices
-    alone; lattice_split returns a certificate only after it passes.
+    indexed by the Galois group laid out block by block; ``lattice`` is M
+    itself, whose beta gives the R-structure of every copy.  verify()
+    rechecks every claim from these matrices alone; lattice_split
+    returns a certificate only after it passes.
     """
 
-    def __init__(self, p: int, base_dim: int, group_order: int,
-                 basis_L0: IntMatrix, basis_L1: IntMatrix,
-                 n_basis: IntMatrix):
-        self.p = p
-        self.base_dim = base_dim
-        self.group_order = group_order
+    def __init__(self, lattice: RLattice, basis_L0: IntMatrix,
+                 basis_L1: IntMatrix, n_basis: IntMatrix):
+        self.lattice = lattice
+        self.p = lattice.ring.p
+        self.base_dim = lattice.dim
+        self.group_order = lattice.ring.degree
         self.basis_L0 = basis_L0
         self.basis_L1 = basis_L1
         self.n_basis = n_basis
-        self.ambient_dim = base_dim * group_order
-
-    @property
-    def free_rank_rows(self) -> int:
-        return self.basis_L0.rows
+        self.ambient_dim = self.base_dim * self.group_order
 
     def verify(self) -> bool:
-        D = self.ambient_dim
+        D, d = self.ambient_dim, self.base_dim
         rows0 = self.basis_L0.to_rows()
         rows1 = self.basis_L1.to_rows()
-        stacked = IntMatrix.from_rows(rows0 + rows1) if rows0 + rows1 \
-            else IntMatrix.zeros(0, D)
-        if stacked.rows != D:
+        # L_0 and L_1 are R-submodules of M[G]
+        blocks = _amplify(self.lattice.ring, self.lattice.beta)
+        if not (_in_orbits(rows0, blocks, self.group_order)
+                and _in_orbits(rows1, blocks, self.group_order)):
             return False
-        diag = smith_normal_form(stacked).diagonal()
-        if len(diag) != D or any(s != 1 for s in diag):
+        if len(rows0) + len(rows1) != D or not _unimodular(rows0 + rows1, D):
             return False
-        # 2 L_0 <= N[G] and L_1 <= N[G], exactly, one group copy at a time
-        d = self.base_dim
-        ncheck = _SpanChecker(self.n_basis.to_rows())
-        for v in rows0:
-            for g in range(self.group_order):
-                if not ncheck.contains([2 * a for a in v[g * d:(g + 1) * d]]):
-                    return False
+        # elementary divisors of N in {1, 2} give 2 Z^d <= N, so v lies in
+        # N iff v mod 2 lies in the span of N mod 2: 2 L_0 <= N[G] holds
+        # outright and L_1 <= N[G] is a residue test, one copy at a time
+        n_rows = self.n_basis.to_rows()
+        if len(n_rows) != d or self.n_basis.cols != d or any(
+                s not in (1, 2)
+                for s in smith_normal_form(self.n_basis).diagonal()):
+            return False
+        n_span = F2Echelon(pack_mod2(v) for v in n_rows)
+        mask = (1 << d) - 1
         for v in rows1:
-            for g in range(self.group_order):
-                if not ncheck.contains(v[g * d:(g + 1) * d]):
-                    return False
+            bits = pack_mod2(v)
+            if any(n_span.residue(bits >> (g * d) & mask)
+                   for g in range(self.group_order)):
+                return False
         # N[G] <= 2 L_0 + L_1: with L_0 (+) L_1 = Z^D already certified,
         # v lies in 2 L_0 + L_1 iff v mod 2 lies in the span of L_1 mod 2
         # (any mod-2 discrepancy b has v - b in 2 Z^D = 2 L_0 + 2 L_1)
         span = F2Echelon(pack_mod2(v) for v in rows1)
         for g in range(self.group_order):
-            for i in range(self.n_basis.rows):
-                if span.residue(pack_mod2(self.n_basis.row(i)) << (g * d)):
+            for v in n_rows:
+                if span.residue(pack_mod2(v) << (g * d)):
                     return False
         return True
 
@@ -721,13 +764,7 @@ def lattice_split(p: int, M: RLattice, n_gens) -> SplitCertificate:
         if len(g) != d:
             raise ValueError("sublattice generator has length %d, want %d"
                              % (len(g), d))
-    orbit_rows = []
-    for g in gens:
-        v = g
-        for _ in range(deg):
-            orbit_rows.append(v)
-            v = _row_act(beta, v)
-    H = _row_basis_rows(orbit_rows, d)
+    H = _row_basis_rows(v for g in gens for v in _orbit(g, [beta], deg))
     hcheck = _SpanChecker(H)
     for i in range(d):
         e2 = [0] * d
@@ -735,16 +772,7 @@ def lattice_split(p: int, M: RLattice, n_gens) -> SplitCertificate:
         if not hcheck.contains(e2):
             raise ValueError("2M <= N fails at coordinate %d" % i)
 
-    # free R-basis of M
-    if beta == RLattice.free(ring, r).beta:
-        A = []
-        for s in range(r):
-            v = [0] * d
-            v[s * deg] = 1
-            A.append(v)
-    else:
-        A = _free_r_basis(ring, [row for row in IntMatrix.identity(d).to_rows()],
-                          beta)
+    A = _free_r_basis(ring, IntMatrix.identity(d).to_rows(), [beta])
 
     fac = factor_two(p)
     f = fac.f
@@ -780,10 +808,7 @@ def lattice_split(p: int, M: RLattice, n_gens) -> SplitCertificate:
         basis_rows = []
         orb_amb = []
         for idx in Bj:
-            amb = [A[idx]]
-            for _ in range(deg - 1):
-                amb.append(_row_act(beta, amb[-1]))
-            orb_amb.append(amb)
+            orb_amb.append(_orbit(A[idx], [beta], deg))
             cur = _f2_vec_act(Q.project_vec(A[idx]), E[j])
             for _ in range(f):
                 basis_rows.append(cur)
@@ -815,35 +840,24 @@ def lattice_split(p: int, M: RLattice, n_gens) -> SplitCertificate:
                         corr = [a + co * b
                                 for a, b in zip(corr, orb_amb[pos][c])]
             A[idx] = _vec_sub(A[idx], corr)
-        for idx in range(r):
-            if idx not in Bj:
-                if _f2_vec_act(Q.project_vec(A[idx]), E[j]):
-                    raise AssertionError("component survived correction")
 
     # stage 3: amplify over the group and compute supports
-    G = list(range(1, deg + 1))
     nG = deg
-    tg = [ring.reduce(chebyshev_t2(a)) for a in G]
-    beta_g = [t.eval_matrix(beta) for t in tg]
-    betaQ_g = [_f2_poly_eval(t.reduce_mod2(), betaQ, qdim) for t in tg]
+    beta_g = _amplify(ring, beta)
+    betaQ_g = [Q.induced_matrix(b) for b in beta_g]
     E_g = [[_f2_poly_eval(e, bq, qdim) for e in idem] for bq in betaQ_g]
     # the lift of d_i acting on the copy twisted by sigma_a is any element
     # congruent to d_i mod 2R; sigma_a(e_i) = e_{perm_a(i)}, so the 0/1
     # lift of the permuted idempotent keeps entries small
     perms = galois_factor_permutation(p)
     dbase = [dl.eval_matrix(beta) for dl in d_lift]
-    D_mats = [[dbase[perms[a][i]] for i in range(nprimes)] for a in G]
+    D_mats = [[dbase[perms[a][i]] for i in range(nprimes)]
+              for a in range(1, nG + 1)]
     Damp = d * nG
 
     def embed(gi, vec):
         out = [0] * Damp
         out[gi * d:(gi + 1) * d] = vec
-        return out
-
-    def amp_act(vec):
-        out = []
-        for gi in range(nG):
-            out.extend(_row_act(beta_g[gi], vec[gi * d:(gi + 1) * d]))
         return out
 
     def project_amp(vec):
@@ -901,14 +915,8 @@ def lattice_split(p: int, M: RLattice, n_gens) -> SplitCertificate:
             replaced.add((idx, gi))
 
     # the classes of the W orbits must form an F2-basis of (M/N)[G]
-    orb_w = []
-    rows_check = []
-    for w in W:
-        orbit = [w]
-        for _ in range(deg - 1):
-            orbit.append(amp_act(orbit[-1]))
-        orb_w.append(orbit)
-        rows_check.extend(project_amp(v) for v in orbit)
+    orb_w = [_orbit(w, beta_g, deg) for w in W]
+    rows_check = [project_amp(v) for orbit in orb_w for v in orbit]
     solver = F2Echelon(rows_check)
     if len(rows_check) != qdim * nG or solver.rank != qdim * nG:
         raise AssertionError("amplified classes are not a free basis")
@@ -931,23 +939,12 @@ def lattice_split(p: int, M: RLattice, n_gens) -> SplitCertificate:
                         if (coords >> pos) & 1:
                             z = _vec_sub(z, orb_w[s][c])
                         pos += 1
-                if project_amp(z):
-                    raise AssertionError("correction failed to land in N[G]")
             L1.append(z)
 
     L0_rows = [v for orbit in orb_w for v in orbit]
-    L1_rows = []
-    for z in L1:
-        v = z
-        for _ in range(deg):
-            L1_rows.append(v)
-            v = amp_act(v)
-
-    cert = SplitCertificate(
-        p, d, nG,
-        IntMatrix.from_rows(L0_rows) if L0_rows else IntMatrix.zeros(0, Damp),
-        IntMatrix.from_rows(L1_rows) if L1_rows else IntMatrix.zeros(0, Damp),
-        IntMatrix.from_rows(H))
+    L1_rows = [v for z in L1 for v in _orbit(z, beta_g, deg)]
+    cert = SplitCertificate(M, _mat(L0_rows, Damp), _mat(L1_rows, Damp),
+                            IntMatrix.from_rows(H))
 
     if not cert.verify():
         raise AssertionError("split certificate failed verification")
@@ -1022,70 +1019,59 @@ def _rmat_to_z(ring: RealCyclotomic, rmat, k: int) -> IntMatrix:
             for t in range(k):
                 row.extend(ring.coeff_vector(ring.reduce(rmat[s][t] * shift)))
             rows.append(row)
-    return IntMatrix.from_rows(rows) if rows else IntMatrix.zeros(0, 0)
+    return _mat(rows, 0)
 
 
 class InvolutionSplit:
     """Decomposition (L (+) R[Z/2Z]^padding)[G] = P_+ (+) P_- (+) P_0
     where Y acts by +1 on P_+, by -1 on P_-, and P_0 carries a Higman
-    certificate.  Bases are rows in the amplified padded coordinates."""
+    certificate.  Bases are rows in the amplified padded coordinates;
+    ``zero_orbit_basis`` T_0 is the Z-basis of P_0 in which the Higman
+    certificate's module is written."""
 
-    def __init__(self, p, padding, ambient, group_order,
-                 basis_plus, basis_minus, basis_zero,
-                 split_plus, split_minus, higman, zero_orbit_basis):
-        self.p = p
+    def __init__(self, padding, ambient, basis_plus, basis_minus,
+                 basis_zero, higman, zero_orbit_basis):
         self.padding = padding
         self.ambient = ambient          # padded Z2Module, one copy
-        self.group_order = group_order
+        self.p = ambient.lattice.ring.p
+        self.group_order = ambient.lattice.ring.degree
         self.basis_plus = basis_plus
         self.basis_minus = basis_minus
         self.basis_zero = basis_zero
-        self.split_plus = split_plus    # SplitCertificate or None
-        self.split_minus = split_minus
         self.higman = higman            # HigmanCertificate or None
         self.zero_orbit_basis = zero_orbit_basis
 
-    def _amp_mats(self):
-        ring = self.ambient.lattice.ring
-        beta_t = self.ambient.lattice.beta
-        G = list(range(1, self.group_order + 1))
-        beta_amp = _block_diag([
-            ring.reduce(chebyshev_t2(a)).eval_matrix(beta_t) for a in G])
-        y_amp = _block_diag([self.ambient.Y] * self.group_order)
-        return beta_amp, y_amp
-
     def verify(self) -> bool:
         D = self.ambient.dim * self.group_order
-        beta_amp, y_amp = self._amp_mats()
+        beta_amp = _amplify(self.ambient.lattice.ring,
+                            self.ambient.lattice.beta)
+        y_amp = [self.ambient.Y] * self.group_order
         for mat, tau in ((self.basis_plus, 1), (self.basis_minus, -1)):
-            for i in range(mat.rows):
-                v = mat.row(i)
-                if _row_act(y_amp, v) != [tau * a for a in v]:
-                    return False
-        rows = (self.basis_plus.to_rows() + self.basis_minus.to_rows()
-                + self.basis_zero.to_rows())
-        if len(rows) != D:
-            return False
-        stacked = IntMatrix.from_rows(rows) if rows else IntMatrix.zeros(0, D)
-        diag = smith_normal_form(stacked).diagonal()
-        if len(diag) != D or any(s != 1 for s in diag):
-            return False
-        zrows = self.basis_zero.to_rows()
-        if zrows:
-            zcheck = _SpanChecker(zrows)
-            for v in zrows:
-                if not zcheck.contains(_row_act(beta_amp, v)):
-                    return False
-                if not zcheck.contains(_row_act(y_amp, v)):
-                    return False
-        for cert in (self.split_plus, self.split_minus):
-            if cert is not None and not cert.verify():
+            rows = mat.to_rows()
+            if not _in_orbits(rows, beta_amp, self.group_order):
                 return False
-        if self.higman is not None and not self.higman.verify():
+            if any(_act(y_amp, v) != [tau * a for a in v] for v in rows):
+                return False
+        zrows = self.basis_zero.to_rows()
+        rows = self.basis_plus.to_rows() + self.basis_minus.to_rows() + zrows
+        if len(rows) != D or not _unimodular(rows, D):
             return False
-        if zrows and self.higman is None:
+        h = self.higman
+        if h is None:
+            return not zrows
+        # T_0 is a Z-basis of P_0 carrying the Higman module's Y and beta
+        # to those of P_0, so P_0 is that (projective) module
+        T0 = self.zero_orbit_basis
+        trows = T0.to_rows()
+        if (not h.verify() or len(trows) != len(zrows)
+                or h.module.dim != len(trows)
+                or not _same_span(trows, zrows)):
             return False
-        return True
+        # T_0 . A_amp = A_h . T_0, row by row, for A = Y and A = beta
+        return all(_act(amp, t) == _row_act(T0, a)
+                   for amp, mat in ((y_amp, h.module.Y),
+                                    (beta_amp, h.module.lattice.beta))
+                   for t, a in zip(trows, mat.to_rows()))
 
 
 def involution_split(p: int, module: Z2Module, padding: int = 0) \
@@ -1114,31 +1100,21 @@ def involution_split(p: int, module: Z2Module, padding: int = 0) \
         RLattice(ring, module.lattice.rank + 2 * padding, beta_t), y_t)
     Dt = ambient.dim
     Damp = Dt * nG
-
-    G = list(range(1, nG + 1))
-    tg = [ring.reduce(chebyshev_t2(a)) for a in G]
-    beta_amp = _block_diag([t.eval_matrix(beta_t) for t in tg])
-    y_amp = _block_diag([y_t] * nG)
+    beta_amp = _amplify(ring, beta_t)
+    y_amp = [y_t] * nG
 
     halves = {}
-    certs = {}
     for tau in (1, -1):
         gen = IntMatrix.identity(Dt) + y_t.scale(tau)
-        M2 = _row_basis_rows(gen.to_rows(), Dt)
+        M2 = _row_basis_rows(gen.to_rows())
         if not M2:
             halves[tau] = ([], [])
-            certs[tau] = None
             continue
         Np = _div2_lattice(M2, Dt)
         N2 = [[2 * a for a in v] for v in Np]
-        basisR = _free_r_basis(ring, M2, beta_t)
+        basisR = _free_r_basis(ring, M2, [beta_t])
         k = len(basisR)
-        T_rows = []
-        for b in basisR:
-            v = b
-            for _ in range(deg):
-                T_rows.append(v)
-                v = _row_act(beta_t, v)
+        T_rows = [v for b in basisR for v in _orbit(b, [beta_t], deg)]
         tcheck = _SpanChecker(T_rows)
         n2_abs = []
         for v in N2:
@@ -1147,24 +1123,10 @@ def involution_split(p: int, module: Z2Module, padding: int = 0) \
                 raise AssertionError("2-division lattice escaped M2")
             n2_abs.append(c)
         cert = lattice_split(p, RLattice.free(ring, k), n2_abs)
-        certs[tau] = cert
-
-        def back(row):
-            out = []
-            kd = k * deg
-            for gi in range(nG):
-                block = [0] * Dt
-                for jj, x in enumerate(row[gi * kd:(gi + 1) * kd]):
-                    if x:
-                        block = [a + x * b for a, b in zip(block, T_rows[jj])]
-                out.extend(block)
-            return out
-
-        L0_amb = [back(cert.basis_L0.row(i))
-                  for i in range(cert.basis_L0.rows)]
-        L1_amb = [back(cert.basis_L1.row(i))
-                  for i in range(cert.basis_L1.rows)]
-        halves[tau] = (L0_amb, L1_amb)
+        # back to ambient coordinates, copy by copy: x -> x . T
+        back = [IntMatrix.from_rows(T_rows)] * nG
+        halves[tau] = tuple([_act(back, v) for v in basis.to_rows()]
+                            for basis in (cert.basis_L0, cert.basis_L1))
 
     p_bases = {}
     for tau in (1, -1):
@@ -1179,21 +1141,15 @@ def involution_split(p: int, module: Z2Module, padding: int = 0) \
     P0 = _div2_lattice(zero_gens, Damp)
 
     higman = None
-    T0_mat = IntMatrix.zeros(0, Damp)
+    T0_rows = []
     if P0:
         basis0 = _free_r_basis(ring, P0, beta_amp)
         k0 = len(basis0)
-        T0_rows = []
-        for b in basis0:
-            v = b
-            for _ in range(deg):
-                T0_rows.append(v)
-                v = _row_act(beta_amp, v)
-        T0_mat = IntMatrix.from_rows(T0_rows)
+        T0_rows = [v for b in basis0 for v in _orbit(b, beta_amp, deg)]
         t0check = _SpanChecker(T0_rows)
         y_r = []
         for s in range(k0):
-            c = t0check.coords(_row_act(y_amp, basis0[s]))
+            c = t0check.coords(_act(y_amp, basis0[s]))
             if c is None:
                 raise AssertionError("P_0 is not Y-stable")
             y_r.append([PolyZ(list(c[t * deg:(t + 1) * deg]))
@@ -1231,14 +1187,9 @@ def involution_split(p: int, module: Z2Module, padding: int = 0) \
         higman = HigmanCertificate(Z2Module(RLattice.free(ring, k0), y_z),
                                    phi_z)
 
-    def mat(rows):
-        return IntMatrix.from_rows(rows) if rows else \
-            IntMatrix.zeros(0, Damp)
-
     split = InvolutionSplit(
-        p, padding, ambient, nG,
-        mat(p_bases[1]), mat(p_bases[-1]), mat(P0),
-        certs[1], certs[-1], higman, T0_mat)
+        padding, ambient, _mat(p_bases[1], Damp), _mat(p_bases[-1], Damp),
+        _mat(P0, Damp), higman, _mat(T0_rows, Damp))
     if not split.verify():
         raise AssertionError("involution certificate failed verification")
     return split
@@ -1302,7 +1253,6 @@ class Resolution:
         return (tgt_beta, tgt_y, dom1_beta, dom1_y, dom2_beta, dom2_y)
 
     def verify(self) -> bool:
-        D0 = self.f1.cols
         (tgt_beta, tgt_y, dom1_beta, dom1_y,
          dom2_beta, dom2_y) = self._actions()
         # equivariance of every map
@@ -1321,35 +1271,11 @@ class Resolution:
             if not (self.f2 @ self.f1).is_zero():
                 return False
         # exactness at the free cover: im f1 = relation lattice
-        K_rows = _row_basis_rows(self.relations.to_rows(), D0)
-        f1_rows = [self.f1.row(i) for i in range(self.f1.rows)]
-        if K_rows:
-            kcheck = _SpanChecker(K_rows)
-            if any(not kcheck.contains(v) for v in f1_rows):
-                return False
-        elif any(any(v) for v in f1_rows):
-            return False
-        if f1_rows:
-            icheck = _SpanChecker(f1_rows)
-            if any(not icheck.contains(v) for v in K_rows):
-                return False
-        elif K_rows:
+        if not _same_span(self.relations.to_rows(), self.f1.to_rows()):
             return False
         # exactness in the middle: ker f1 = im f2
-        mid = self.f1.rows
-        ker1 = kernel_basis(self.f1.transpose()) if mid else []
-        f2_rows = [self.f2.row(i) for i in range(self.f2.rows)]
-        if ker1:
-            kcheck = _SpanChecker(ker1)
-            if any(not kcheck.contains(v) for v in f2_rows):
-                return False
-        elif any(any(v) for v in f2_rows):
-            return False
-        if f2_rows:
-            icheck = _SpanChecker(f2_rows)
-            if any(not icheck.contains(v) for v in ker1):
-                return False
-        elif ker1:
+        ker1 = kernel_basis(self.f1.transpose()) if self.f1.rows else []
+        if not _same_span(ker1, self.f2.to_rows()):
             return False
         # exactness at the left end: f2 injective (f3 has rank zero)
         if self.f2.rows and kernel_basis(self.f2.transpose()):
@@ -1385,9 +1311,8 @@ def resolve_z2_module(p: int, rank: int, relations) -> Resolution:
         if len(rw) != D0:
             raise ValueError("relation row has length %d, want %d"
                              % (len(rw), D0))
-    rel_mat = IntMatrix.from_rows(rel_rows) if rel_rows \
-        else IntMatrix.zeros(0, D0)
-    K_rows = _row_basis_rows(rel_rows, D0)
+    rel_mat = _mat(rel_rows, D0)
+    K_rows = _row_basis_rows(rel_rows)
     if K_rows:
         kcheck = _SpanChecker(K_rows)
         for v in K_rows:
@@ -1409,38 +1334,27 @@ def resolve_z2_module(p: int, rank: int, relations) -> Resolution:
                 "kernel does not split as U_+ (+) U_-: eigenlattice "
                 "ranks %d + %d != %d"
                 % (len(cplus), len(cminus), mK))
-        eigd = smith_normal_form(
-            IntMatrix.from_rows(cplus + cminus)).diagonal()
-        if len(eigd) != mK or any(s != 1 for s in eigd):
+        if not _unimodular(cplus + cminus, mK):
             raise ResolutionError(
                 "kernel does not split as U_+ (+) U_-: the eigenlattice "
                 "sum has index > 1")
         u_plus = [_row_act(Km, c) for c in cplus]
         u_minus = [_row_act(Km, c) for c in cminus]
-        base_plus = _free_r_basis(ring, u_plus, tgt_beta) if u_plus else []
-        base_minus = _free_r_basis(ring, u_minus, tgt_beta) if u_minus else []
+        base_plus = _free_r_basis(ring, u_plus, [tgt_beta]) if u_plus else []
+        base_minus = (_free_r_basis(ring, u_minus, [tgt_beta])
+                      if u_minus else [])
     else:
         base_plus = []
         base_minus = []
     a = len(base_plus)
     b = len(base_minus)
 
-    f1_rows = []
-    for v in base_plus:
-        cur = v
-        for _ in range(deg):
-            f1_rows.append(cur)
-            cur = _row_act(tgt_beta, cur)
+    f1_rows = [v for b0 in base_plus for v in _orbit(b0, [tgt_beta], deg)]
     for v in base_minus:
-        orbit = []
-        cur = v
-        for _ in range(deg):
-            orbit.append(cur)
-            cur = _row_act(tgt_beta, cur)
+        orbit = _orbit(v, [tgt_beta], deg)
         f1_rows.extend(orbit)
         f1_rows.extend([-x for x in rw] for rw in orbit)
-    f1 = IntMatrix.from_rows(f1_rows) if f1_rows \
-        else IntMatrix.zeros(0, D0)
+    f1 = _mat(f1_rows, D0)
 
     mid = a * deg + b * 2 * deg
     f2_rows = []
@@ -1450,8 +1364,7 @@ def resolve_z2_module(p: int, rank: int, relations) -> Resolution:
             row[a * deg + j * 2 * deg + c] = 1
             row[a * deg + j * 2 * deg + deg + c] = 1
             f2_rows.append(row)
-    f2 = IntMatrix.from_rows(f2_rows) if f2_rows \
-        else IntMatrix.zeros(0, mid)
+    f2 = _mat(f2_rows, mid)
     f3 = IntMatrix.zeros(0, b * deg)
 
     res = Resolution(p, rank, rel_mat, a, b, f1, f2, f3)

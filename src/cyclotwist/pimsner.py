@@ -34,10 +34,20 @@ it reproduces the known simplicity of O_infty from the 1x1 table
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-INF = math.inf
+
+class _Infinite:
+    """The multiplicity of an infinite-dimensional block: an exact marker,
+    never summed or compared by size."""
+
+    __slots__ = ()
+
+    def __repr__(self):
+        return "inf"
+
+
+INF = _Infinite()
 
 _ENUM_CAP = 20  # subsets are enumerated exhaustively; 2^20 is the limit
 
@@ -78,9 +88,6 @@ class CorrSpec:
             ],
         }
 
-    def row_mass(self, i: int):
-        return sum(self.mult[i])
-
     def __eq__(self, other):
         return (
             isinstance(other, CorrSpec)
@@ -116,13 +123,18 @@ class SimplicityReport:
     flags: Flags
 
 
+def _finite(row) -> bool:
+    """A row has finite total mass iff no block in it is infinite."""
+    return INF not in row
+
+
 def validate(spec: CorrSpec) -> Flags:
     """Row/column flags of the block model; non-degeneracy is automatic."""
-    faithful = all(any(v > 0 for v in row) for row in spec.mult)
+    faithful = all(any(v != 0 for v in row) for row in spec.mult)
     full = all(
-        any(spec.mult[i][j] > 0 for i in range(spec.n)) for j in range(spec.n)
+        any(spec.mult[i][j] != 0 for i in range(spec.n)) for j in range(spec.n)
     )
-    proper = all(spec.row_mass(i) < INF for i in range(spec.n))
+    proper = all(_finite(row) for row in spec.mult)
     return Flags(faithful=faithful, full=full, proper=proper, nondegenerate=True)
 
 
@@ -142,7 +154,7 @@ def _forward_closed(spec: CorrSpec, members: list) -> bool:
     for i in members:
         row = spec.mult[i]
         for j in range(spec.n):
-            if row[j] > 0 and j not in members:
+            if row[j] != 0 and j not in members:
                 return False
     return True
 
@@ -153,7 +165,7 @@ def _absorbs_compacts(spec: CorrSpec, members: list) -> bool:
     for i in range(spec.n):
         if i in sset:
             continue
-        if spec.row_mass(i) < INF and all(
+        if _finite(spec.mult[i]) and all(
             spec.mult[i][j] == 0 for j in range(spec.n) if j not in sset
         ):
             return False
@@ -199,14 +211,15 @@ def _recheck_witness(spec: CorrSpec, labelled: tuple, need_compact: bool):
                 forward_ok = False
     compact_ok = True
     for i in range(spec.n):
-        total = 0
+        finite = True
         outside_support = False
         for j in range(spec.n):
             entry = spec.mult[i][j]
-            total = entry + total
+            if entry is INF:
+                finite = False
             if entry != 0 and not inside[j]:
                 outside_support = True
-        if total < INF and not outside_support and not inside[i]:
+        if finite and not outside_support and not inside[i]:
             compact_ok = False
     if not forward_ok or (need_compact and not compact_ok):
         raise AssertionError(
@@ -218,7 +231,7 @@ def toeplitz_simple(spec: CorrSpec) -> SimplicityReport:
     """Toeplitz algebra simplicity: no part of A acts compactly (every
     row has infinite mass) and no nontrivial forward-closed subset."""
     flags = _require_faithful(spec)
-    rows_infinite = all(spec.row_mass(i) == INF for i in range(spec.n))
+    rows_infinite = all(not _finite(row) for row in spec.mult)
     witnesses = invariant_ideals(spec).forward_closed
     for w in witnesses:
         _recheck_witness(spec, w, need_compact=False)

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
@@ -299,6 +300,9 @@ _COMMANDS = {
     ("involution", "y", 5),
     ("corr", "mult", 5),
     ("corr", "mult", [5]),
+    ("cocycle", "m", 2.9),
+    ("cocycle", "m", True),
+    ("split", "p", 5.0),
 ])
 def test_malformed_fields_exit_two(capsys, tmp_path, kind, field, value):
     obj = dict(_GOOD_INPUTS[kind], **{field: value})
@@ -330,17 +334,22 @@ def test_certificates_verified_once_and_gate_output(capsys, tmp_path,
     f = tmp_path / "in.json"
     f.write_text(json.dumps(obj))
     argv = ["numring", sub, "--file", str(f)]
-    verify = getattr(numring, cls).verify
-    calls = []
+    calls = Counter()
+    for name in {cls, "SplitCertificate"}:
+        klass = getattr(numring, name)
 
-    def counted(self):
-        calls.append(self)
-        return verify(self)
+        def counted(self, verify=klass.verify, name=name):
+            calls[name] += 1
+            return verify(self)
 
-    monkeypatch.setattr(getattr(numring, cls), "verify", counted)
+        monkeypatch.setattr(klass, "verify", counted)
     code, out, _ = run(capsys, argv)
     assert code == 0 and ": true" in out
-    assert len(calls) == 1
+    assert calls[cls] == 1
+    # an involution verifies each inner split certificate once, inside
+    # lattice_split: one per eigenpart of the swap module
+    assert calls["SplitCertificate"] == {"split": 1, "involution": 2,
+                                         "resolve": 0}[sub]
 
     monkeypatch.setattr(getattr(numring, cls), "verify", lambda self: False)
     code, out, err = run(capsys, argv)

@@ -1,3 +1,4 @@
+import copy
 import random
 
 import pytest
@@ -13,6 +14,7 @@ from cyclotwist.exactalg import (
     smith_normal_form,
 )
 from cyclotwist.numring import (
+    HigmanCertificate,
     InvolutionError,
     RLattice,
     ResolutionError,
@@ -252,6 +254,34 @@ def test_lattice_split_prime_product_p31():
     assert cert.verify()
 
 
+def test_split_verify_rejects_basis_that_is_not_a_submodule():
+    # N = 2R + f_1 R at p = 17.  In each copy, the rows of the Z-basis
+    # adapted to N (from the Smith form of n_basis) with divisor 2 and
+    # with divisor 1 satisfy every lattice claim of the certificate, but
+    # neither span is stable under beta
+    p = 17
+    ring = real_cyclotomic(p)
+    f1 = PolyZ([int(b) for b in factor_two(p).factors[0].coeffs()])
+    cert = lattice_split(p, RLattice.free(ring, 1),
+                         [ring.coeff_vector(PolyZ([2])), ring.coeff_vector(f1)])
+    snf = smith_normal_form(cert.n_basis)
+    d, D = cert.base_dim, cert.ambient_dim
+    parts = {1: [], 2: []}
+    for s, row in zip(snf.diagonal(), (snf.U @ cert.n_basis).to_rows()):
+        parts[s].append([x // s for x in row])
+
+    def amplified(rows):
+        return IntMatrix.from_rows(
+            [[0] * (g * d) + row + [0] * (D - (g + 1) * d)
+             for g in range(cert.group_order) for row in rows])
+
+    forged = copy.copy(cert)
+    forged.basis_L0 = amplified(parts[2])
+    forged.basis_L1 = amplified(parts[1])
+    assert cert.verify()
+    assert not forged.verify()
+
+
 def _random_unimodular(rng, n, shears=4):
     t = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     tinv = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
@@ -343,6 +373,22 @@ def test_involution_split_two_eigenlines():
     assert sp1.basis_zero.rows == 2 * deg * sp1.group_order
     assert sp1.higman is not None
     assert sp1.verify()
+
+
+def test_involution_verify_ties_higman_certificate_to_p0():
+    # a valid Higman certificate for a free module of the right size, but
+    # with a Y that the stored basis of P_0 does not carry to P_0's Y
+    for p, copies in ((5, 1), (5, 2), (7, 1)):
+        sp = involution_split(p, free_z2_module(p, copies))
+        other = free_z2_module(p, sp.higman.module.lattice.rank // 2)
+        deg, n = sp.group_order, other.dim
+        # projection onto the 1-component of each regular summand
+        phi = IntMatrix.from_rows([[int(i == j and i % (2 * deg) < deg)
+                                    for j in range(n)] for i in range(n)])
+        forged = copy.copy(sp)
+        forged.higman = HigmanCertificate(other, phi)
+        assert forged.higman.verify() and sp.verify()
+        assert not forged.verify()
 
 
 def test_involution_split_auto_reports_padding():

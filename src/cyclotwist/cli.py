@@ -324,11 +324,8 @@ def _cmd_cocycle_class(args) -> int:
     c = _load_cocycle(args)
     if not is_cocycle(c).ok:
         raise ValueError("input table is not a cocycle; nothing to classify")
-    try:
-        cls = cohomology_class(c)
-    except NotClassified as exc:
-        # the identity held, so failing to classify is an internal error
-        raise AssertionError(str(exc)) from exc
+    # the identity held, so NotClassified here is an invariant violation
+    cls = cohomology_class(c)
     _say("class: %d (mod %d)  [%s]" % (cls.k, cls.m, CIT_CLASS))
     _emit_json(args, {"m": cls.m, "k": cls.k})
     return 0
@@ -758,10 +755,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (AssertionError, ArithmeticError) as exc:
-        sys.stderr.write("invariant violation: %s\n" % exc)
-        return 3
-    except NotClassified as exc:
+    except (AssertionError, ArithmeticError, NotClassified) as exc:
         sys.stderr.write("invariant violation: %s\n" % exc)
         return 3
     except (ValueError, KeyError, OSError, RuntimeError,

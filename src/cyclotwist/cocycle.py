@@ -8,11 +8,11 @@ computations are exact.  The standard cocycles are
 
 one per class in H^3(Z/mZ; Q/Z) = Z/mZ.
 
-Class identification is a linear solve: c - omega_m^k = d(beta) for a
-2-cochain beta with values in (1/L)Z/Z, L = lcm(m, denominators of c).
-After scaling by L this is an integer system mod L whose matrix depends
-only on m, so its Smith form is computed once and reused; each candidate
-k then costs one back-substitution (``exactalg.snf_back_substitute``).
+Class identification needs no linear solve.  The sum
+sum_j c(1,j,1) is k/m mod 1 for c cohomologous to omega_m^k, because the
+terms of a coboundary telescope away in it; so k = m * sum_j c(1,j,1).
+The certificate is a 2-cochain beta with c - omega_m^k = d(beta), built
+in closed form from the slice i = 1 and substituted back exactly.
 """
 
 from __future__ import annotations
@@ -21,7 +21,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .exactalg import IntMatrix, smith_normal_form, snf_back_substitute
+# tables have m^3 entries and the identity check visits m^4 quadruples:
+# about 50 s at m = 48 on a 2-core VM
+_MAX_ORDER = 48
+
+
+def _check_order(m: int):
+    if not 1 <= m <= _MAX_ORDER:
+        raise ValueError("group order must be >= 1 and <= %d" % _MAX_ORDER)
 
 
 class Cocycle3:
@@ -30,8 +37,7 @@ class Cocycle3:
     __slots__ = ("m", "values")
 
     def __init__(self, m: int, values):
-        if m < 1:
-            raise ValueError("group order must be >= 1")
+        _check_order(m)
         self.m = m
         vals = tuple(Fraction(v) % 1 for v in values)
         if len(vals) != m**3:
@@ -40,6 +46,7 @@ class Cocycle3:
 
     @classmethod
     def from_function(cls, m: int, fn) -> "Cocycle3":
+        _check_order(m)
         return cls(
             m,
             [
@@ -122,7 +129,7 @@ class CocycleCheck:
 
 
 class NotClassified(Exception):
-    """No k in 0..m-1 solves c - omega_m^k = d(beta) at denominator L."""
+    """The table is not a cocycle, so it has no class."""
 
 
 def omega(m: int, k: int) -> Cocycle3:
@@ -131,11 +138,13 @@ def omega(m: int, k: int) -> Cocycle3:
     >>> omega(2, 1).value(1, 1, 1)
     Fraction(1, 2)
     """
-    if m < 1:
-        raise ValueError("group order must be >= 1")
     return Cocycle3.from_function(
-        m, lambda i, j, h: Fraction(((i + j) // m) * h * k, m)
-    )
+        m, lambda i, j, h: _omega_value(m, k, i, j, h))
+
+
+def _omega_value(m: int, k: int, i: int, j: int, h: int) -> Fraction:
+    """omega_m^k(i,j,h) for i, j in 0..m-1, without building the table."""
+    return Fraction(((i + j) // m) * h * k, m) % 1
 
 
 def is_cocycle(c: Cocycle3) -> CocycleCheck:
@@ -185,75 +194,35 @@ def coboundary(m: int, beta) -> Cocycle3:
     return Cocycle3.from_function(m, d)
 
 
-# per group order: the Smith form of the coboundary matrix and the
-# U-image of the scaled standard table m*omega_m^1
-_SOLVER_CACHE: dict = {}
-
-
-def _coboundary_matrix(m: int) -> IntMatrix:
-    mm = m * m
-    rows = []
-    for i in range(m):
-        for j in range(m):
-            ij = (i + j) % m
-            for h in range(m):
-                row = [0] * mm
-                jh = (j + h) % m
-                row[j * m + h] += 1
-                row[ij * m + h] -= 1
-                row[i * m + jh] += 1
-                row[i * m + j] -= 1
-                rows.append(row)
-    return IntMatrix.from_rows(rows)
-
-
-def _solver_data(m: int):
-    data = _SOLVER_CACHE.get(m)
-    if data is None:
-        snf = smith_normal_form(_coboundary_matrix(m))
-        base = omega(m, 1)
-        w = [int(v * m) for v in base.values]  # integer table m*omega_m^1
-        Uw = snf.U.apply(w)
-        data = (snf, Uw)
-        _SOLVER_CACHE[m] = data
-    return data
-
-
 def cohomology_class(c: Cocycle3) -> CohClass:
-    """The unique k with c cohomologous to omega_m^k, by linear solving.
+    """The unique k with c cohomologous to omega_m^k, certified.
 
-    Tries k = 0..m-1 in order and returns the first k for which
-    c - omega_m^k is a coboundary of a 2-cochain with denominator
-    dividing L = lcm(m, denominators of c).  The recovered beta is
-    substituted back and checked exactly.
-
-    Raises NotClassified when no k works, which signals a non-cocycle
-    input (or a genuinely unreachable denominator; never observed for
-    multiples of m).
+    k = m * sum_j c(1,j,1) mod m: coboundary terms telescope away in the
+    sum and sum_j omega_m^k(1,j,h) = h*k/m.  The witness beta with
+    g = c - omega_m^k = d(beta) is closed form and is substituted back
+    exactly.  Raises NotClassified when c is not a cocycle.
     """
     m = c.m
-    if m == 1:
-        return CohClass(1, 0)
-    snf, Uwm = _solver_data(m)
-    L0 = c.denominator_lcm()
-    L = L0 // gcd(L0, m) * m
-    scale = L // m
-    c_u = snf.U.apply([int(v * L) for v in c.values])
-    for k in range(m):
-        # U*(L*(c - omega_m^k)) without a second pass through U
-        x = snf_back_substitute(
-            snf, [a - k * scale * w for a, w in zip(c_u, Uwm)], L)
-        if x is None:
-            continue
-        beta = [[Fraction(x[i * m + j], L) for j in range(m)]
-                for i in range(m)]
-        if c.sub(omega(m, k)) != coboundary(m, beta):
-            raise AssertionError(
-                "solver returned an invalid coboundary certificate")
-        return CohClass(m, k)
-    raise NotClassified(
-        "no class in 0..%d matches at denominator %d" % (m - 1, L)
-    )
+    km = m * sum(c.value(1, j, 1) for j in range(m))
+    if km.denominator != 1:
+        raise NotClassified(
+            "m * sum_j c(1,j,1) = %s is not an integer" % km)
+    k = int(km) % m
+    g = c.sub(omega(m, k))
+    # beta(1,.) = 0 and beta(j,h) - beta(j+1,h) = g(1,j,h) give
+    # d(beta) = g on the slice i = 1; at j = m-1 this needs
+    # sum_j g(1,j,h) = 0, true for every h when g is a cocycle of class 0.
+    # delta = g - d(beta) is then a cocycle vanishing at i = 1, and the
+    # cocycle identity at f = 1 reads delta(i+1,.,.) = delta(i,.,.), so
+    # delta = 0 everywhere.
+    beta = [[Fraction(0)] * m for _ in range(m)]
+    beta[0] = [g.value(1, 0, h) for h in range(m)]
+    for j in range(1, m - 1):
+        beta[j + 1] = [beta[j][h] - g.value(1, j, h) for h in range(m)]
+    if g != coboundary(m, beta):
+        raise NotClassified(
+            "c - omega_%d^%d is not the coboundary of its witness" % (m, k))
+    return CohClass(m, k)
 
 
 def embed_check(m: int, n: int, k: int) -> bool:
@@ -262,11 +231,11 @@ def embed_check(m: int, n: int, k: int) -> bool:
     if m < 1 or n < 1:
         raise ValueError("orders must be >= 1")
     small = omega(m, k)
-    big = omega(m * n, k)
     for i in range(m):
         for j in range(m):
             for h in range(m):
-                if small.value(i, j, h) != big.value(n * i, n * j, n * h):
+                if small.value(i, j, h) != _omega_value(
+                        m * n, k, n * i, n * j, n * h):
                     return False
     return True
 
@@ -275,18 +244,15 @@ def crt_check(m: int, n: int, k: int) -> bool:
     """Pull omega_{mn}^k back along (i,j) -> ni+mj and classify each leg.
 
     For coprime m, n the restriction to the first factor must have class
-    k mod m and the second k mod n; both are decided with the class
-    solver, not by syntactic comparison.
+    k mod m and the second k mod n; both are decided by
+    ``cohomology_class``, not by syntactic comparison.
     """
     if gcd(m, n) != 1:
         raise ValueError("orders must be coprime")
-    big = omega(m * n, k)
     first = Cocycle3.from_function(
-        m, lambda i, j, h: big.value(n * i, n * j, n * h)
-    )
+        m, lambda i, j, h: _omega_value(m * n, k, n * i, n * j, n * h))
     second = Cocycle3.from_function(
-        n, lambda i, j, h: big.value(m * i, m * j, m * h)
-    )
+        n, lambda i, j, h: _omega_value(m * n, k, m * i, m * j, m * h))
     return (
         cohomology_class(first).k == k % m
         and cohomology_class(second).k == k % n

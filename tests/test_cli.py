@@ -114,11 +114,30 @@ def test_cocycle_source_required(capsys):
 def test_cocycle_embed_and_crt(capsys):
     assert run(capsys, ["cocycle", "embed", "--m", "3", "--n", "4",
                         "--k", "2", "--assert"])[0] == 0
+    # omega_{3000}^2 is read entry by entry, never built
+    assert run(capsys, ["cocycle", "embed", "--m", "3", "--n", "1000",
+                        "--k", "2", "--assert"])[0] == 0
     assert run(capsys, ["cocycle", "crt", "--m", "3", "--n", "4",
                         "--k", "5", "--assert"])[0] == 0
     # non-coprime orders are a usage error
     assert run(capsys, ["cocycle", "crt", "--m", "4", "--n", "6",
                         "--k", "1"])[0] == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["cocycle", "make", "--m", "49", "--k", "1"],
+    ["cocycle", "check", "--m", "49", "--k", "1"],
+    ["cocycle", "class", "--m", "49", "--k", "1"],
+    ["cocycle", "class", "--file", "{table}"],
+    ["cocycle", "crt", "--m", "49", "--n", "2", "--k", "1"],
+])
+def test_cocycle_group_order_limit_exits_two(capsys, tmp_path, argv):
+    table = tmp_path / "big.json"
+    table.write_text(json.dumps({"m": 49, "denominator": 1, "values": [0]}))
+    argv = [a.replace("{table}", str(table)) for a in argv]
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert "48" in err
 
 
 def test_invariant_violation_exits_three(capsys, monkeypatch):

@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cyclotwist import exactalg
 from cyclotwist.cocycle import (
     Cocycle3,
     NotClassified,
@@ -27,6 +29,37 @@ REVERSE_CLASS_TABLE = {
     5: [0, 1, 2, 3, 4],
     6: [0, 1, 2, 3, 4, 5],
 }
+
+
+def _coboundary_matrix(m):
+    """The integer matrix of d on 2-cochains, rows (i,j,h), cols (i,j)."""
+    rows = []
+    for i in range(m):
+        for j in range(m):
+            for h in range(m):
+                row = [0] * (m * m)
+                row[j * m + h] += 1
+                row[((i + j) % m) * m + h] -= 1
+                row[i * m + (j + h) % m] += 1
+                row[i * m + j] -= 1
+                rows.append(row)
+    return exactalg.IntMatrix.from_rows(rows)
+
+
+def snf_class(c):
+    """Oracle: the first k for which c - omega_m^k = d(beta) is solvable
+    by a dense Smith-form solve at denominator lcm(m, denominators of c),
+    or None when no k is."""
+    m = c.m
+    A = _coboundary_matrix(m)
+    snf = exactalg.smith_normal_form(A)
+    L0 = c.denominator_lcm()
+    L = L0 * m // gcd(L0, m)
+    for k in range(m):
+        rhs = [int(v * L) for v in c.sub(omega(m, k)).values]
+        if exactalg.solve_linear_mod(A, rhs, L, snf) is not None:
+            return k
+    return None
 
 
 def test_omega_values():
@@ -63,7 +96,7 @@ def test_is_cocycle_witness_is_genuine():
 
 
 def test_cohomology_class_recovers_standard_k():
-    for m in range(1, 9):
+    for m in list(range(1, 9)) + [12, 16]:
         for k in range(m):
             cls = cohomology_class(omega(m, k))
             assert (cls.m, cls.k) == (m, k)
@@ -112,6 +145,35 @@ def test_class_invariant_hypothesis(m, data):
     assert cohomology_class(pert).k == k
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    m=st.integers(min_value=1, max_value=5),
+    data=st.data(),
+)
+def test_class_matches_snf_oracle(m, data):
+    k = data.draw(st.integers(min_value=0, max_value=m - 1))
+    den = data.draw(st.sampled_from([2 * m, 3 * m, 8 * m, 35 * m]))
+    beta = [
+        [Fraction(data.draw(st.integers(min_value=0, max_value=den - 1)),
+                  den)
+         for _ in range(m)]
+        for _ in range(m)
+    ]
+    vals = list(omega(m, k).add(coboundary(m, beta)).values)
+    if data.draw(st.booleans()):
+        at = data.draw(st.integers(min_value=0, max_value=m**3 - 1))
+        vals[at] += Fraction(
+            data.draw(st.integers(min_value=1, max_value=den - 1)), den)
+    c = Cocycle3(m, vals)
+    expected = snf_class(c)
+    if expected is None:
+        assert not is_cocycle(c).ok
+        with pytest.raises(NotClassified):
+            cohomology_class(c)
+    else:
+        assert cohomology_class(c).k == expected
+
+
 def test_reverse_is_involution():
     for m, k in ((3, 2), (5, 4), (6, 1)):
         w = omega(m, k)
@@ -133,6 +195,15 @@ def test_not_classified_on_non_cocycle():
     assert not is_cocycle(bad).ok
     with pytest.raises(NotClassified):
         cohomology_class(bad)
+    # off the slice i = 1 the invariant still reads k/m, so only the
+    # substitution of the witness refuses this table
+    vals = list(omega(3, 2).values)
+    vals[2 * 9 + 1 * 3 + 1] += Fraction(1, 7)
+    off_slice = Cocycle3(3, vals)
+    assert 3 * sum(off_slice.value(1, j, 1) for j in range(3)) == 2
+    assert not is_cocycle(off_slice).ok
+    with pytest.raises(NotClassified):
+        cohomology_class(off_slice)
 
 
 def test_embed_check():

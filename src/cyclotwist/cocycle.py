@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import index
 
 # tables have m^3 entries and the identity check visits m^4 quadruples:
 # about 50 s at m = 48 on a 2-core VM
@@ -92,11 +93,11 @@ class Cocycle3:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "Cocycle3":
-        m = int(obj["m"])
-        L = int(obj["denominator"])
+        m = index(obj["m"])
+        L = index(obj["denominator"])
         if L < 1:
             raise ValueError("denominator must be >= 1")
-        return cls(m, [Fraction(int(n), L) for n in obj["values"]])
+        return cls(m, [Fraction(index(n), L) for n in obj["values"]])
 
     def __eq__(self, other) -> bool:
         return (

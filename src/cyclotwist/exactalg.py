@@ -7,7 +7,9 @@ in this module.  Each solver exists once, here:
 
 * ``IntMatrix``          dense integer matrix, immutable after construction
 * ``smith_normal_form``  S = U*A*V with unimodular U, V and the divisibility
-  chain d_1 | d_2 | ...; the exactness oracle for all module computations
+  chain d_1 | d_2 | ...; the exactness oracle for all module computations.
+  It runs the one elimination on A with I_m beside it and I_n below;
+  ``elementary_divisors`` runs it on A alone for the bare diagonal
 * ``snf_back_substitute`` the one Smith-form back-substitution: solves
   S*y = U*b over Z or mod L; ``solve_linear`` and ``solve_linear_mod``
   are its front ends
@@ -25,6 +27,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from operator import index
+
+# SNFResult.verify checks det(U), det(V) = +-1 only up to this many rows
+_DET_CHECK_MAX_DIM = 64
 
 
 class IntMatrix:
@@ -35,7 +41,7 @@ class IntMatrix:
     def __init__(self, rows: int, cols: int, entries):
         if rows < 0 or cols < 0:
             raise ValueError("negative dimensions")
-        data = tuple(int(e) for e in entries)
+        data = tuple(map(index, entries))
         if len(data) != rows * cols:
             raise ValueError(
                 "entry count %d does not match %dx%d" % (len(data), rows, cols)
@@ -162,12 +168,13 @@ class SNFResult:
     def rank(self) -> int:
         return sum(1 for d in self.diagonal() if d != 0)
 
-    def verify(self, A: IntMatrix, unimodular_check: bool | None = None) -> bool:
+    def verify(self, A: IntMatrix) -> bool:
         """Re-check every SNF invariant against the original matrix.
 
-        The determinant test on U and V is skipped above 64 rows unless
-        forced: Bareiss minors of large transforms can be huge, and U, V
-        are products of elementary operations by construction.
+        The determinant test on U and V is skipped above
+        ``_DET_CHECK_MAX_DIM`` rows: Bareiss minors of large transforms
+        can be huge, and U, V are products of elementary operations by
+        construction.
         """
         if self.U @ A @ self.V != self.S:
             return False
@@ -184,58 +191,25 @@ class SNFResult:
             for j in range(self.S.cols):
                 if i != j and self.S.at(i, j) != 0:
                     return False
-        if unimodular_check is None:
-            unimodular_check = max(A.rows, A.cols) <= 64
-        if unimodular_check:
+        if max(A.rows, A.cols) <= _DET_CHECK_MAX_DIM:
             if abs(det_exact(self.U)) != 1 or abs(det_exact(self.V)) != 1:
                 return False
         return True
 
 
-def smith_normal_form(A: IntMatrix) -> SNFResult:
-    """Diagonalize A over Z by unimodular row and column operations.
+def _diagonalize(M: list, m: int, n: int) -> None:
+    """Smith-reduce the leading m x n block of the rows M in place.
 
     Pivot choice: the entry of smallest absolute value in the trailing
     block, which keeps intermediate growth tame at the sizes used here.
     See Cohen, A Course in Computational Algebraic Number Theory, 2.4.4.
+    A row operation runs over the whole row and a column operation over
+    all rows, so blocks beside and below the leading one record them.
     """
-    m, n = A.rows, A.cols
-    S = A.to_rows()
-    U = [[int(i == j) for j in range(m)] for i in range(m)]
-    V = [[int(i == j) for j in range(n)] for i in range(n)]
-
-    def row_sub(i, k, q):
-        # row_i -= q * row_k on S and U
-        Si, Sk = S[i], S[k]
-        for j in range(n):
-            Si[j] -= q * Sk[j]
-        Ui, Uk = U[i], U[k]
-        for j in range(m):
-            Ui[j] -= q * Uk[j]
-
-    def col_sub(j, k, q):
-        # col_j -= q * col_k on S and V
-        for r in range(m):
-            S[r][j] -= q * S[r][k]
-        for r in range(n):
-            V[r][j] -= q * V[r][k]
-
-    def row_swap(i, k):
-        S[i], S[k] = S[k], S[i]
-        U[i], U[k] = U[k], U[i]
 
     def col_swap(j, k):
-        for r in range(m):
-            S[r][j], S[r][k] = S[r][k], S[r][j]
-        for r in range(n):
-            V[r][j], V[r][k] = V[r][k], V[r][j]
-
-    def negate_row(i):
-        Si, Ui = S[i], U[i]
-        for j in range(n):
-            Si[j] = -Si[j]
-        for j in range(m):
-            Ui[j] = -Ui[j]
+        for r in M:
+            r[j], r[k] = r[k], r[j]
 
     t = 0
     limit = min(m, n)
@@ -243,50 +217,53 @@ def smith_normal_form(A: IntMatrix) -> SNFResult:
         pi = pj = -1
         best = 0
         for i in range(t, m):
-            Si = S[i]
+            Mi = M[i]
             for j in range(t, n):
-                v = Si[j]
+                v = Mi[j]
                 if v and (pi < 0 or -best < v < best):
                     pi, pj = i, j
                     best = abs(v)
         if pi < 0:
             break
         if pi != t:
-            row_swap(t, pi)
+            M[t], M[pi] = M[pi], M[t]
         if pj != t:
             col_swap(t, pj)
         while True:
-            if S[t][t] < 0:
-                negate_row(t)
-            p = S[t][t]
+            if M[t][t] < 0:
+                M[t] = [-x for x in M[t]]
+            p = M[t][t]
             restart = False
             for i in range(t + 1, m):
-                v = S[i][t]
+                v = M[i][t]
                 if v:
-                    row_sub(i, t, v // p)
-                    if S[i][t]:
+                    q = v // p
+                    M[i] = [a - q * b for a, b in zip(M[i], M[t])]
+                    if M[i][t]:
                         # remainder is a strictly smaller pivot candidate
-                        row_swap(t, i)
+                        M[t], M[i] = M[i], M[t]
                         restart = True
                         break
             if restart:
                 continue
             for j in range(t + 1, n):
-                v = S[t][j]
+                v = M[t][j]
                 if v:
-                    col_sub(j, t, v // p)
-                    if S[t][j]:
+                    q = v // p
+                    for r in M:
+                        r[j] -= q * r[t]
+                    if M[t][j]:
                         col_swap(t, j)
                         restart = True
                         break
             if restart:
                 continue
-            p = S[t][t]
+            p = M[t][t]
             bad = -1
             for i in range(t + 1, m):
-                Si = S[i]
+                Mi = M[i]
                 for j in range(t + 1, n):
-                    if Si[j] % p:
+                    if Mi[j] % p:
                         bad = i
                         break
                 if bad >= 0:
@@ -295,19 +272,31 @@ def smith_normal_form(A: IntMatrix) -> SNFResult:
                 break
             # fold the offending row into the pivot row and re-eliminate,
             # so the final pivot divides the whole trailing block
-            Sb, Ub = S[bad], U[bad]
-            St, Ut = S[t], U[t]
-            for j in range(n):
-                St[j] += Sb[j]
-            for j in range(m):
-                Ut[j] += Ub[j]
+            M[t] = [a + b for a, b in zip(M[t], M[bad])]
         t += 1
 
+
+def smith_normal_form(A: IntMatrix) -> SNFResult:
+    """Diagonalize A over Z by unimodular row and column operations,
+    eliminating on [[A, I_m], [I_n, 0]] so that U and V build up beside
+    and below A."""
+    m, n = A.rows, A.cols
+    M = [row + [int(i == j) for j in range(m)]
+         for i, row in enumerate(A.to_rows())]
+    M += [[int(i == j) for j in range(n)] + [0] * m for i in range(n)]
+    _diagonalize(M, m, n)
     return SNFResult(
-        S=IntMatrix.from_rows(S) if m else IntMatrix(0, n, []),
-        U=IntMatrix.from_rows(U) if m else IntMatrix(0, 0, []),
-        V=IntMatrix.from_rows(V) if n else IntMatrix(0, 0, []),
+        S=IntMatrix(m, n, [x for r in M[:m] for x in r[:n]]),
+        U=IntMatrix(m, m, [x for r in M[:m] for x in r[n:]]),
+        V=IntMatrix(n, n, [x for r in M[m:] for x in r[:n]]),
     )
+
+
+def elementary_divisors(A: IntMatrix) -> list:
+    """The Smith-form diagonal of A, without the transforms."""
+    M = A.to_rows()
+    _diagonalize(M, A.rows, A.cols)
+    return [M[i][i] for i in range(min(A.rows, A.cols))]
 
 
 def det_exact(A: IntMatrix) -> int:
@@ -346,7 +335,7 @@ class PolyZ:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        c = [int(x) for x in coeffs]
+        c = list(map(index, coeffs))
         while c and c[-1] == 0:
             c.pop()
         self.coeffs = tuple(c)
@@ -480,7 +469,7 @@ class PolyF2:
     def __init__(self, bits: int):
         if bits < 0:
             raise ValueError("negative bitmask")
-        self.bits = int(bits)
+        self.bits = index(bits)
 
     @classmethod
     def from_coeffs(cls, coeffs) -> "PolyF2":
@@ -679,7 +668,7 @@ def snf_back_substitute(snf: SNFResult, c, modulus: int = 0):
 
 
 def _snf_rhs(A: IntMatrix, b, snf: SNFResult | None):
-    b = [int(x) for x in b]
+    b = list(map(index, b))
     if len(b) != A.rows:
         raise ValueError("right-hand side length mismatch")
     if snf is None:
@@ -711,14 +700,13 @@ def solve_linear(A: IntMatrix, b, snf: SNFResult | None = None):
     return snf_back_substitute(snf, c)
 
 
-def kernel_basis(A: IntMatrix, snf: SNFResult | None = None) -> list:
+def kernel_basis(A: IntMatrix) -> list:
     """Basis of the integer kernel {x : A*x = 0}, as a list of vectors.
 
     The kernel is spanned by the columns of V beyond the SNF rank; that
     span is saturated, so it is the full kernel lattice.
     """
-    if snf is None:
-        snf = smith_normal_form(A)
+    snf = smith_normal_form(A)
     r = snf.rank()
     n = A.cols
     V = snf.V

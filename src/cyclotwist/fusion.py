@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from operator import index
 
 from .exactalg import (
     IntMatrix,
@@ -23,9 +24,9 @@ from .exactalg import (
     charpoly_exact,
     chebyshev_u,
     det_exact,
+    elementary_divisors,
     is_prime,
     radical,
-    smith_normal_form,
 )
 
 
@@ -34,18 +35,16 @@ class FusionRing:
 
     __slots__ = ("labels", "unit", "dual", "N")
 
-    def __init__(self, labels, unit, dual, N, check=True):
+    def __init__(self, labels, unit, dual, N):
         self.labels = tuple(str(x) for x in labels)
-        r = len(self.labels)
-        self.unit = int(unit)
-        self.dual = tuple(int(d) for d in dual)
+        self.unit = index(unit)
+        self.dual = tuple(map(index, dual))
         self.N = tuple(
-            tuple(tuple(int(x) for x in row) for row in plane) for plane in N
+            tuple(tuple(map(index, row)) for row in plane) for plane in N
         )
-        if check:
-            self._check_basic()
-            if r <= 12:
-                self._check_associative()
+        self._check_basic()
+        if self.rank <= 12:
+            self._check_associative()
 
     @property
     def rank(self) -> int:
@@ -140,17 +139,16 @@ class FusionModule:
 
     __slots__ = ("base", "rank", "action")
 
-    def __init__(self, base: FusionRing, rank: int, action, check=True):
+    def __init__(self, base: FusionRing, rank: int, action):
         self.base = base
-        self.rank = int(rank)
+        self.rank = index(rank)
         self.action = tuple(action)
         if len(self.action) != base.rank:
             raise ValueError("need one action matrix per base label")
         for m in self.action:
             if m.rows != self.rank or m.cols != self.rank:
                 raise ValueError("action matrix has wrong shape")
-        if check:
-            self.validate()
+        self.validate()
 
     def validate(self) -> None:
         base = self.base
@@ -385,8 +383,7 @@ def parity_sequence(k: int) -> ParityReport:
         [[R.N[e][1][o] for o in odds] for e in evens]
     )
     aug = tuple((-1) ** (e // 2) for e in evens)
-    snf = smith_normal_form(A)
-    diag = snf.diagonal()
+    diag = elementary_divisors(A)
     injective = len(diag) == k and all(d != 0 for d in diag)
     image_saturated = all(d == 1 for d in diag)
     comp = [sum(aug[i] * A.at(i, j) for i in range(k + 1)) for j in range(k)]

@@ -44,6 +44,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from operator import index
 
 from .exactalg import (
     F2Echelon,
@@ -52,6 +53,7 @@ from .exactalg import (
     PolyZ,
     chebyshev_t2,
     chebyshev_u,
+    elementary_divisors,
     is_prime,
     kernel_basis,
     pack_mod2,
@@ -404,7 +406,7 @@ def _mat(rows, ncols: int) -> IntMatrix:
 def _unimodular(rows, ncols: int) -> bool:
     """The rows extend to a Z-basis of Z^ncols: every elementary divisor
     is 1, one per row.  With ncols rows they are a Z-basis."""
-    diag = smith_normal_form(_mat(rows, ncols)).diagonal()
+    diag = elementary_divisors(_mat(rows, ncols))
     return len(diag) == len(rows) and all(s == 1 for s in diag)
 
 
@@ -719,7 +721,7 @@ class SplitCertificate:
         n_rows = self.n_basis.to_rows()
         if len(n_rows) != d or self.n_basis.cols != d or any(
                 s not in (1, 2)
-                for s in smith_normal_form(self.n_basis).diagonal()):
+                for s in elementary_divisors(self.n_basis)):
             return False
         n_span = F2Echelon(pack_mod2(v) for v in n_rows)
         mask = (1 << d) - 1
@@ -759,7 +761,7 @@ def lattice_split(p: int, M: RLattice, n_gens) -> SplitCertificate:
     beta = M.beta
 
     # N: beta-saturate the generators, then check 2M <= N <= M
-    gens = [list(map(int, g)) for g in n_gens]
+    gens = [list(map(index, g)) for g in n_gens]
     for g in gens:
         if len(g) != d:
             raise ValueError("sublattice generator has length %d, want %d"
@@ -786,8 +788,8 @@ def lattice_split(p: int, M: RLattice, n_gens) -> SplitCertificate:
 
     # stage 1: greedy component bases B_i inside the R-basis
     B_sets = [[] for _ in range(nprimes)]
-    for i in range(nprimes):
-        span = F2Echelon()
+    spans = [F2Echelon() for _ in range(nprimes)]
+    for i, span in enumerate(spans):
         for idx in range(r):
             w = _f2_vec_act(Q.project_vec(A[idx]), E[i])
             if not w or not span.residue(w):
@@ -801,21 +803,16 @@ def lattice_split(p: int, M: RLattice, n_gens) -> SplitCertificate:
         if span.rank != F2Echelon(E[i]).rank:
             raise AssertionError("component %d not fully spanned" % i)
 
-    # stage 2: correct the complement of each B_i to kill its component
+    # stage 2: correct the complement of each B_i to kill its component.
+    # Stage 1's echelon of component j is the solver: its rows, the beta
+    # orbits of e_j A[idx] mod N for idx in B_j, still hold, because an
+    # earlier correction of A[idx] is a multiple of the lift of another
+    # idempotent e_i, and e_j e_i = 0 kills it mod N.
     d_lift = [PolyZ([int(c) for c in e.coeffs()]) for e in idem]
     for j in range(nprimes):
         Bj = B_sets[j]
-        basis_rows = []
-        orb_amb = []
-        for idx in Bj:
-            orb_amb.append(_orbit(A[idx], [beta], deg))
-            cur = _f2_vec_act(Q.project_vec(A[idx]), E[j])
-            for _ in range(f):
-                basis_rows.append(cur)
-                cur = _f2_vec_act(cur, betaQ)
-        solver = F2Echelon(basis_rows)
-        if solver.rank != len(basis_rows):
-            raise AssertionError("solver rows are dependent")
+        solver = spans[j]
+        orb_amb = [_orbit(A[idx], [beta], deg) for idx in Bj]
         for idx in range(r):
             if idx in Bj:
                 continue
@@ -1306,7 +1303,7 @@ def resolve_z2_module(p: int, rank: int, relations) -> Resolution:
     if isinstance(relations, IntMatrix):
         rel_rows = relations.to_rows()
     else:
-        rel_rows = [list(map(int, rw)) for rw in relations]
+        rel_rows = [list(map(index, rw)) for rw in relations]
     for rw in rel_rows:
         if len(rw) != D0:
             raise ValueError("relation row has length %d, want %d"

@@ -24,7 +24,8 @@ Sketch: phi(e_i) restricts to the identity on the i-th block row, which
 is compact iff that row is finite-dimensional, giving (a), (c), (e);
 right inner products of the block E_ij land in the j-th coordinate,
 giving (b), (d).  The gauge-invariant-ideal criteria then become finite
-subset conditions, decided below by exhaustive enumeration.
+subset conditions, decided below by exhaustive enumeration of subset
+bitmasks against the bitmask support of each row.
 
 The model is a strict specialization: it covers diagonalizable
 correspondences over C^n, which is all the desk-scale inputs need, and
@@ -35,6 +36,7 @@ it reproduces the known simplicity of O_infty from the 1x1 table
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 
 
 class _Infinite:
@@ -78,7 +80,7 @@ class CorrSpec:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "CorrSpec":
-        return cls(int(obj["n"]), obj["mult"])
+        return cls(index(obj["n"]), obj["mult"])
 
     def to_json_obj(self) -> dict:
         return {
@@ -149,47 +151,30 @@ def _require_faithful(spec: CorrSpec) -> Flags:
     return flags
 
 
-def _forward_closed(spec: CorrSpec, members: list) -> bool:
-    """{j : some i in S has mult[i][j] > 0} contained in S."""
-    for i in members:
-        row = spec.mult[i]
-        for j in range(spec.n):
-            if row[j] != 0 and j not in members:
-                return False
-    return True
-
-
-def _absorbs_compacts(spec: CorrSpec, members: list) -> bool:
-    """Every i whose row has finite mass supported in S lies in S."""
-    sset = set(members)
-    for i in range(spec.n):
-        if i in sset:
-            continue
-        if _finite(spec.mult[i]) and all(
-            spec.mult[i][j] == 0 for j in range(spec.n) if j not in sset
-        ):
-            return False
-    return True
-
-
 def invariant_ideals(spec: CorrSpec) -> IdealReport:
     """Exhaustive scan of the 2^n subsets for the two ideal inclusions.
 
     Returns the nontrivial forward-closed subsets and, separately, the
     sublist also absorbing the compact preimage; subsets are reported as
-    sorted 1-based tuples.
+    sorted 1-based tuples.  S is forward-closed iff no row in S has
+    support meeting the complement, and absorbs the compact preimage iff
+    every finite row outside S does.
     """
     _require_faithful(spec)
     n = spec.n
+    supp = [sum(1 << j for j, v in enumerate(row) if v != 0)
+            for row in spec.mult]
+    finite = [i for i in range(n) if _finite(spec.mult[i])]
+    full = (1 << n) - 1
     fwd = []
     inv = []
-    for mask in range(1, (1 << n) - 1):
-        members = [i for i in range(n) if mask >> i & 1]
-        if not _forward_closed(spec, members):
+    for mask in range(1, full):
+        out = full ^ mask
+        if any(supp[i] & out for i in range(n) if mask >> i & 1):
             continue
-        labelled = tuple(i + 1 for i in members)
+        labelled = tuple(i + 1 for i in range(n) if mask >> i & 1)
         fwd.append(labelled)
-        if _absorbs_compacts(spec, members):
+        if all(supp[i] & out for i in finite if out >> i & 1):
             inv.append(labelled)
     return IdealReport(forward_closed=tuple(fwd), invariant=tuple(inv))
 

@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cyclotwist.cocycle import Cocycle3
 from cyclotwist.exactalg import (
     IntMatrix,
     PolyF2,
@@ -12,11 +13,20 @@ from cyclotwist.exactalg import (
     chebyshev_t2,
     chebyshev_u,
     det_exact,
+    elementary_divisors,
     kernel_basis,
     smith_normal_form,
     solve_linear,
     solve_linear_mod,
 )
+from cyclotwist.fusion import FusionModule, FusionRing
+from cyclotwist.numring import (
+    RLattice,
+    lattice_split,
+    real_cyclotomic,
+    resolve_z2_module,
+)
+from cyclotwist.pimsner import CorrSpec
 
 
 def test_intmatrix_shape_guard():
@@ -71,6 +81,69 @@ def test_snf_rectangular():
     assert r.diagonal() == [1, 3]  # 2x2 minors have gcd 3
 
 
+# (S, U, V) as the elimination returns them; pinned so that any change
+# to the pivot search, the remainder swaps or the fold shows up
+SNF_PINNED = [
+    ([[2, 4], [6, 8]],
+     [[2, 0], [0, 4]],
+     [[1, 0], [3, -1]],
+     [[1, -2], [0, 1]]),
+    ([[1, 2, 3, 4], [4, 5, 6, 7], [2, 0, 8, 1]],
+     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 15, 0]],
+     [[1, 0, 0], [-2, 0, 1], [70, -1, -33]],
+     [[1, -16, -8, -3], [0, 0, 1, 4], [0, 4, 2, 1], [0, 1, 0, -2]]),
+    # pivot 2 leaves 3 in the trailing block: a bad row is folded in
+    ([[2, 0, 0, 0, 4], [0, 3, 0, 6, 0], [0, 0, 4, 0, 0], [0, 6, 0, 6, 0],
+      [4, 0, 0, 0, 9]],
+     [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 2, 0, 0], [0, 0, 0, 6, 0],
+      [0, 0, 0, 0, 12]],
+     [[1, 1, 0, 0, 0], [-2, 0, 0, 0, 1], [-6, -6, 1, 1, 0],
+      [-21, -18, 3, 2, 0], [-24, -16, 3, 0, 0]],
+     [[-1, -2, 6, -9, 6], [1, 0, -6, 10, -8], [0, 0, 8, -12, 9],
+      [0, 0, 1, -2, 2], [0, 1, 0, 0, 0]]),
+]
+
+
+@pytest.mark.parametrize("rows, S, U, V", SNF_PINNED)
+def test_snf_transforms_pinned(rows, S, U, V):
+    r = smith_normal_form(IntMatrix.from_rows(rows))
+    assert (r.S.to_rows(), r.U.to_rows(), r.V.to_rows()) == (S, U, V)
+
+
+def test_elementary_divisors_match_snf_diagonal():
+    rng = random.Random(20261018)
+    for _ in range(200):
+        m, n = rng.randint(0, 8), rng.randint(0, 8)
+        density = rng.choice([0.0, 0.3, 1.0])
+        a = IntMatrix(m, n, [rng.randint(-9, 9) if rng.random() < density
+                             else 0 for _ in range(m * n)])
+        r = smith_normal_form(a)
+        assert elementary_divisors(a) == r.diagonal()
+        assert r.verify(a)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: IntMatrix.from_rows([[1.5, 2]]),
+    lambda: PolyZ([0.7, 2.2]),
+    lambda: PolyF2(2.5),
+    lambda: solve_linear(IntMatrix.identity(1), [1.5]),
+    lambda: CorrSpec.from_json_obj({"n": 1.9, "mult": [["inf"]]}),
+    lambda: Cocycle3.from_json_obj(
+        {"m": 2.9, "denominator": 1, "values": [0] * 8}),
+    lambda: lattice_split(5, RLattice.free(real_cyclotomic(5), 1),
+                          [[2.7, 0], [0, 2.2]]),
+    lambda: resolve_z2_module(5, 1, [[1.5, 0, 0, 0]]),
+    lambda: FusionRing(["1"], 0, [0], [[[1.0]]]),
+    lambda: FusionModule(FusionRing(["1"], 0, [0], [[[1]]]), 1.0,
+                         [IntMatrix.identity(1)]),
+], ids=["IntMatrix", "PolyZ", "PolyF2", "solve_linear", "CorrSpec",
+        "Cocycle3", "lattice_split", "resolve_z2_module", "FusionRing",
+        "FusionModule"])
+def test_non_integer_inputs_raise_type_error(build):
+    with pytest.raises(TypeError):
+        build()
+
+
 def test_det_examples():
     assert det_exact(IntMatrix.identity(5)) == 1
     assert det_exact(IntMatrix.from_rows([[3, 0, 1], [0, 4, 0], [1, 0, 3]])) == 32
@@ -85,7 +158,7 @@ def test_det_agrees_with_snf_on_random_matrices():
         n = rng.randint(1, 12)
         a = IntMatrix(n, n, [rng.randint(-9, 9) for _ in range(n * n)])
         r = smith_normal_form(a)
-        assert r.verify(a, unimodular_check=True)
+        assert r.verify(a)
         prod = 1
         for d in r.diagonal():
             prod *= d

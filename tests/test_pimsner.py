@@ -6,11 +6,50 @@ import pytest
 from cyclotwist.pimsner import (
     INF,
     CorrSpec,
+    IdealReport,
     cuntz_pimsner_simple,
     invariant_ideals,
     toeplitz_simple,
     validate,
 )
+
+
+def _forward_closed(spec, members):
+    """{j : some i in S has mult[i][j] > 0} contained in S."""
+    for i in members:
+        row = spec.mult[i]
+        for j in range(spec.n):
+            if row[j] != 0 and j not in members:
+                return False
+    return True
+
+
+def _absorbs_compacts(spec, members):
+    """Every i whose row has finite mass supported in S lies in S."""
+    sset = set(members)
+    for i in range(spec.n):
+        if i in sset:
+            continue
+        if INF not in spec.mult[i] and all(
+            spec.mult[i][j] == 0 for j in range(spec.n) if j not in sset
+        ):
+            return False
+    return True
+
+
+def list_scan(spec):
+    """The subset scan on member lists: the oracle of invariant_ideals."""
+    fwd = []
+    inv = []
+    for mask in range(1, (1 << spec.n) - 1):
+        members = [i for i in range(spec.n) if mask >> i & 1]
+        if not _forward_closed(spec, members):
+            continue
+        labelled = tuple(i + 1 for i in members)
+        fwd.append(labelled)
+        if _absorbs_compacts(spec, members):
+            inv.append(labelled)
+    return IdealReport(forward_closed=tuple(fwd), invariant=tuple(inv))
 
 
 def test_validate_flags():
@@ -98,6 +137,20 @@ def _permute(spec, sigma):
             for i in range(spec.n)]
     packed = [["inf" if v == INF else v for v in row] for row in mult]
     return CorrSpec(spec.n, packed)
+
+
+def test_bitmask_scan_matches_list_scan():
+    rng = random.Random(0x5CA9)
+    specs = [_random_spec(rng, rng.randint(1, 6)) for _ in range(200)]
+    n = 10
+    cyclic = [["inf" if j == (i + 1) % n else 0 for j in range(n)]
+              for i in range(n)]
+    cyclic[3][7] = 2
+    specs.append(CorrSpec(n, cyclic))
+    specs.append(CorrSpec(n, [[[1, 2, "inf"][i % 3] if i == j else 0
+                               for j in range(n)] for i in range(n)]))
+    for spec in specs:
+        assert invariant_ideals(spec) == list_scan(spec)
 
 
 def test_permutation_equivariance_random():

@@ -307,14 +307,23 @@ def _add_cocycle_source(p):
 def _cmd_cocycle_make(args) -> int:
     c = omega(args.m, args.k)
     _say("omega(%d, %d): %d table entries, denominator lcm %d"
-         % (args.m, args.k, len(c.values), c.denominator_lcm()))
+         % (args.m, args.k, len(c.nums), c.den))
     _emit_json(args, c.to_json_obj())
     return 0
 
 
 def _cmd_cocycle_check(args) -> int:
     c = _load_cocycle(args)
+    # the m^4 scan decides; the class certificate must agree with it
     chk = is_cocycle(c)
+    try:
+        cohomology_class(c)
+        certified = True
+    except NotClassified:
+        certified = False
+    if certified != chk.ok:
+        raise AssertionError("identity scan says %s, class certificate %s"
+                             % (chk.ok, certified))
     if not chk.ok:
         _say("witness quadruple: %s" % (chk.witness,))
     return _verdict(args, "cocycle identity", chk.ok, CIT_COCYCLE)
@@ -322,10 +331,11 @@ def _cmd_cocycle_check(args) -> int:
 
 def _cmd_cocycle_class(args) -> int:
     c = _load_cocycle(args)
-    if not is_cocycle(c).ok:
-        raise ValueError("input table is not a cocycle; nothing to classify")
-    # the identity held, so NotClassified here is an invariant violation
-    cls = cohomology_class(c)
+    try:
+        cls = cohomology_class(c)
+    except NotClassified:
+        raise ValueError(
+            "input table is not a cocycle; nothing to classify") from None
     _say("class: %d (mod %d)  [%s]" % (cls.k, cls.m, CIT_CLASS))
     _emit_json(args, {"m": cls.m, "k": cls.k})
     return 0

@@ -1,8 +1,10 @@
-"""Circle-valued 3-cocycles on Z/mZ with exact rational arithmetic.
+"""Circle-valued 3-cocycles on Z/mZ with exact integer arithmetic.
 
 A value q in Q/Z stands for the circle element e^{2*pi*i*q}; tables are
-dense over {0..m-1}^3 and every entry is a Fraction, so cohomology-class
-computations are exact.  The standard cocycles are
+dense over {0..m-1}^3 and hold integer numerators mod one reduced
+denominator, so equal tables store equal integers.  Fractions appear only
+in ``value``, the beta of ``coboundary`` and error messages.  The
+standard cocycles are
 
     omega_m^k(i,j,h) = floor((i+j)/m) * h*k/m   (mod 1),
 
@@ -12,18 +14,20 @@ Class identification needs no linear solve.  The sum
 sum_j c(1,j,1) is k/m mod 1 for c cohomologous to omega_m^k, because the
 terms of a coboundary telescope away in it; so k = m * sum_j c(1,j,1).
 The certificate is a 2-cochain beta with c - omega_m^k = d(beta), built
-in closed form from the slice i = 1 and substituted back exactly.
+in closed form from the slice i = 1 and substituted back exactly.  This
+also decides whether c is a cocycle: every cocycle passes, and only
+cocycles can, since omega_m^k and d(beta) are cocycles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import index
 
-# tables have m^3 entries and the identity check visits m^4 quadruples:
-# about 50 s at m = 48 on a 2-core VM
+# tables have m^3 entries and the identity scan visits m^4 quadruples:
+# about 1.2 s at m = 48 on a 2-core VM
 _MAX_ORDER = 48
 
 
@@ -33,23 +37,31 @@ def _check_order(m: int):
 
 
 class Cocycle3:
-    """Dense table c(i,j,h) of exact rationals mod 1 on {0..m-1}^3."""
+    """Dense table c(i,j,h) = nums[(i*m + j)*m + h] / den mod 1 on
+    {0..m-1}^3, with 0 <= nums < den and den as small as possible."""
 
-    __slots__ = ("m", "values")
+    __slots__ = ("m", "den", "nums")
 
-    def __init__(self, m: int, values):
+    def __init__(self, m: int, den: int, nums):
+        m, den = index(m), index(den)
+        if den < 1:
+            raise ValueError("denominator must be >= 1")
         _check_order(m)
-        self.m = m
-        vals = tuple(Fraction(v) % 1 for v in values)
-        if len(vals) != m**3:
+        nums = [index(n) % den for n in nums]
+        if len(nums) != m**3:
             raise ValueError("need exactly m^3 values")
-        self.values = vals
+        g = gcd(den, *nums)
+        self.m = m
+        self.den = den // g
+        self.nums = tuple(n // g for n in nums)
 
     @classmethod
-    def from_function(cls, m: int, fn) -> "Cocycle3":
+    def from_function(cls, m: int, den: int, fn) -> "Cocycle3":
+        """The table with numerators fn(i, j, h) over ``den``."""
         _check_order(m)
         return cls(
             m,
+            den,
             [
                 fn(i, j, h)
                 for i in range(m)
@@ -60,54 +72,39 @@ class Cocycle3:
 
     def value(self, i: int, j: int, h: int) -> Fraction:
         m = self.m
-        return self.values[(i % m) * m * m + (j % m) * m + (h % m)]
-
-    def denominator_lcm(self) -> int:
-        L = 1
-        for v in self.values:
-            d = v.denominator
-            L = L // gcd(L, d) * d
-        return L
+        return Fraction(
+            self.nums[(i % m) * m * m + (j % m) * m + (h % m)], self.den)
 
     def add(self, other: "Cocycle3") -> "Cocycle3":
         if self.m != other.m:
             raise ValueError("group orders differ")
+        den = lcm(self.den, other.den)
+        a, b = den // self.den, den // other.den
         return Cocycle3(
-            self.m, [a + b for a, b in zip(self.values, other.values)]
+            self.m, den, [a * x + b * y for x, y in zip(self.nums, other.nums)]
         )
 
     def sub(self, other: "Cocycle3") -> "Cocycle3":
-        if self.m != other.m:
-            raise ValueError("group orders differ")
-        return Cocycle3(
-            self.m, [a - b for a, b in zip(self.values, other.values)]
-        )
+        return self.add(Cocycle3(other.m, other.den, [-x for x in other.nums]))
 
     def to_json_obj(self) -> dict:
-        L = self.denominator_lcm()
-        return {
-            "m": self.m,
-            "denominator": L,
-            "values": [int(v * L) for v in self.values],
-        }
+        return {"m": self.m, "denominator": self.den,
+                "values": list(self.nums)}
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "Cocycle3":
-        m = index(obj["m"])
-        L = index(obj["denominator"])
-        if L < 1:
-            raise ValueError("denominator must be >= 1")
-        return cls(m, [Fraction(index(n), L) for n in obj["values"]])
+        return cls(obj["m"], obj["denominator"], obj["values"])
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Cocycle3)
             and self.m == other.m
-            and self.values == other.values
+            and self.den == other.den
+            and self.nums == other.nums
         )
 
     def __hash__(self):
-        return hash((self.m, self.values))
+        return hash((self.m, self.den, self.nums))
 
     def __repr__(self):
         return "Cocycle3(m=%d)" % self.m
@@ -139,44 +136,43 @@ def omega(m: int, k: int) -> Cocycle3:
     >>> omega(2, 1).value(1, 1, 1)
     Fraction(1, 2)
     """
+    return _restrict(m, 1, k)
+
+
+def _restrict(m: int, n: int, k: int) -> Cocycle3:
+    """omega_{mn}^k pulled back along i -> n*i, as a table on Z/m; its
+    (mn)^3 table is never built."""
+    mn = m * n
     return Cocycle3.from_function(
-        m, lambda i, j, h: _omega_value(m, k, i, j, h))
-
-
-def _omega_value(m: int, k: int, i: int, j: int, h: int) -> Fraction:
-    """omega_m^k(i,j,h) for i, j in 0..m-1, without building the table."""
-    return Fraction(((i + j) // m) * h * k, m) % 1
+        m, mn, lambda i, j, h: ((n * i + n * j) // mn) * n * h * k)
 
 
 def is_cocycle(c: Cocycle3) -> CocycleCheck:
-    """Exhaustive check of the cocycle identity over all m^4 quadruples."""
-    m = c.m
-    v = c.values
-    mm = m * m
-
-    def val(i, j, h):
-        return v[i * mm + j * m + h]
-
+    """Exhaustive check of the cocycle identity over all m^4 quadruples,
+    on the numerators mod den."""
+    m, den = c.m, c.den
+    rows = [c.nums[r * m:(r + 1) * m] for r in range(m * m)]
     for f in range(m):
         for g in range(m):
             fg = (f + g) % m
+            row = rows[f * m + g]
+            twice = row + row
             for h in range(m):
-                gh = (g + h) % m
-                left_fixed = val(f, g, h)
-                for k in range(m):
-                    lhs = left_fixed + val(f, gh, k) + val(g, h, k)
-                    rhs = val(fg, h, k) + val(f, g, (h + k) % m)
-                    if (lhs - rhs) % 1:
+                left = row[h]
+                for k, (a, b, x, y) in enumerate(zip(
+                        rows[f * m + (g + h) % m], rows[g * m + h],
+                        rows[fg * m + h], twice[h:h + m])):
+                    if (left + a + b - x - y) % den:
                         return CocycleCheck(ok=False, witness=(f, g, h, k))
     return CocycleCheck(ok=True, witness=None)
 
 
 def reverse(c: Cocycle3) -> Cocycle3:
     """The reversed cocycle c'(f,g,h) = c(-h,-g,-f); an involution."""
-    m = c.m
+    m, v = c.m, c.nums
     return Cocycle3.from_function(
-        m, lambda f, g, h: c.value((-h) % m, (-g) % m, (-f) % m)
-    )
+        m, c.den,
+        lambda f, g, h: v[((-h) % m) * m * m + ((-g) % m) * m + (-f) % m])
 
 
 def coboundary(m: int, beta) -> Cocycle3:
@@ -186,13 +182,12 @@ def coboundary(m: int, beta) -> Cocycle3:
     rationals; the result is always a cocycle of trivial class.
     """
     tab = [[Fraction(beta[i][j]) for j in range(m)] for i in range(m)]
-
-    def d(i, j, h):
-        return (
-            tab[j][h] - tab[(i + j) % m][h] + tab[i][(j + h) % m] - tab[i][j]
-        )
-
-    return Cocycle3.from_function(m, d)
+    den = lcm(*(x.denominator for row in tab for x in row))
+    b = [[x.numerator * (den // x.denominator) for x in row] for row in tab]
+    return Cocycle3.from_function(
+        m, den,
+        lambda i, j, h: b[j][h] - b[(i + j) % m][h] + b[i][(j + h) % m]
+        - b[i][j])
 
 
 def cohomology_class(c: Cocycle3) -> CohClass:
@@ -201,26 +196,30 @@ def cohomology_class(c: Cocycle3) -> CohClass:
     k = m * sum_j c(1,j,1) mod m: coboundary terms telescope away in the
     sum and sum_j omega_m^k(1,j,h) = h*k/m.  The witness beta with
     g = c - omega_m^k = d(beta) is closed form and is substituted back
-    exactly.  Raises NotClassified when c is not a cocycle.
+    exactly.  Raises NotClassified exactly when c is not a cocycle.
     """
     m = c.m
-    km = m * sum(c.value(1, j, 1) for j in range(m))
-    if km.denominator != 1:
+    # the slice i = 1, with the index 1 wrapped to 0 when m = 1
+    one = 1 % m
+    s = m * sum(c.nums[(one * m + j) * m + one] for j in range(m))
+    if s % c.den:
         raise NotClassified(
-            "m * sum_j c(1,j,1) = %s is not an integer" % km)
-    k = int(km) % m
+            "m * sum_j c(1,j,1) = %s is not an integer" % Fraction(s, c.den))
+    k = s // c.den % m
     g = c.sub(omega(m, k))
+    den, v = g.den, g.nums
     # beta(1,.) = 0 and beta(j,h) - beta(j+1,h) = g(1,j,h) give
     # d(beta) = g on the slice i = 1; at j = m-1 this needs
     # sum_j g(1,j,h) = 0, true for every h when g is a cocycle of class 0.
     # delta = g - d(beta) is then a cocycle vanishing at i = 1, and the
     # cocycle identity at f = 1 reads delta(i+1,.,.) = delta(i,.,.), so
     # delta = 0 everywhere.
-    beta = [[Fraction(0)] * m for _ in range(m)]
-    beta[0] = [g.value(1, 0, h) for h in range(m)]
+    beta = [[0] * m for _ in range(m)]
+    beta[0] = list(v[one * m * m:one * m * m + m])
     for j in range(1, m - 1):
-        beta[j + 1] = [beta[j][h] - g.value(1, j, h) for h in range(m)]
-    if g != coboundary(m, beta):
+        at = (one * m + j) * m
+        beta[j + 1] = [x - y for x, y in zip(beta[j], v[at:at + m])]
+    if g != coboundary(m, [[Fraction(x, den) for x in row] for row in beta]):
         raise NotClassified(
             "c - omega_%d^%d is not the coboundary of its witness" % (m, k))
     return CohClass(m, k)
@@ -231,14 +230,7 @@ def embed_check(m: int, n: int, k: int) -> bool:
     {0..m-1}^3; the composition-series embedding at the cocycle level."""
     if m < 1 or n < 1:
         raise ValueError("orders must be >= 1")
-    small = omega(m, k)
-    for i in range(m):
-        for j in range(m):
-            for h in range(m):
-                if small.value(i, j, h) != _omega_value(
-                        m * n, k, n * i, n * j, n * h):
-                    return False
-    return True
+    return omega(m, k) == _restrict(m, n, k)
 
 
 def crt_check(m: int, n: int, k: int) -> bool:
@@ -250,11 +242,7 @@ def crt_check(m: int, n: int, k: int) -> bool:
     """
     if gcd(m, n) != 1:
         raise ValueError("orders must be coprime")
-    first = Cocycle3.from_function(
-        m, lambda i, j, h: _omega_value(m * n, k, n * i, n * j, n * h))
-    second = Cocycle3.from_function(
-        n, lambda i, j, h: _omega_value(m * n, k, m * i, m * j, m * h))
     return (
-        cohomology_class(first).k == k % m
-        and cohomology_class(second).k == k % n
+        cohomology_class(_restrict(m, n, k)).k == k % m
+        and cohomology_class(_restrict(n, m, k)).k == k % n
     )

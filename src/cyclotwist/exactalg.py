@@ -115,7 +115,7 @@ class IntMatrix:
         return IntMatrix(self.rows, self.cols, [-x for x in self.entries])
 
     def scale(self, c: int) -> "IntMatrix":
-        c = int(c)
+        c = index(c)
         return IntMatrix(self.rows, self.cols, [c * x for x in self.entries])
 
     def apply(self, vector) -> list:
@@ -473,7 +473,7 @@ class PolyF2:
 
     @classmethod
     def from_coeffs(cls, coeffs) -> "PolyF2":
-        return cls(pack_mod2(int(c) for c in coeffs))
+        return cls(pack_mod2(index(c) for c in coeffs))
 
     def coeffs(self) -> list:
         return [(self.bits >> i) & 1 for i in range(self.degree() + 1)]

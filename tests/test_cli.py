@@ -157,10 +157,26 @@ def test_unclassifiable_cocycle_exits_three(capsys, monkeypatch):
     def refuse(c):
         raise NotClassified("forced")
 
+    # the scan passes a true cocycle that the certificate refuses
     monkeypatch.setattr("cyclotwist.cli.cohomology_class", refuse)
-    code, _, err = run(capsys, ["cocycle", "class", "--m", "3", "--k", "1"])
+    code, _, err = run(capsys, ["cocycle", "check", "--m", "3", "--k", "1"])
     assert code == 3
     assert "invariant violation" in err
+
+
+def test_cocycle_class_decides_without_identity_scan(capsys, tmp_path,
+                                                     monkeypatch):
+    def forbidden(c):
+        raise AssertionError("is_cocycle called")
+
+    monkeypatch.setattr("cyclotwist.cli.is_cocycle", forbidden)
+    monkeypatch.setattr("cyclotwist.cocycle.is_cocycle", forbidden)
+    nc = tmp_path / "nc.json"
+    nc.write_text(json.dumps({"m": 2, "denominator": 3,
+                              "values": [0] * 7 + [1]}))
+    code, out, err = run(capsys, ["cocycle", "class", "--file", str(nc)])
+    assert (code, out) == (2, "")
+    assert err == "error: input table is not a cocycle; nothing to classify\n"
 
 
 def test_pimsner_check_reports_both_verdicts(capsys, tmp_path):

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from cyclotwist import exactalg
 from cyclotwist.cocycle import (
     Cocycle3,
+    CocycleCheck,
     NotClassified,
     coboundary,
     cohomology_class,
@@ -53,13 +54,51 @@ def snf_class(c):
     m = c.m
     A = _coboundary_matrix(m)
     snf = exactalg.smith_normal_form(A)
-    L0 = c.denominator_lcm()
-    L = L0 * m // gcd(L0, m)
+    L = lcm(c.den, m)
     for k in range(m):
-        rhs = [int(v * L) for v in c.sub(omega(m, k)).values]
+        g = c.sub(omega(m, k))
+        rhs = [x * (L // g.den) for x in g.nums]
         if exactalg.solve_linear_mod(A, rhs, L, snf) is not None:
             return k
     return None
+
+
+def fraction_scan(c):
+    """Oracle: the cocycle identity over all m^4 quadruples in Fractions
+    mod 1, read through ``value``; the first violating quadruple or
+    None."""
+    m, val = c.m, c.value
+    for f in range(m):
+        for g in range(m):
+            for h in range(m):
+                for k in range(m):
+                    lhs = val(f, g, h) + val(f, g + h, k) + val(g, h, k)
+                    rhs = val(f + g, h, k) + val(f, g, h + k)
+                    if (lhs - rhs) % 1:
+                        return (f, g, h, k)
+    return None
+
+
+def draw_table(data, m):
+    """omega_m^k + d(beta) for beta over den in {2m, 3m, 8m, 35m}, with
+    one entry perturbed by a nonzero multiple of 1/den or not."""
+    k = data.draw(st.integers(min_value=0, max_value=m - 1))
+    den = data.draw(st.sampled_from([2 * m, 3 * m, 8 * m, 35 * m]))
+    beta = [
+        [Fraction(data.draw(st.integers(min_value=0, max_value=den - 1)),
+                  den)
+         for _ in range(m)]
+        for _ in range(m)
+    ]
+    c = omega(m, k).add(coboundary(m, beta))
+    if data.draw(st.booleans()):
+        L = lcm(c.den, den)
+        nums = [x * (L // c.den) for x in c.nums]
+        at = data.draw(st.integers(min_value=0, max_value=m**3 - 1))
+        nums[at] += data.draw(
+            st.integers(min_value=1, max_value=den - 1)) * (L // den)
+        c = Cocycle3(m, L, nums)
+    return c
 
 
 def test_omega_values():
@@ -68,7 +107,7 @@ def test_omega_values():
     # carry(3,2) = 1, so the value at h=1 is 3/4
     assert w.value(3, 2, 1) == Fraction(3, 4)
     assert w.value(1, 2, 1) == 0
-    assert all(v == 0 for v in omega(5, 0).values)
+    assert all(v == 0 for v in omega(5, 0).nums)
     with pytest.raises(ValueError):
         omega(0, 0)
 
@@ -82,9 +121,10 @@ def test_standard_family_is_cocycle():
 
 def test_is_cocycle_witness_is_genuine():
     w = omega(3, 1)
-    vals = list(w.values)
-    vals[1 * 9 + 1 * 3 + 1] += Fraction(1, 7)
-    broken = Cocycle3(3, vals)
+    # w.den = 3; over 21, adding 3 at (1,1,1) adds 1/7
+    vals = [7 * x for x in w.nums]
+    vals[1 * 9 + 1 * 3 + 1] += 3
+    broken = Cocycle3(3, 21, vals)
     chk = is_cocycle(broken)
     assert not chk.ok
     f, g, h, k = chk.witness
@@ -151,20 +191,7 @@ def test_class_invariant_hypothesis(m, data):
     data=st.data(),
 )
 def test_class_matches_snf_oracle(m, data):
-    k = data.draw(st.integers(min_value=0, max_value=m - 1))
-    den = data.draw(st.sampled_from([2 * m, 3 * m, 8 * m, 35 * m]))
-    beta = [
-        [Fraction(data.draw(st.integers(min_value=0, max_value=den - 1)),
-                  den)
-         for _ in range(m)]
-        for _ in range(m)
-    ]
-    vals = list(omega(m, k).add(coboundary(m, beta)).values)
-    if data.draw(st.booleans()):
-        at = data.draw(st.integers(min_value=0, max_value=m**3 - 1))
-        vals[at] += Fraction(
-            data.draw(st.integers(min_value=1, max_value=den - 1)), den)
-    c = Cocycle3(m, vals)
+    c = draw_table(data, m)
     expected = snf_class(c)
     if expected is None:
         assert not is_cocycle(c).ok
@@ -172,6 +199,18 @@ def test_class_matches_snf_oracle(m, data):
             cohomology_class(c)
     else:
         assert cohomology_class(c).k == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    m=st.integers(min_value=1, max_value=6),
+    data=st.data(),
+)
+def test_is_cocycle_matches_fraction_scan(m, data):
+    c = draw_table(data, m)
+    witness = fraction_scan(c)
+    assert is_cocycle(c) == CocycleCheck(ok=witness is None,
+                                         witness=witness)
 
 
 def test_reverse_is_involution():
@@ -190,16 +229,16 @@ def test_reverse_class_table_frozen():
 
 def test_not_classified_on_non_cocycle():
     bad = Cocycle3.from_function(
-        3, lambda i, j, h: Fraction(1, 7) if (i, j, h) == (1, 1, 1) else 0
+        3, 7, lambda i, j, h: 1 if (i, j, h) == (1, 1, 1) else 0
     )
     assert not is_cocycle(bad).ok
     with pytest.raises(NotClassified):
         cohomology_class(bad)
     # off the slice i = 1 the invariant still reads k/m, so only the
     # substitution of the witness refuses this table
-    vals = list(omega(3, 2).values)
-    vals[2 * 9 + 1 * 3 + 1] += Fraction(1, 7)
-    off_slice = Cocycle3(3, vals)
+    vals = [7 * x for x in omega(3, 2).nums]
+    vals[2 * 9 + 1 * 3 + 1] += 3
+    off_slice = Cocycle3(3, 21, vals)
     assert 3 * sum(off_slice.value(1, j, 1) for j in range(3)) == 2
     assert not is_cocycle(off_slice).ok
     with pytest.raises(NotClassified):
@@ -231,14 +270,20 @@ def test_json_roundtrip_and_equality():
     assert back == w
     assert hash(back) == hash(w)
     assert back != omega(4, 2)
-    # arithmetic stays mod 1
+    # arithmetic stays mod 1, and the denominator is reduced, so equal
+    # tables store equal integers
     z = w.sub(w)
-    assert all(v == 0 for v in z.values)
+    assert z.den == 1 and all(v == 0 for v in z.nums)
     assert w.add(z) == w
+    assert Cocycle3(2, 6, [3, -3, 9] + [0] * 5) == Cocycle3(
+        2, 2, [1, 1, 1] + [0] * 5)
+    assert Cocycle3(2, 6, [2, 4] + [0] * 6).den == 3
+    with pytest.raises(ValueError):
+        Cocycle3(2, 0, [0] * 8)
 
 
 def test_trivial_group():
     w = omega(1, 0)
     assert is_cocycle(w).ok
     assert cohomology_class(w).k == 0
-    assert w.denominator_lcm() == 1
+    assert w.den == 1

@@ -42,7 +42,6 @@ What each verify() proves from the stored matrices alone:
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 from operator import index
 
@@ -108,8 +107,13 @@ class RealCyclotomic:
         return "RealCyclotomic(p=%d, mu=%r)" % (self.p, self.mu)
 
 
+# `numring idem` takes 0.22 / 0.47 / 2.7 / 5.3 s at p = 401 / 601 / 1009 /
+# 1601 on a 2-core VM, the slowest of the ring queries; larger p is refused
+_MAX_PRIME = 1009
+
+
 def real_cyclotomic(p: int) -> RealCyclotomic:
-    """Build Z[2cos(2pi/p)] for an odd prime p.
+    """Build Z[2cos(2pi/p)] for an odd prime p <= _MAX_PRIME.
 
     The even-index Chebyshev roots 2cos(2pi*a/p) are picked out exactly:
     squaring doubles the angle, (2cos t)^2 - 2 = 2cos 2t, so mu is the
@@ -120,12 +124,17 @@ def real_cyclotomic(p: int) -> RealCyclotomic:
     >>> real_cyclotomic(5).mu
     PolyZ([-1, 1, 1])
     """
+    if p > _MAX_PRIME:
+        raise ValueError("p must be an odd prime <= %d, got %r"
+                         % (_MAX_PRIME, p))
     if not (p % 2 and is_prime(p)):
         raise ValueError("p must be an odd prime, got %r" % (p,))
     f = chebyshev_u(p - 1)
     dg = (p - 1) // 2
     # peel off c_i * (X^2-2)^i from the top
-    y = PolyZ([-2, 0, 1])
+    pows = [PolyZ([1])]
+    for _ in range(dg):
+        pows.append(pows[-1] * PolyZ([-2, 0, 1]))
     rem = f
     coeffs = [0] * (dg + 1)
     for i in range(dg, -1, -1):
@@ -134,7 +143,7 @@ def real_cyclotomic(p: int) -> RealCyclotomic:
         c = rem.coeffs[2 * i]
         coeffs[i] = c
         if c:
-            rem = rem - _poly_pow(y, i).scale(c)
+            rem = rem - pows[i].scale(c)
     if not rem.is_zero():
         raise ArithmeticError("Chebyshev polynomial failed to decompose")
     mu = PolyZ(coeffs)
@@ -143,13 +152,6 @@ def real_cyclotomic(p: int) -> RealCyclotomic:
     if not mu.divides(f):
         raise ArithmeticError("extracted polynomial does not divide U_{p-1}(X/2)")
     return RealCyclotomic(p, mu)
-
-
-def _poly_pow(p: PolyZ, e: int) -> PolyZ:
-    acc = PolyZ([1])
-    for _ in range(e):
-        acc = acc * p
-    return acc
 
 
 @dataclass(frozen=True)
@@ -183,8 +185,9 @@ def factor_two(p: int) -> PrimeFactorTwo:
 
     Distinct-degree splitting via gcd(f, X^{2^d} - X), then equal-degree
     splitting with the characteristic-2 trace map (Cantor-Zassenhaus; see
-    von zur Gathen & Gerhard, Modern Computer Algebra, 14.3).  The RNG is
-    seeded from p, so output order is reproducible.
+    von zur Gathen & Gerhard, Modern Computer Algebra, 14.3), tried on
+    the powers of X in turn, so no randomness enters; the factors are
+    returned sorted by their bitmasks.
     """
     ring = real_cyclotomic(p)
     f2 = ring.mu.reduce_mod2()
@@ -194,7 +197,6 @@ def factor_two(p: int) -> PrimeFactorTwo:
         raise ValueError("mu mod 2 is not squarefree: 2 ramifies?")
     x = PolyF2(0b10)
     factors = []
-    rng = random.Random(0x5EED ^ p)
     rest = f2
     d = 1
     while rest.degree() >= 1:
@@ -203,7 +205,7 @@ def factor_two(p: int) -> PrimeFactorTwo:
         xq = x.powmod(2**d, rest)
         g = rest.gcd(xq + x)
         if not g.is_one():
-            factors.extend(_equal_degree_split(g, d, rng))
+            factors.extend(_equal_degree_split(g, d))
             rest = rest // g
         d += 1
     factors.sort(key=lambda q: q.bits)
@@ -220,24 +222,27 @@ def factor_two(p: int) -> PrimeFactorTwo:
     return PrimeFactorTwo(p=p, factors=tuple(factors), f=f, count=len(factors))
 
 
-def _equal_degree_split(g: PolyF2, d: int, rng: random.Random) -> list:
-    """Split a squarefree product of irreducibles of known degree d."""
+def _equal_degree_split(g: PolyF2, d: int) -> list:
+    """Split a squarefree product of irreducibles of known degree d.
+
+    The trace h -> h + h^2 + ... + h^(2^(d-1)) maps F2[X]/g F2-linearly
+    onto F2^(#factors), one trace per factor.  The powers X^j span
+    F2[X]/g, so their traces span F2^(#factors), and with two or more
+    factors some trace is neither 0 nor 1 on every factor: its gcd with
+    g is a proper factor.
+    """
     if g.degree() == d:
         return [g]
-    n = g.degree()
-    while True:
-        h = PolyF2(rng.getrandbits(n) | 1)
-        # trace map h + h^2 + h^4 + ... over GF(2^d)
+    for j in range(g.degree()):
         tr = PolyF2(0)
-        cur = h % g
+        cur = PolyF2(1 << j)
         for _ in range(d):
             tr = tr + cur
             cur = (cur * cur) % g
         w = g.gcd(tr)
         if not w.is_one() and w.degree() < g.degree():
-            return _equal_degree_split(w, d, rng) + _equal_degree_split(
-                g // w, d, rng
-            )
+            return _equal_degree_split(w, d) + _equal_degree_split(g // w, d)
+    raise ArithmeticError("no power of X splits %r" % (g,))
 
 
 def _xgcd_f2(a: PolyF2, b: PolyF2):
@@ -299,7 +304,7 @@ def galois(p: int, a: int) -> IntMatrix:
     representatives of (Z/pZ)^x / {+-1}.
     """
     ring = real_cyclotomic(p)
-    image = _galois_images(ring)[_canonical_rep(a, p) - 1]
+    image = ring.reduce(chebyshev_t2(_canonical_rep(a, p)))
     cols = []
     acc = PolyZ([1])
     for _ in range(ring.degree):
@@ -603,9 +608,12 @@ def _free_r_basis(ring: RealCyclotomic, span_rows, blocks) -> list:
     """Greedy free R-basis of the lattice spanned by span_rows, stable
     under beta = diag(blocks).
 
-    Candidates are accepted when the Smith form of the stacked beta
-    orbits stays unimodular, so the result is a free basis by
-    construction.  Raises RuntimeError if the greedy search stalls.
+    Candidates, in Z-basis coordinates, come in one fixed order: unit
+    vectors, then the pairs e_i +- e_j, then shells of growing sup-norm,
+    which reach every vector.  A candidate is accepted when the Smith
+    form of the stacked beta orbits stays unimodular, so the result is a
+    free basis by construction.  Raises RuntimeError if the search
+    stalls.
     """
     dim = sum(b.rows for b in blocks)
     V = _row_basis_rows(span_rows)
@@ -626,38 +634,18 @@ def _free_r_basis(ring: RealCyclotomic, span_rows, blocks) -> list:
     beta_abs = IntMatrix.from_rows(beta_abs)
     if deg == 1:
         return V
-    rng = random.Random(0xBA5E ^ ring.p)
 
     def candidates():
         for i in range(m):
-            e = [0] * m
-            e[i] = 1
-            yield e
-        for i in range(m):
-            for j in range(i + 1, m):
-                for sj in (1, -1):
-                    e = [0] * m
-                    e[i] = 1
-                    e[j] = sj
-                    yield e
-        if m <= 4:
-            # exhaustive shells of growing sup-norm: a generator with
-            # bounded coordinates is reached deterministically
-            bound = 1
-            while True:
-                for v in itertools.product(range(-bound, bound + 1),
-                                           repeat=m):
-                    if max(abs(x) for x in v) == bound:
-                        yield list(v)
-                bound += 1
-        else:
-            count = 0
-            amp = 1
-            while True:
-                count += 1
-                if count % 300 == 0:
-                    amp += 1
-                yield [rng.randint(-amp, amp) for _ in range(m)]
+            yield [int(t == i) for t in range(m)]
+        for i, j in itertools.combinations(range(m), 2):
+            for sj in (1, -1):
+                yield [1 if t == i else sj if t == j else 0
+                       for t in range(m)]
+        for bound in itertools.count(1):
+            for v in itertools.product(range(-bound, bound + 1), repeat=m):
+                if max(map(abs, v)) == bound:
+                    yield list(v)
 
     chosen = []
     stacked = []
@@ -1019,6 +1007,42 @@ def _rmat_to_z(ring: RealCyclotomic, rmat, k: int) -> IntMatrix:
     return _mat(rows, 0)
 
 
+def _higman_endomorphism(ring: RealCyclotomic, y_r):
+    """Z-matrix of an R-linear phi with phi + Y phi Y = 1 on R^k, for Y
+    the k x k involution y_r over R, or None if there is none.
+
+    L(phi) = phi + Y phi Y is 1 + S with S^2 = 1, so L(phi) = 1 is
+    decided mod 2: for phi_0 with L(phi_0) = 1 mod 2, x = (1 - L(phi_0))/2
+    is fixed by S (S(1) = 1), so L(x) = 2x and phi_0 + x solves it
+    exactly.  phi_0 comes from one GF(2) echelon: an element of R/2R is
+    the bitmask of its coefficients on the beta^c, and entry (u, v) of a
+    k x k matrix over R/2R sits at bit offset (u*k + v)*deg, also the
+    index of the unknown beta^c E_uv.
+    """
+    k, deg = len(y_r), ring.degree
+    mu2 = ring.mu.reduce_mod2()
+    y2 = [[a.reduce_mod2() for a in row] for row in y_r]
+    ech = F2Echelon()
+    for u in range(k):
+        for v in range(k):
+            # the entries of L(E_uv), then of L(beta^c E_uv) = beta^c L(E_uv)
+            ent = [((y2[s][u] * y2[v][t]) % mu2).bits ^ (s == u and t == v)
+                   for s in range(k) for t in range(k)]
+            for _ in range(deg):
+                ech.add(sum(e << (i * deg) for i, e in enumerate(ent)))
+                ent = [(e << 1) ^ (e >> (deg - 1)) * mu2.bits for e in ent]
+    combo = ech.solve(sum(1 << (s * (k + 1) * deg) for s in range(k)))
+    if combo is None:
+        return None
+    phi0 = _rmat_to_z(ring, [[PolyZ([(combo >> ((u * k + v) * deg + c)) & 1
+                                     for c in range(deg)])
+                               for v in range(k)] for u in range(k)], k)
+    y = _rmat_to_z(ring, y_r, k)
+    rest = IntMatrix.identity(k * deg) - phi0 - y @ phi0 @ y
+    return phi0 + IntMatrix.from_rows([[a // 2 for a in row]
+                                       for row in rest.to_rows()])
+
+
 class InvolutionSplit:
     """Decomposition (L (+) R[Z/2Z]^padding)[G] = P_+ (+) P_- (+) P_0
     where Y acts by +1 on P_+, by -1 on P_-, and P_0 carries a Higman
@@ -1080,8 +1104,9 @@ def involution_split(p: int, module: Z2Module, padding: int = 0) \
     the lattices L(1+tau Y) and L(1+tau Y)/2 n L (computed inside L x Q
     via exact two-division) are fed pairwise to lattice_split; P_tau is
     the half of the resulting L_1, and P_0 = {x : 2x in L_{+,0} + L_{-,0}}
-    gets an explicit Higman endomorphism found by exact linear solving
-    over R.
+    gets an explicit Higman endomorphism, solved mod 2 and lifted
+    exactly (_higman_endomorphism).  Raises InvolutionError when there
+    is none.
     """
     ring = module.lattice.ring
     if ring.p != p:
@@ -1151,38 +1176,12 @@ def involution_split(p: int, module: Z2Module, padding: int = 0) \
                 raise AssertionError("P_0 is not Y-stable")
             y_r.append([PolyZ(list(c[t * deg:(t + 1) * deg]))
                         for t in range(k0)])
-        # solve phi + Y phi Y = 1 for phi with entries in R
-        nunk = k0 * k0 * deg
-        sys_rows = [[0] * nunk for _ in range(nunk)]
-        rhs = [0] * nunk
-        for s in range(k0):
-            for t in range(k0):
-                base_eq = (s * k0 + t) * deg
-                if s == t:
-                    rhs[base_eq] = 1
-                for u in range(k0):
-                    for v in range(k0):
-                        base_un = (u * k0 + v) * deg
-                        prod = ring.reduce(y_r[s][u] * y_r[v][t])
-                        mm = ring.mult_matrix(prod)
-                        for cc in range(deg):
-                            for c2 in range(deg):
-                                val = mm.at(cc, c2)
-                                if u == s and v == t and cc == c2:
-                                    val += 1
-                                if val:
-                                    sys_rows[base_eq + cc][base_un + c2] \
-                                        += val
-        sol = solve_linear(IntMatrix.from_rows(sys_rows), rhs)
-        if sol is None:
+        phi_z = _higman_endomorphism(ring, y_r)
+        if phi_z is None:
             raise InvolutionError(
                 "no Higman endomorphism at padding %d" % padding)
-        phi_r = [[PolyZ(list(sol[(u * k0 + v) * deg:(u * k0 + v + 1) * deg]))
-                  for v in range(k0)] for u in range(k0)]
-        phi_z = _rmat_to_z(ring, phi_r, k0)
-        y_z = _rmat_to_z(ring, y_r, k0)
-        higman = HigmanCertificate(Z2Module(RLattice.free(ring, k0), y_z),
-                                   phi_z)
+        higman = HigmanCertificate(Z2Module(
+            RLattice.free(ring, k0), _rmat_to_z(ring, y_r, k0)), phi_z)
 
     split = InvolutionSplit(
         padding, ambient, _mat(p_bases[1], Damp), _mat(p_bases[-1], Damp),

@@ -140,6 +140,18 @@ def test_cocycle_group_order_limit_exits_two(capsys, tmp_path, argv):
     assert "48" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["numring", "minpoly", "--p", "1013"],
+    ["numring", "factor2", "--p", "1013"],
+    ["numring", "idem", "--p", "1013"],
+    ["numring", "galois", "--p", "1013", "--a", "2"],
+])
+def test_numring_prime_limit_exits_two(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err == "error: p must be an odd prime <= 1009, got 1013\n"
+
+
 def test_invariant_violation_exits_three(capsys, monkeypatch):
     def broken(q):
         raise AssertionError("forced certificate mismatch")

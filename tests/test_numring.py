@@ -12,6 +12,7 @@ from cyclotwist.exactalg import (
     chebyshev_u,
     det_exact,
     smith_normal_form,
+    solve_linear,
 )
 from cyclotwist.numring import (
     HigmanCertificate,
@@ -31,6 +32,7 @@ from cyclotwist.numring import (
     real_cyclotomic,
     resolve_z2_module,
 )
+from cyclotwist.numring import _higman_endomorphism, _rmat_to_z
 
 # minimal polynomials of 2cos(2pi/p), lowest coefficient first; checked
 # against the numeric product over the conjugate roots
@@ -48,6 +50,7 @@ MU_TABLE = {
 SPLITTING_TABLE = {
     3: (1, 1), 5: (2, 1), 7: (3, 1), 11: (5, 1), 13: (6, 1),
     17: (4, 2), 19: (9, 1), 23: (11, 1), 29: (14, 1), 31: (5, 3),
+    73: (9, 4), 127: (7, 9), 257: (8, 16),
 }
 
 
@@ -321,6 +324,49 @@ def test_lattice_split_random_pairs():
         cases += 1
 
 
+# A free rank-2 lattice at p = 13 conjugated by a unimodular matrix,
+# with N of index 2^6.  Its free R-basis needs 3,329 candidates, past
+# the pairs e_i +- e_j; a randomized search gave up on it after 20,000.
+CONJUGATED_P13_BETA = [
+    [0, 1, 0, -6, -1, 0, 1, -2, -6, 5, 5, -1],
+    [0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+    [0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0],
+    [0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0],
+    [0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0],
+    [1, -3, -6, 4, 5, -1, 0, 1, -1, 0, 0, -1],
+    [0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0],
+    [0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0],
+    [0, 0, 0, 0, -1, 0, 0, 0, 0, 1, 0, 0],
+    [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0],
+    [0, 0, 0, 0, 0, 0, 0, -1, 0, 0, 0, 1],
+    [0, 0, 0, -5, 0, 0, 1, -2, -5, 4, 5, -1],
+]
+CONJUGATED_P13_N_GENS = [
+    [2, 0, 0, 0, 0, 0, 0, 2, -2, 0, 0, -2],
+    [0, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+    [0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+    [0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0],
+    [0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0],
+    [0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0],
+    [0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0],
+    [0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0],
+    [0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0],
+    [0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0],
+    [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0],
+    [0, 0, 0, 0, 0, 0, 0, -1, 0, 0, 0, 1],
+    [2, 0, 2, 0, 2, 2, -1, 1, -2, 0, 0, -2],
+    [0, 2, 4, 0, 4, 4, -1, -1, 0, 1, 1, 0],
+]
+
+
+def test_lattice_split_conjugated_p13_past_the_pairs():
+    M = RLattice(real_cyclotomic(13), 2,
+                 IntMatrix.from_rows(CONJUGATED_P13_BETA))
+    cert = lattice_split(13, M, CONJUGATED_P13_N_GENS)
+    assert (cert.basis_L0.rows, cert.basis_L1.rows) == (36, 36)
+    assert cert.verify()
+
+
 def test_involution_split_trivial_y():
     p = 5
     ring = real_cyclotomic(p)
@@ -416,6 +462,92 @@ def test_higman_check_direct():
     assert higman_check(mod, phi)
     assert not higman_check(mod, IntMatrix.identity(d))
     assert not higman_check(mod, IntMatrix.zeros(d, d))
+
+
+def dense_higman(ring, y_r):
+    """phi with phi + Y phi Y = 1 over R from the dense integer system of
+    k^2 * deg unknowns, solved by the Smith form, or None: the route the
+    mod-2 solve and lift replaced, kept as its oracle."""
+    k, deg = len(y_r), ring.degree
+    nunk = k * k * deg
+    sys_rows = [[0] * nunk for _ in range(nunk)]
+    rhs = [0] * nunk
+    for s in range(k):
+        for t in range(k):
+            base_eq = (s * k + t) * deg
+            if s == t:
+                rhs[base_eq] = 1
+            for u in range(k):
+                for v in range(k):
+                    base_un = (u * k + v) * deg
+                    mm = ring.mult_matrix(ring.reduce(y_r[s][u] * y_r[v][t]))
+                    for cc in range(deg):
+                        for c2 in range(deg):
+                            val = mm.at(cc, c2)
+                            if u == s and v == t and cc == c2:
+                                val += 1
+                            sys_rows[base_eq + cc][base_un + c2] += val
+    sol = solve_linear(IntMatrix.from_rows(sys_rows), rhs)
+    if sol is None:
+        return None
+    return _rmat_to_z(ring, [[PolyZ(sol[(u * k + v) * deg:
+                                        (u * k + v + 1) * deg])
+                              for v in range(k)] for u in range(k)], k)
+
+
+def _rmat_mul(ring, a, b):
+    return [[ring.reduce(sum((a[i][j] * b[j][t] for j in range(len(b))),
+                             PolyZ([0])))
+             for t in range(len(b[0]))] for i in range(len(a))]
+
+
+def _r_conjugate(ring, y_r, rng):
+    """A y_r A^-1 for A a product of three elementary matrices over R."""
+    k = len(y_r)
+    a = [[PolyZ([int(i == j)]) for j in range(k)] for i in range(k)]
+    a_inv = [row[:] for row in a]
+    for _ in range(3):
+        i, j = rng.sample(range(k), 2)
+        r = PolyZ([rng.randint(-2, 2) for _ in range(ring.degree)])
+        e = [[PolyZ([int(s == t)]) for t in range(k)] for s in range(k)]
+        e_inv = [row[:] for row in e]
+        e[i][j], e_inv[i][j] = r, -r
+        a, a_inv = _rmat_mul(ring, a, e), _rmat_mul(ring, e_inv, a_inv)
+    return _rmat_mul(ring, _rmat_mul(ring, a, y_r), a_inv)
+
+
+def test_higman_solve_matches_dense_oracle():
+    # Y on R^k: the Y of P_0 for free modules (solvable), and +-1 on
+    # each coordinate (L(phi) is 2 phi on the diagonal, so unsolvable),
+    # each with an R-unimodular conjugate
+    rng = random.Random(0x4167)
+    cases = []
+    for p, copies in ((5, 1), (5, 2), (7, 1)):
+        sp = involution_split(p, free_z2_module(p, copies))
+        ring, y_z = real_cyclotomic(p), sp.higman.module.Y
+        deg, k = ring.degree, y_z.rows // ring.degree
+        cases.append((ring, [[PolyZ(y_z.row(s * deg)[t * deg:(t + 1) * deg])
+                              for t in range(k)] for s in range(k)]))
+    for p in (5, 7):
+        ring = real_cyclotomic(p)
+        for signs in ((1,), (-1, -1), (1, -1)):
+            cases.append((ring, [[PolyZ([x if i == j else 0])
+                                  for j in range(len(signs))]
+                                 for i, x in enumerate(signs)]))
+    cases += [(ring, _r_conjugate(ring, y_r, rng))
+              for ring, y_r in cases if len(y_r) > 1]
+    solvable = 0
+    for ring, y_r in cases:
+        k = len(y_r)
+        module = Z2Module(RLattice.free(ring, k), _rmat_to_z(ring, y_r, k))
+        phi = _higman_endomorphism(ring, y_r)
+        oracle = dense_higman(ring, y_r)
+        assert (phi is None) == (oracle is None)
+        if phi is not None:
+            assert higman_check(module, phi)
+            assert higman_check(module, oracle)
+            solvable += 1
+    assert (len(cases), solvable) == (16, 6)
 
 
 def test_z2_module_validation():

@@ -99,10 +99,6 @@ def _emit_json(args, payload: dict) -> None:
             fh.write("\n")
 
 
-def _mat_rows(m: IntMatrix) -> list:
-    return [list(m.row(i)) for i in range(m.rows)]
-
-
 def _load_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
@@ -264,7 +260,7 @@ def _cmd_fusion_dk(args) -> int:
         "level": args.level,
         "rank": mod.rank,
         "base_rank": mod.base.rank,
-        "action": [_mat_rows(m) for m in mod.action],
+        "action": [m.to_rows() for m in mod.action],
     })
     _say("module axioms: true  [unit acts as identity; action respects "
          "the structure constants]")
@@ -406,28 +402,23 @@ def _cmd_numring_minpoly(args) -> int:
     return 0
 
 
-def _poly_f2_coeffs(g) -> list:
-    return [int(b) for b in g.coeffs()]
-
-
 def _cmd_numring_factor2(args) -> int:
     fac = factor_two(args.p)
     _say("mu mod 2 = product of %d irreducible factor(s) of degree %d"
          % (fac.count, fac.f))
     for i, g in enumerate(fac.factors):
-        _say("factor %d: %s" % (i, " ".join(str(b)
-                                            for b in _poly_f2_coeffs(g))))
+        _say("factor %d: %s" % (i, " ".join(str(b) for b in g.coeffs())))
     _emit_json(args, {"p": args.p, "f": fac.f, "count": fac.count,
-                      "factors": [_poly_f2_coeffs(g) for g in fac.factors]})
+                      "factors": [g.coeffs() for g in fac.factors]})
     return 0
 
 
 def _cmd_numring_idem(args) -> int:
     idem = idempotents_mod2(args.p)
     for i, e in enumerate(idem):
-        _say("e_%d: %s" % (i, " ".join(str(b) for b in _poly_f2_coeffs(e))))
+        _say("e_%d: %s" % (i, " ".join(str(b) for b in e.coeffs())))
     _emit_json(args, {"p": args.p,
-                      "idempotents": [_poly_f2_coeffs(e) for e in idem]})
+                      "idempotents": [e.coeffs() for e in idem]})
     return 0
 
 
@@ -435,7 +426,7 @@ def _cmd_numring_galois(args) -> int:
     m = galois(args.p, args.a)
     for i in range(m.rows):
         _say(" ".join(str(x) for x in m.row(i)))
-    _emit_json(args, {"p": args.p, "a": args.a, "matrix": _mat_rows(m)})
+    _emit_json(args, {"p": args.p, "a": args.a, "matrix": m.to_rows()})
     return 0
 
 
@@ -463,9 +454,9 @@ def _cmd_numring_split(args) -> int:
         "p": cert.p,
         "base_dim": cert.base_dim,
         "group_order": cert.group_order,
-        "basis_L0": _mat_rows(cert.basis_L0),
-        "basis_L1": _mat_rows(cert.basis_L1),
-        "n_basis": _mat_rows(cert.n_basis),
+        "basis_L0": cert.basis_L0.to_rows(),
+        "basis_L1": cert.basis_L1.to_rows(),
+        "n_basis": cert.n_basis.to_rows(),
         "verified": True,
     })
     return _verdict(args, "split certificate verified", True, CIT_SPLIT)
@@ -477,7 +468,7 @@ def _cmd_numring_involution(args) -> int:
     mod = Z2Module(lat, IntMatrix.from_rows(_field(obj, "y", 2)))
     # involution_split returns only decompositions whose verify() passed
     if args.padding is None:
-        sp = involution_split_auto(p, mod, max_padding=args.max_padding)
+        sp = involution_split_auto(p, mod)
     else:
         sp = involution_split(p, mod, padding=args.padding)
     _say("padding %d: P+ rank %d, P- rank %d, P0 rank %d"
@@ -489,10 +480,10 @@ def _cmd_numring_involution(args) -> int:
         "p": sp.p,
         "padding": sp.padding,
         "group_order": sp.group_order,
-        "basis_plus": _mat_rows(sp.basis_plus),
-        "basis_minus": _mat_rows(sp.basis_minus),
-        "basis_zero": _mat_rows(sp.basis_zero),
-        "higman_phi": (_mat_rows(sp.higman.phi)
+        "basis_plus": sp.basis_plus.to_rows(),
+        "basis_minus": sp.basis_minus.to_rows(),
+        "basis_zero": sp.basis_zero.to_rows(),
+        "higman_phi": (sp.higman.phi.to_rows()
                        if sp.higman is not None else None),
         "verified": True,
     })
@@ -512,9 +503,9 @@ def _cmd_numring_resolve(args) -> int:
         "rank": res.rank,
         "a": res.a,
         "b": res.b,
-        "f1": _mat_rows(res.f1),
-        "f2": _mat_rows(res.f2),
-        "f3": _mat_rows(res.f3),
+        "f1": res.f1.to_rows(),
+        "f2": res.f2.to_rows(),
+        "f3": res.f3.to_rows(),
         "verified": True,
     })
     return _verdict(args, "resolution exact", True, CIT_RESOLVE)
@@ -730,7 +721,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--padding", type=int, default=None,
                    help="regular summands to add (default: smallest "
                         "that works)")
-    p.add_argument("--max-padding", dest="max_padding", type=int, default=4)
     p = leaf(nsub, "resolve", _cmd_numring_resolve,
              "four-term resolution of a presented module")
     p.add_argument("--file", required=True,

@@ -11,8 +11,7 @@ in this module.  Each solver exists once, here:
   It runs the one elimination on A with I_m beside it and I_n below;
   ``elementary_divisors`` runs it on A alone for the bare diagonal
 * ``snf_back_substitute`` the one Smith-form back-substitution: solves
-  S*y = U*b over Z or mod L; ``solve_linear`` and ``solve_linear_mod``
-  are its front ends
+  S*y = U*b over Z; ``solve_linear`` is its front end
 * ``F2Echelon``          the one GF(2) echelon: rank, residue,
   coordinate-tracked solve and the reduced form with its free columns,
   on vectors packed into int bitmasks by ``pack_mod2``
@@ -26,7 +25,6 @@ in this module.  Each solver exists once, here:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 from operator import index
 
 # SNFResult.verify checks det(U), det(V) = +-1 only up to this many rows
@@ -88,16 +86,17 @@ class IntMatrix:
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError("dimension mismatch in product")
-        m, k, n = self.rows, self.cols, other.cols
-        a = self.to_rows()
-        bt = other.transpose().to_rows()
+        n = other.cols
+        b = other.to_rows()
         out = []
-        for i in range(m):
-            ai = a[i]
-            for j in range(n):
-                bj = bt[j]
-                out.append(sum(x * y for x, y in zip(ai, bj)))
-        return IntMatrix(m, n, out)
+        # skip zero a_ik: the numring factors are mostly zero
+        for ai in self.to_rows():
+            acc = [0] * n
+            for x, bk in zip(ai, b):
+                if x:
+                    acc = [s + x * y for s, y in zip(acc, bk)]
+            out += acc
+        return IntMatrix(self.rows, n, out)
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         self._same_shape(other)
@@ -635,27 +634,18 @@ def charpoly_exact(A: IntMatrix) -> PolyZ:
     return PolyZ(list(reversed(C)))
 
 
-def snf_back_substitute(snf: SNFResult, c, modulus: int = 0):
+def snf_back_substitute(snf: SNFResult, c):
     """Solve A*x = b through its Smith form, given c = U*b.
 
     With S = U*A*V diagonal the system is s_i * y_i = c_i, one coordinate
-    at a time, and x = V*y.  Over Z (``modulus`` 0) each s_i must divide
-    c_i; mod L each gcd(s_i, L) must, and x is reduced mod L.  Returns
-    None when some coordinate has no solution.
+    at a time, and x = V*y.  Each s_i must divide c_i (a zero s_i only a
+    zero c_i).  Returns None when some coordinate has no solution.
     """
     diag = snf.diagonal()
     y = [0] * snf.V.rows
     for i, ci in enumerate(c):
         s = diag[i] if i < len(diag) else 0
-        if modulus:
-            ci %= modulus
-            g = gcd(s, modulus)
-            if ci % g:
-                return None
-            if s:
-                lred = modulus // g
-                y[i] = (ci // g) * pow(s // g, -1, lred) % lred
-        elif s == 0:
+        if s == 0:
             if ci:
                 return None
         else:
@@ -663,41 +653,23 @@ def snf_back_substitute(snf: SNFResult, c, modulus: int = 0):
             if r:
                 return None
             y[i] = q
-    x = snf.V.apply(y)
-    return [v % modulus for v in x] if modulus else x
-
-
-def _snf_rhs(A: IntMatrix, b, snf: SNFResult | None):
-    b = list(map(index, b))
-    if len(b) != A.rows:
-        raise ValueError("right-hand side length mismatch")
-    if snf is None:
-        snf = smith_normal_form(A)
-    return snf, snf.U.apply(b)
-
-
-def solve_linear_mod(A: IntMatrix, b, L: int, snf: SNFResult | None = None):
-    """Find x with A*x = b (mod L), or None when no solution exists.
-
-    Decided through the Smith form: with U*A*V = S diagonal, the system
-    becomes s_i * y_i = (U*b)_i (mod L), solvable per coordinate iff
-    gcd(s_i, L) divides the right side.  Pass a precomputed ``snf`` to
-    amortize the reduction across many right-hand sides.
-    """
-    if L < 1:
-        raise ValueError("modulus must be >= 1")
-    snf, c = _snf_rhs(A, b, snf)
-    return snf_back_substitute(snf, c, L)
+    return snf.V.apply(y)
 
 
 def solve_linear(A: IntMatrix, b, snf: SNFResult | None = None):
     """Find an integer x with A*x = b exactly, or None.
 
-    Same Smith-form mechanics as solve_linear_mod but over Z itself:
-    each diagonal entry must divide its transformed coordinate.
+    Decided through the Smith form: with U*A*V = S diagonal, each
+    diagonal entry must divide its coordinate of U*b.  Pass a
+    precomputed ``snf`` to amortize the reduction across right-hand
+    sides.
     """
-    snf, c = _snf_rhs(A, b, snf)
-    return snf_back_substitute(snf, c)
+    b = list(map(index, b))
+    if len(b) != A.rows:
+        raise ValueError("right-hand side length mismatch")
+    if snf is None:
+        snf = smith_normal_form(A)
+    return snf_back_substitute(snf, snf.U.apply(b))
 
 
 def kernel_basis(A: IntMatrix) -> list:

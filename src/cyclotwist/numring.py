@@ -1191,18 +1191,21 @@ def involution_split(p: int, module: Z2Module, padding: int = 0) \
     return split
 
 
-def involution_split_auto(p: int, module: Z2Module, max_padding: int = 4) \
-        -> InvolutionSplit:
+# regular summands involution_split_auto adds at most before it gives up
+_MAX_PADDING = 4
+
+
+def involution_split_auto(p: int, module: Z2Module) -> InvolutionSplit:
     """involution_split with the smallest padding that succeeds."""
     last = None
-    for pad in range(max_padding + 1):
+    for pad in range(_MAX_PADDING + 1):
         try:
             return involution_split(p, module, pad)
         except (InvolutionError, RuntimeError) as exc:
             last = exc
     raise InvolutionError(
         "no padding up to %d admits the decomposition: %s"
-        % (max_padding, last))
+        % (_MAX_PADDING, last))
 
 
 class ResolutionError(RuntimeError):

@@ -24,8 +24,10 @@ Sketch: phi(e_i) restricts to the identity on the i-th block row, which
 is compact iff that row is finite-dimensional, giving (a), (c), (e);
 right inner products of the block E_ij land in the j-th coordinate,
 giving (b), (d).  The gauge-invariant-ideal criteria then become finite
-subset conditions, decided below by exhaustive enumeration of subset
-bitmasks against the bitmask support of each row.
+subset conditions on bitmasks.  Forward-closed subsets are closed under
+intersection, and the least one containing S is everything reachable
+from S, so they are listed below by a closure walk (Ganter's
+NextClosure) rather than by testing every subset.
 
 The model is a strict specialization: it covers diagonalizable
 correspondences over C^n, which is all the desk-scale inputs need, and
@@ -51,7 +53,7 @@ class _Infinite:
 
 INF = _Infinite()
 
-_ENUM_CAP = 20  # subsets are enumerated exhaustively; 2^20 is the limit
+_ENUM_CAP = 20  # witnesses are listed in full: at most 2^20 - 2 of them
 
 
 def _as_entry(v):
@@ -152,26 +154,55 @@ def _require_faithful(spec: CorrSpec) -> Flags:
 
 
 def invariant_ideals(spec: CorrSpec) -> IdealReport:
-    """Exhaustive scan of the 2^n subsets for the two ideal inclusions.
+    """The nontrivial subsets satisfying the two ideal inclusions.
 
     Returns the nontrivial forward-closed subsets and, separately, the
-    sublist also absorbing the compact preimage; subsets are reported as
-    sorted 1-based tuples.  S is forward-closed iff no row in S has
-    support meeting the complement, and absorbs the compact preimage iff
-    every finite row outside S does.
+    sublist also absorbing the compact preimage, as sorted 1-based
+    tuples in increasing bitmask order.  S is forward-closed iff it
+    holds every row reachable from S, and absorbs the compact preimage
+    iff every finite row outside S has support meeting the complement.
+
+    The forward-closed sets are walked by NextClosure (Ganter & Reuter,
+    Order 8, 1991): after a closed mask comes the closure of (mask
+    above i) + i for the smallest bit i outside mask whose closure adds
+    no bit above i.  A step costs at most n closures, so the work
+    follows the number of witnesses, not 2^n.
     """
     _require_faithful(spec)
     n = spec.n
     supp = [sum(1 << j for j, v in enumerate(row) if v != 0)
             for row in spec.mult]
     finite = [i for i in range(n) if _finite(spec.mult[i])]
+    # reach[i]: the rows reachable from row i, i included (Warshall)
+    reach = [1 << i | supp[i] for i in range(n)]
+    for k in range(n):
+        for i in range(n):
+            if reach[i] >> k & 1:
+                reach[i] |= reach[k]
+
+    def closure(x):
+        out = x
+        while x:
+            low = x & -x
+            out |= reach[low.bit_length() - 1]
+            x ^= low
+        return out
+
     full = (1 << n) - 1
     fwd = []
     inv = []
-    for mask in range(1, full):
+    mask = 0  # the empty set is forward-closed
+    while True:
+        for i in range(n):
+            if mask >> i & 1:
+                continue
+            nxt = closure(mask >> i << i | 1 << i)
+            if nxt >> i + 1 == mask >> i + 1:
+                break
+        mask = nxt
+        if mask == full:
+            break
         out = full ^ mask
-        if any(supp[i] & out for i in range(n) if mask >> i & 1):
-            continue
         labelled = tuple(i + 1 for i in range(n) if mask >> i & 1)
         fwd.append(labelled)
         if all(supp[i] & out for i in finite if out >> i & 1):

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -52,13 +52,16 @@ def snf_class(c):
     by a dense Smith-form solve at denominator lcm(m, denominators of c),
     or None when no k is."""
     m = c.m
-    A = _coboundary_matrix(m)
-    snf = exactalg.smith_normal_form(A)
+    snf = exactalg.smith_normal_form(_coboundary_matrix(m))
+    # A*x = b (mod L) is solvable iff gcd(s_i, L) divides (U*b)_i for
+    # every i, with s_i = 0 past the diagonal
+    diag = snf.diagonal()
     L = lcm(c.den, m)
     for k in range(m):
         g = c.sub(omega(m, k))
-        rhs = [x * (L // g.den) for x in g.nums]
-        if exactalg.solve_linear_mod(A, rhs, L, snf) is not None:
+        ub = snf.U.apply([x * (L // g.den) for x in g.nums])
+        if all(ci % gcd(diag[i] if i < len(diag) else 0, L) == 0
+               for i, ci in enumerate(ub)):
             return k
     return None
 

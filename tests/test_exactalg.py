@@ -17,7 +17,6 @@ from cyclotwist.exactalg import (
     kernel_basis,
     smith_normal_form,
     solve_linear,
-    solve_linear_mod,
 )
 from cyclotwist.fusion import FusionModule, FusionRing
 from cyclotwist.numring import (
@@ -223,62 +222,6 @@ def test_charpoly_matches_det_at_points():
         for x in (-2, -1, 0, 1, 3):
             shifted = IntMatrix.identity(n).scale(x) - a
             assert p(x) == det_exact(shifted)
-
-
-def test_solve_linear_mod_examples():
-    ident = IntMatrix.identity(3)
-    assert solve_linear_mod(ident, [5, 6, 7], 4) == [1, 2, 3]
-    assert solve_linear_mod(IntMatrix.from_rows([[2]]), [1], 4) is None
-    x = solve_linear_mod(IntMatrix.from_rows([[2]]), [2], 4)
-    assert x is not None and (2 * x[0] - 2) % 4 == 0
-
-
-def test_solve_linear_mod_validates_input():
-    a = IntMatrix.identity(2)
-    with pytest.raises(ValueError):
-        solve_linear_mod(a, [1], 3)
-    with pytest.raises(ValueError):
-        solve_linear_mod(a, [1, 2], 0)
-
-
-@settings(deadline=None, max_examples=80)
-@given(
-    st.integers(1, 4),
-    st.integers(1, 4),
-    st.integers(2, 12),
-    st.data(),
-)
-def test_solve_linear_mod_roundtrip(m, n, L, data):
-    entries = data.draw(
-        st.lists(st.integers(-6, 6), min_size=m * n, max_size=m * n)
-    )
-    a = IntMatrix(m, n, entries)
-    x = data.draw(st.lists(st.integers(0, L - 1), min_size=n, max_size=n))
-    b = [v % L for v in a.apply(x)]
-    got = solve_linear_mod(a, b, L)
-    assert got is not None
-    assert [v % L for v in a.apply(got)] == b
-
-
-@settings(deadline=None, max_examples=40)
-@given(st.integers(2, 8), st.data())
-def test_solve_linear_mod_agrees_with_bruteforce(L, data):
-    # 2x2 systems small enough to enumerate all x in (Z/L)^2
-    entries = data.draw(st.lists(st.integers(-5, 5), min_size=4, max_size=4))
-    b = data.draw(st.lists(st.integers(0, L - 1), min_size=2, max_size=2))
-    a = IntMatrix(2, 2, entries)
-    brute = None
-    for x0 in range(L):
-        for x1 in range(L):
-            if [v % L for v in a.apply([x0, x1])] == b:
-                brute = [x0, x1]
-                break
-        if brute:
-            break
-    got = solve_linear_mod(a, b, L)
-    assert (got is None) == (brute is None)
-    if got is not None:
-        assert [v % L for v in a.apply(got)] == b
 
 
 def test_solve_linear_exact():

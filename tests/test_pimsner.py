@@ -139,10 +139,39 @@ def _permute(spec, sigma):
     return CorrSpec(spec.n, packed)
 
 
-def test_bitmask_scan_matches_list_scan():
+def _sparse_spec(rng, n, density):
+    """Each entry nonzero with the given probability; a zero row is
+    redrawn, so the left action stays faithful."""
+    mult = []
+    while len(mult) < n:
+        row = [rng.choice([1, 2, "inf"]) if rng.random() < density else 0
+               for _ in range(n)]
+        if any(row):
+            mult.append(row)
+    return CorrSpec(n, mult)
+
+
+def test_closure_walk_matches_list_scan():
     rng = random.Random(0x5CA9)
     specs = [_random_spec(rng, rng.randint(1, 6)) for _ in range(200)]
+    # sparse tables have many closed sets
+    for density in (0.1, 0.2, 0.4):
+        specs += [_sparse_spec(rng, rng.randint(1, 8), density)
+                  for _ in range(60)]
     n = 10
+    # a directed path ending in a self-loop: the n - 1 proper suffixes
+    for label in (1, "inf"):
+        path = [[label if j == min(i + 1, n - 1) else 0 for j in range(n)]
+                for i in range(n)]
+        specs.append(CorrSpec(n, path))
+        assert len(invariant_ideals(specs[-1]).forward_closed) == n - 1
+    # two disjoint cycles, on 1..4 and on 5..10
+    succ = [1, 2, 3, 0, 5, 6, 7, 8, 9, 4]
+    cycles = [["inf" if j == succ[i] else 0 for j in range(n)]
+              for i in range(n)]
+    specs.append(CorrSpec(n, cycles))
+    assert invariant_ideals(specs[-1]).forward_closed == (
+        (1, 2, 3, 4), (5, 6, 7, 8, 9, 10))
     cyclic = [["inf" if j == (i + 1) % n else 0 for j in range(n)]
               for i in range(n)]
     cyclic[3][7] = 2

@@ -57,7 +57,7 @@ from .obstruction import (
     fibonacci_acts,
     intro_formulation,
 )
-from .pimsner import CorrSpec, cuntz_pimsner_simple, toeplitz_simple, validate
+from .pimsner import CorrSpec, simplicity_reports, validate
 
 CIT_DET_TLJ = "det formula at level k: 2^(k+1) (k+2)^(k-1)"
 CIT_DET_EVEN = "even-part det, odd k: (k+2)^floor(k/2) 2^(k-1-2 floor(k/2))"
@@ -523,7 +523,7 @@ def _cmd_pimsner_check(args) -> int:
     flags = validate(spec)
     _say("flags: faithful=%s full=%s proper=%s" %
          (flags.faithful, flags.full, flags.proper))
-    trep = toeplitz_simple(spec)
+    trep, crep = simplicity_reports(spec, flags)
     code = _verdict(args, "Toeplitz algebra simple", trep.toeplitz_simple,
                     CIT_PIM_T)
     payload = {
@@ -531,23 +531,21 @@ def _cmd_pimsner_check(args) -> int:
         "flags": {"faithful": flags.faithful, "full": flags.full,
                   "proper": flags.proper},
         "toeplitz_simple": trep.toeplitz_simple,
-        "toeplitz_witnesses": [list(w) for w in trep.witnesses],
+        "toeplitz_witnesses": trep.witnesses,  # tuples dump as lists
     }
-    if flags.proper:
+    if crep is None:
         _say("Cuntz-Pimsner criterion not applicable: correspondence "
              "is proper")
         payload["cuntz_pimsner_simple"] = None
         payload["cuntz_pimsner_witnesses"] = None
     else:
-        crep = cuntz_pimsner_simple(spec)
         code = max(code, _verdict(args, "Cuntz-Pimsner algebra simple",
                                   crep.cuntz_pimsner_simple, CIT_PIM_CP))
         if crep.witnesses:
             _say("witnesses: %s" % "; ".join(str(list(w))
                                              for w in crep.witnesses))
         payload["cuntz_pimsner_simple"] = crep.cuntz_pimsner_simple
-        payload["cuntz_pimsner_witnesses"] = [list(w)
-                                              for w in crep.witnesses]
+        payload["cuntz_pimsner_witnesses"] = crep.witnesses
     _emit_json(args, payload)
     return code
 

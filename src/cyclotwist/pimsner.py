@@ -29,6 +29,12 @@ intersection, and the least one containing S is everything reachable
 from S, so they are listed below by a closure walk (Ganter's
 NextClosure) rather than by testing every subset.
 
+Both verdicts come from one such listing (simplicity_reports): the
+Toeplitz witnesses are the forward-closed subsets, the Cuntz-Pimsner
+witnesses the invariant ones among them.  Each witness is then
+rechecked once against the raw table, by set membership in each row's
+nonzero columns, without the listing's masks.
+
 The model is a strict specialization: it covers diagonalizable
 correspondences over C^n, which is all the desk-scale inputs need, and
 it reproduces the known simplicity of O_infty from the 1x1 table
@@ -142,15 +148,13 @@ def validate(spec: CorrSpec) -> Flags:
     return Flags(faithful=faithful, full=full, proper=proper, nondegenerate=True)
 
 
-def _require_faithful(spec: CorrSpec) -> Flags:
-    flags = validate(spec)
-    if not flags.faithful:
+def _require_faithful(spec: CorrSpec, faithful: bool) -> None:
+    if not faithful:
         raise ValueError("left action is not faithful (a row is zero)")
     if spec.n > _ENUM_CAP:
         raise ValueError(
             "subset enumeration capped at n = %d" % _ENUM_CAP
         )
-    return flags
 
 
 def invariant_ideals(spec: CorrSpec) -> IdealReport:
@@ -168,7 +172,7 @@ def invariant_ideals(spec: CorrSpec) -> IdealReport:
     no bit above i.  A step costs at most n closures, so the work
     follows the number of witnesses, not 2^n.
     """
-    _require_faithful(spec)
+    _require_faithful(spec, all(map(any, spec.mult)))  # INF is truthy
     n = spec.n
     supp = [sum(1 << j for j, v in enumerate(row) if v != 0)
             for row in spec.mult]
@@ -210,70 +214,99 @@ def invariant_ideals(spec: CorrSpec) -> IdealReport:
     return IdealReport(forward_closed=tuple(fwd), invariant=tuple(inv))
 
 
-def _recheck_witness(spec: CorrSpec, labelled: tuple, need_compact: bool):
+def _raw_rows(spec: CorrSpec):
+    """Each row's nonzero columns, and the rows of finite mass with
+    theirs, in 1-based labels, read straight from the table: the
+    recheck's own view of the spec, built once per spec and independent
+    of the masks of invariant_ideals."""
+    cols = {i + 1: frozenset(j + 1 for j, v in enumerate(row) if v != 0)
+            for i, row in enumerate(spec.mult)}
+    finite = [(i + 1, cols[i + 1]) for i, row in enumerate(spec.mult)
+              if all(v is not INF for v in row)]
+    return cols, finite
+
+
+def _recheck(rows, labelled: tuple, need_compact: bool) -> None:
     """Independent re-derivation of the inclusion conditions for one
-    subset, written against the raw table rather than the helper
-    predicates; raises if a reported witness fails."""
-    inside = [False] * spec.n
-    for lab in labelled:
-        inside[lab - 1] = True
-    forward_ok = True
-    for i in range(spec.n):
-        if not inside[i]:
-            continue
-        for j in range(spec.n):
-            entry = spec.mult[i][j]
-            if entry != 0 and not inside[j]:
-                forward_ok = False
-    compact_ok = True
-    for i in range(spec.n):
-        finite = True
-        outside_support = False
-        for j in range(spec.n):
-            entry = spec.mult[i][j]
-            if entry is INF:
-                finite = False
-            if entry != 0 and not inside[j]:
-                outside_support = True
-        if finite and not outside_support and not inside[i]:
-            compact_ok = False
-    if not forward_ok or (need_compact and not compact_ok):
+    subset S, given _raw_rows(spec); raises if a reported witness fails.
+
+    S is forward-closed iff every row in S has its nonzero columns in S,
+    and absorbs the compact preimage iff no finite row outside S has its
+    nonzero columns in S."""
+    cols, finite = rows
+    inside = set(labelled)
+    forward_ok = all(cols[lab] <= inside for lab in labelled)
+    if not forward_ok or (need_compact and any(
+            lab not in inside and c <= inside for lab, c in finite)):
         raise AssertionError(
             "witness %r fails independent re-verification" % (labelled,)
         )
 
 
-def toeplitz_simple(spec: CorrSpec) -> SimplicityReport:
-    """Toeplitz algebra simplicity: no part of A acts compactly (every
-    row has infinite mass) and no nontrivial forward-closed subset."""
-    flags = _require_faithful(spec)
+def simplicity_reports(
+    spec: CorrSpec, flags: Flags | None = None
+) -> tuple[SimplicityReport, SimplicityReport | None]:
+    """Both verdicts from one listing of invariant_ideals and one
+    recheck pass: the Toeplitz report, and the Cuntz-Pimsner report or
+    None when the correspondence is proper (outside that criterion).
+
+    Every forward-closed witness is rechecked against the raw table for
+    the forward inclusion, and each invariant one also for the
+    compact-preimage inclusion.  ``flags`` is validate(spec), for a
+    caller that has it already.
+    """
+    if flags is None:
+        flags = validate(spec)
+    ideals = invariant_ideals(spec)
+    rows = _raw_rows(spec)
+    # the invariant sets come in listing order among the forward-closed
+    # ones; any left unmatched (a wrong listing) are rechecked after
+    invariant = iter(ideals.invariant)
+    nxt = next(invariant, None)
+    for w in ideals.forward_closed:
+        need_compact = w == nxt
+        _recheck(rows, w, need_compact)
+        if need_compact:
+            nxt = next(invariant, None)
+    if nxt is not None:
+        for w in (nxt, *invariant):
+            _recheck(rows, w, True)
     rows_infinite = all(not _finite(row) for row in spec.mult)
-    witnesses = invariant_ideals(spec).forward_closed
-    for w in witnesses:
-        _recheck_witness(spec, w, need_compact=False)
-    return SimplicityReport(
-        toeplitz_simple=rows_infinite and not witnesses,
+    toeplitz = SimplicityReport(
+        toeplitz_simple=rows_infinite and not ideals.forward_closed,
         cuntz_pimsner_simple=None,
-        witnesses=witnesses,
+        witnesses=ideals.forward_closed,
         flags=flags,
     )
+    if flags.proper:
+        return toeplitz, None
+    return toeplitz, SimplicityReport(
+        toeplitz_simple=None,
+        cuntz_pimsner_simple=not ideals.invariant,
+        witnesses=ideals.invariant,
+        flags=flags,
+    )
+
+
+def toeplitz_simple(spec: CorrSpec) -> SimplicityReport:
+    """Toeplitz algebra simplicity: no part of A acts compactly (every
+    row has infinite mass) and no nontrivial forward-closed subset.
+
+    The Toeplitz half of simplicity_reports; its witnesses are the
+    forward-closed subsets."""
+    return simplicity_reports(spec)[0]
 
 
 def cuntz_pimsner_simple(spec: CorrSpec) -> SimplicityReport:
     """Cuntz-Pimsner algebra simplicity for non-proper correspondences:
     no nontrivial subset satisfies both ideal inclusions.
 
-    Proper input is outside the criterion and rejected, not guessed.
+    Proper input is outside the criterion and rejected before anything
+    is listed, not guessed.  Otherwise this is the Cuntz-Pimsner half
+    of simplicity_reports; its witnesses are the invariant subsets.
     """
-    flags = _require_faithful(spec)
+    flags = validate(spec)
+    _require_faithful(spec, flags.faithful)
     if flags.proper:
         raise ValueError("criterion not applicable: correspondence is proper")
-    witnesses = invariant_ideals(spec).invariant
-    for w in witnesses:
-        _recheck_witness(spec, w, need_compact=True)
-    return SimplicityReport(
-        toeplitz_simple=None,
-        cuntz_pimsner_simple=not witnesses,
-        witnesses=witnesses,
-        flags=flags,
-    )
+    return simplicity_reports(spec, flags)[1]

@@ -209,6 +209,69 @@ def test_pimsner_proper_case_not_applicable(capsys, tmp_path):
     assert "not applicable" in out and "proper" in out
 
 
+# row 2 is finite with support {1}: {1} and {1, 3} are forward-closed
+# but do not absorb the compact preimage
+_CORR_MIXED = {"n": 3, "mult": [["inf", 0, 0], [1, 0, 0], [0, 0, "inf"]]}
+
+
+def test_pimsner_check_lists_and_rechecks_once(capsys, tmp_path,
+                                              monkeypatch):
+    import cyclotwist.cli as cli
+    import cyclotwist.pimsner as pimsner
+
+    f = tmp_path / "corr.json"
+    f.write_text(json.dumps(_CORR_MIXED))
+    calls = Counter()
+    rechecked = []
+
+    def counted(fn, name):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    def recheck(rows, labelled, need_compact, real=pimsner._recheck):
+        rechecked.append((labelled, need_compact))
+        return real(rows, labelled, need_compact)
+
+    monkeypatch.setattr(pimsner, "invariant_ideals",
+                        counted(pimsner.invariant_ideals, "list"))
+    validate = counted(pimsner.validate, "validate")
+    monkeypatch.setattr(pimsner, "validate", validate)
+    monkeypatch.setattr(cli, "validate", validate)
+    monkeypatch.setattr(pimsner, "_recheck", recheck)
+    code, out, _ = run(capsys, ["pimsner", "check", "--file", str(f)])
+    assert code == 0
+    assert out.endswith("witnesses: [1, 2]; [3]\n")
+    assert calls == {"list": 1, "validate": 1}
+    # each forward-closed subset once, the invariant ones with the
+    # compact-preimage inclusion too
+    assert rechecked == [((1,), False), ((1, 2), True), ((3,), True),
+                         ((1, 3), False)]
+
+
+@pytest.mark.parametrize("fwd, inv", [
+    # {2} is not forward-closed: row 2 reaches column 1
+    ([(2,)], []),
+    # {1} is forward-closed, but the finite row 2 has support {1}
+    ([(1,), (1, 2)], [(1,), (1, 2)]),
+    # the same, listed as invariant without being listed as forward-closed
+    ([(1, 2)], [(1,), (1, 2)]),
+])
+def test_pimsner_forged_witness_fails_recheck(capsys, tmp_path,
+                                              monkeypatch, fwd, inv):
+    import cyclotwist.pimsner as pimsner
+
+    f = tmp_path / "corr.json"
+    f.write_text(json.dumps(_CORR_MIXED))
+    monkeypatch.setattr(pimsner, "invariant_ideals",
+                        lambda spec: pimsner.IdealReport(
+                            forward_closed=tuple(fwd), invariant=tuple(inv)))
+    code, _, err = run(capsys, ["pimsner", "check", "--file", str(f)])
+    assert code == 3
+    assert "fails independent re-verification" in err
+
+
 def test_numring_split_file_input(capsys, tmp_path):
     f = tmp_path / "split.json"
     f.write_text(json.dumps({"p": 5, "rank": 1, "n_gens": [[2, 0]]}))

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -7,6 +8,8 @@ from cyclotwist.pimsner import (
     INF,
     CorrSpec,
     IdealReport,
+    _raw_rows,
+    _recheck,
     cuntz_pimsner_simple,
     invariant_ideals,
     toeplitz_simple,
@@ -50,6 +53,40 @@ def list_scan(spec):
         if _absorbs_compacts(spec, members):
             inv.append(labelled)
     return IdealReport(forward_closed=tuple(fwd), invariant=tuple(inv))
+
+
+def _recheck_witness(spec: CorrSpec, labelled: tuple, need_compact: bool):
+    """Independent re-derivation of the inclusion conditions for one
+    subset, written against the raw table rather than the helper
+    predicates; raises if a reported witness fails.  O(n^2) per subset:
+    the oracle of the per-spec recheck _recheck."""
+    inside = [False] * spec.n
+    for lab in labelled:
+        inside[lab - 1] = True
+    forward_ok = True
+    for i in range(spec.n):
+        if not inside[i]:
+            continue
+        for j in range(spec.n):
+            entry = spec.mult[i][j]
+            if entry != 0 and not inside[j]:
+                forward_ok = False
+    compact_ok = True
+    for i in range(spec.n):
+        finite = True
+        outside_support = False
+        for j in range(spec.n):
+            entry = spec.mult[i][j]
+            if entry is INF:
+                finite = False
+            if entry != 0 and not inside[j]:
+                outside_support = True
+        if finite and not outside_support and not inside[i]:
+            compact_ok = False
+    if not forward_ok or (need_compact and not compact_ok):
+        raise AssertionError(
+            "witness %r fails independent re-verification" % (labelled,)
+        )
 
 
 def test_validate_flags():
@@ -110,11 +147,19 @@ def test_toeplitz_examples():
     assert rep.toeplitz_simple is False
 
 
-def test_proper_input_rejected():
-    with pytest.raises(ValueError, match="criterion not applicable"):
-        cuntz_pimsner_simple(CorrSpec(1, [[1]]))
+def test_proper_input_rejected(monkeypatch):
+    import cyclotwist.pimsner as pimsner
+
     with pytest.raises(ValueError):
         toeplitz_simple(CorrSpec(2, [[0, 0], [1, 1]]))
+
+    def no_listing(spec):
+        raise AssertionError("listed a proper spec")
+
+    # refused before anything is listed
+    monkeypatch.setattr(pimsner, "invariant_ideals", no_listing)
+    with pytest.raises(ValueError, match="criterion not applicable"):
+        cuntz_pimsner_simple(CorrSpec(1, [[1]]))
 
 
 def test_enumeration_cap():
@@ -180,6 +225,49 @@ def test_closure_walk_matches_list_scan():
                                for j in range(n)] for i in range(n)]))
     for spec in specs:
         assert invariant_ideals(spec) == list_scan(spec)
+
+
+def _accepts(check, *args):
+    try:
+        check(*args)
+    except AssertionError as exc:
+        assert "fails independent re-verification" in str(exc)
+        return False
+    return True
+
+
+def test_recheck_matches_recheck_witness():
+    # arbitrary subsets, not only witnesses: every subset for n <= 5; a
+    # seeded sample of 40, the empty and the full set, and the listed
+    # forward-closed sets above that
+    rng = random.Random(0x2EC4)
+    specs = [_random_spec(rng, rng.randint(1, 8)) for _ in range(150)]
+    for density in (0.1, 0.25, 0.5, 0.8):
+        specs += [_sparse_spec(rng, rng.randint(1, 8), density)
+                  for _ in range(100)]
+    verdicts = Counter()
+    for spec in specs:
+        n = spec.n
+        rows = _raw_rows(spec)
+        if n <= 5:
+            masks = range(1 << n)
+        else:
+            masks = [0, (1 << n) - 1] + [rng.randrange(1 << n)
+                                          for _ in range(40)]
+        subsets = [tuple(i + 1 for i in range(n) if mask >> i & 1)
+                   for mask in masks]
+        if n > 5:
+            subsets += invariant_ideals(spec).forward_closed
+        for labelled in subsets:
+            want = tuple(_accepts(_recheck_witness, spec, labelled, c)
+                         for c in (False, True))
+            got = tuple(_accepts(_recheck, rows, labelled, c)
+                        for c in (False, True))
+            assert got == want, (spec, labelled)
+            verdicts[want] += 1
+    # not forward-closed, forward-closed only, and both inclusions each
+    # occur often, so a recheck that skips either condition disagrees
+    assert len(verdicts) == 3 and min(verdicts.values()) > 200, verdicts
 
 
 def test_permutation_equivariance_random():

@@ -25,7 +25,7 @@ in this module.  Each solver exists once, here:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import index
+from operator import index, mul
 
 # SNFResult.verify checks det(U), det(V) = +-1 only up to this many rows
 _DET_CHECK_MAX_DIM = 64
@@ -122,11 +122,9 @@ class IntMatrix:
         v = list(vector)
         if len(v) != self.cols:
             raise ValueError("vector length mismatch")
-        n = self.cols
-        e = self.entries
-        return [
-            sum(e[i * n + j] * v[j] for j in range(n)) for i in range(self.rows)
-        ]
+        n, e = self.cols, self.entries
+        return [sum(map(mul, e[i * n : (i + 1) * n], v))
+                for i in range(self.rows)]
 
     def is_zero(self) -> bool:
         return all(x == 0 for x in self.entries)
@@ -199,9 +197,10 @@ class SNFResult:
 def _diagonalize(M: list, m: int, n: int) -> None:
     """Smith-reduce the leading m x n block of the rows M in place.
 
-    Pivot choice: the entry of smallest absolute value in the trailing
-    block, which keeps intermediate growth tame at the sizes used here.
-    See Cohen, A Course in Computational Algebraic Number Theory, 2.4.4.
+    Pivot choice: the first entry of least absolute value in the trailing
+    block, row by row, which keeps growth tame (Cohen, GTM 138, 2.4.4).
+    No entry beats a unit, so the search stops at the first +-1, and a
+    pivot 1 skips the scan that checks it divides the trailing block.
     A row operation runs over the whole row and a column operation over
     all rows, so blocks beside and below the leading one record them.
     """
@@ -222,6 +221,10 @@ def _diagonalize(M: list, m: int, n: int) -> None:
                 if v and (pi < 0 or -best < v < best):
                     pi, pj = i, j
                     best = abs(v)
+                    if best == 1:
+                        break
+            if best == 1:
+                break
         if pi < 0:
             break
         if pi != t:
@@ -257,21 +260,16 @@ def _diagonalize(M: list, m: int, n: int) -> None:
                         break
             if restart:
                 continue
+            # the pivot must divide the trailing block (a unit always does):
+            # else fold the first row holding an entry it misses into the
+            # pivot row and re-eliminate
             p = M[t][t]
-            bad = -1
-            for i in range(t + 1, m):
-                Mi = M[i]
-                for j in range(t + 1, n):
-                    if Mi[j] % p:
-                        bad = i
-                        break
-                if bad >= 0:
-                    break
-            if bad < 0:
+            bad = None if p == 1 else next(
+                (r for r in M[t + 1:m] if any(x % p for x in r[t + 1:n])),
+                None)
+            if bad is None:
                 break
-            # fold the offending row into the pivot row and re-eliminate,
-            # so the final pivot divides the whole trailing block
-            M[t] = [a + b for a, b in zip(M[t], M[bad])]
+            M[t] = [a + b for a, b in zip(M[t], bad)]
         t += 1
 
 
@@ -583,6 +581,15 @@ def _chebyshev(n: int, first: int) -> PolyZ:
     for _ in range(n - 1):
         prev, cur = cur, cur.shift(1) - prev
     return cur
+
+
+def chebyshev_matrices(M: IntMatrix, first: int, count: int) -> list:
+    """The polynomials P_0, ..., P_{count-1} of ``_chebyshev`` at the square
+    matrix M, by its recurrence: one product per term, no Horner pass."""
+    seq = [IntMatrix.identity(M.rows).scale(first), M][:count]
+    while len(seq) < count:
+        seq.append(M @ seq[-1] - seq[-2])
+    return seq
 
 
 def chebyshev_u(n: int) -> PolyZ:

@@ -22,6 +22,7 @@ from .exactalg import (
     IntMatrix,
     PolyZ,
     charpoly_exact,
+    chebyshev_matrices,
     chebyshev_u,
     det_exact,
     elementary_divisors,
@@ -321,14 +322,12 @@ def chebyshev_structure_check(k: int) -> ChebyshevReport:
     M = regular_matrix(R, 1) if k >= 1 else IntMatrix.zeros(1, 1)
     failures = []
     powers_match = True
+    us = chebyshev_matrices(M, 1, k + 2)
     for i in range(k + 1):
-        expected = regular_matrix(R, i)
-        got = chebyshev_u(i).eval_matrix(M)
-        if got != expected:
+        if us[i] != regular_matrix(R, i):
             powers_match = False
             failures.append("U_%d(M/2) != M(pi_%d)" % (i, i))
-    ann = chebyshev_u(k + 1).eval_matrix(M)
-    annihilated = ann.is_zero()
+    annihilated = us[k + 1].is_zero()
     if not annihilated:
         failures.append("U_%d(M/2) does not annihilate M" % (k + 1))
     cp_match = charpoly_exact(M) == chebyshev_u(k + 1)

@@ -50,6 +50,7 @@ from .exactalg import (
     IntMatrix,
     PolyF2,
     PolyZ,
+    chebyshev_matrices,
     chebyshev_t2,
     chebyshev_u,
     elementary_divisors,
@@ -321,8 +322,10 @@ def _galois_images(ring: RealCyclotomic) -> list:
 
 def _amplify(ring: RealCyclotomic, beta: IntMatrix) -> list:
     """The blocks sigma_a(beta), a = 1..degree: beta acting on the copy of
-    M twisted by sigma_a, the a-th block of the amplified module M[G]."""
-    return [t.eval_matrix(beta) for t in _galois_images(ring)]
+    M twisted by sigma_a, the a-th block of the amplified module M[G].
+    Block a is 2T_a(beta/2), which is sigma_a(beta) since mu(beta) = 0,
+    built by the three-term recurrence from 2I and beta."""
+    return chebyshev_matrices(beta, 2, ring.degree + 1)[1:]
 
 
 def galois_factor_permutation(p: int) -> dict:

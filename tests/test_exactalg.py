@@ -10,6 +10,7 @@ from cyclotwist.exactalg import (
     PolyF2,
     PolyZ,
     charpoly_exact,
+    chebyshev_matrices,
     chebyshev_t2,
     chebyshev_u,
     det_exact,
@@ -121,6 +122,126 @@ def test_elementary_divisors_match_snf_diagonal():
         assert r.verify(a)
 
 
+def _diagonalize_full_scan(M, m, n):
+    """The elimination without its unit shortcuts, kept as the oracle:
+    every pivot search scans the whole trailing block, and every pivot,
+    1 included, gets the scan that checks it divides that block."""
+
+    def col_swap(j, k):
+        for r in M:
+            r[j], r[k] = r[k], r[j]
+
+    t = 0
+    while t < min(m, n):
+        pi = pj = -1
+        best = 0
+        for i in range(t, m):
+            for j in range(t, n):
+                v = M[i][j]
+                if v and (pi < 0 or -best < v < best):
+                    pi, pj, best = i, j, abs(v)
+        if pi < 0:
+            break
+        if pi != t:
+            M[t], M[pi] = M[pi], M[t]
+        if pj != t:
+            col_swap(t, pj)
+        while True:
+            if M[t][t] < 0:
+                M[t] = [-x for x in M[t]]
+            p = M[t][t]
+            restart = False
+            for i in range(t + 1, m):
+                if M[i][t]:
+                    q = M[i][t] // p
+                    M[i] = [a - q * b for a, b in zip(M[i], M[t])]
+                    if M[i][t]:
+                        M[t], M[i] = M[i], M[t]
+                        restart = True
+                        break
+            if restart:
+                continue
+            for j in range(t + 1, n):
+                if M[t][j]:
+                    q = M[t][j] // p
+                    for r in M:
+                        r[j] -= q * r[t]
+                    if M[t][j]:
+                        col_swap(t, j)
+                        restart = True
+                        break
+            if restart:
+                continue
+            p = M[t][t]
+            bad = [i for i in range(t + 1, m)
+                   if any(M[i][j] % p for j in range(t + 1, n))]
+            if not bad:
+                break
+            M[t] = [a + b for a, b in zip(M[t], M[bad[0]])]
+        t += 1
+
+
+def _snf_oracle(a):
+    """(S, U, V) as rows, by the full-scan elimination on [[A, I], [I, 0]]."""
+    m, n = a.rows, a.cols
+    M = [row + [int(i == j) for j in range(m)]
+         for i, row in enumerate(a.to_rows())]
+    M += [[int(i == j) for j in range(n)] + [0] * m for i in range(n)]
+    _diagonalize_full_scan(M, m, n)
+    return ([r[:n] for r in M[:m]], [r[n:] for r in M[:m]],
+            [r[:n] for r in M[m:]])
+
+
+def _unimodular(rng, n, shears):
+    t = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(shears if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice([-2, -1, 1, 2])
+        t[i] = [a + c * b for a, b in zip(t[i], t[j])]
+    return IntMatrix.from_rows(t)
+
+
+def _snf_case(rng, kind):
+    m, n = rng.randint(0, 9), rng.randint(0, 9)
+    if kind == "dense":
+        return IntMatrix(m, n, [rng.randint(-20, 20) for _ in range(m * n)])
+    if kind == "sparse-units":
+        pool = [0] * 6 + [1, -1] * 3 + [2, -3, 4, 6]
+        return IntMatrix(m, n, [rng.choice(pool) for _ in range(m * n)])
+    if kind == "zero-lines":
+        rows = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(m)]
+        for i in rng.sample(range(m), rng.randint(0, m)):
+            rows[i] = [0] * n
+        for j in rng.sample(range(n), rng.randint(0, n)):
+            for r in rows:
+                r[j] = 0
+        return IntMatrix(m, n, [x for r in rows for x in r])
+    if kind == "low-rank":
+        r = rng.randint(0, min(m, n))
+        left = IntMatrix(m, r, [rng.randint(-4, 4) for _ in range(m * r)])
+        right = IntMatrix(r, n, [rng.randint(-4, 4) for _ in range(r * n)])
+        return left @ right
+    # unimodular U*D*V around a diagonal D of units, 2s, 6s and zeros
+    n = rng.randint(1, 30)
+    d = IntMatrix(n, n, [rng.choice([1, 1, 1, 2, 6, 0]) if i == j else 0
+                         for i in range(n) for j in range(n)])
+    return _unimodular(rng, n, n) @ d @ _unimodular(rng, n, n)
+
+
+@pytest.mark.parametrize(
+    "kind", ["dense", "sparse-units", "zero-lines", "low-rank", "unimodular"])
+def test_snf_matches_full_scan_oracle(kind):
+    rng = random.Random("snf-oracle/" + kind)
+    # 1,000 matrices over the five kinds
+    for _ in range(235 if kind != "unimodular" else 60):
+        a = _snf_case(rng, kind)
+        S, U, V = _snf_oracle(a)
+        r = smith_normal_form(a)
+        assert (r.S.to_rows(), r.U.to_rows(), r.V.to_rows()) == (S, U, V)
+        assert elementary_divisors(a) == [S[i][i]
+                                          for i in range(min(a.rows, a.cols))]
+
+
 @pytest.mark.parametrize("build", [
     lambda: IntMatrix.from_rows([[1.5, 2]]),
     lambda: PolyZ([0.7, 2.2]),
@@ -190,6 +311,17 @@ def test_chebyshev_t2_angle_doubling():
         p = chebyshev_t2(n)
         for t in (0.3, 1.1, 2.0):
             assert abs(p(2.0 * math.cos(t)) - 2.0 * math.cos(n * t)) < 1e-9
+
+
+def test_chebyshev_matrices_match_horner():
+    rng = random.Random(20261018)
+    for n in (1, 2, 5, 9):
+        m = IntMatrix(n, n, [rng.randint(-3, 3) for _ in range(n * n)])
+        for first, poly in ((1, chebyshev_u), (2, chebyshev_t2)):
+            seq = chebyshev_matrices(m, first, 12)
+            assert seq == [poly(i).eval_matrix(m) for i in range(12)]
+            assert chebyshev_matrices(m, first, 1) == seq[:1]
+    assert chebyshev_matrices(IntMatrix.identity(2), 1, 0) == []
 
 
 def test_polyz_division():

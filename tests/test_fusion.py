@@ -1,5 +1,6 @@
 import pytest
 
+import cyclotwist.fusion as fusion
 from cyclotwist.exactalg import IntMatrix, PolyZ, charpoly_exact, chebyshev_u, det_exact
 from cyclotwist.fusion import (
     FusionRing,
@@ -138,6 +139,17 @@ def test_chebyshev_structure():
         R = tlj(k)
         m = regular_matrix(R, 1) if k >= 1 else IntMatrix.zeros(1, 1)
         assert charpoly_exact(m) == chebyshev_u(k + 1)
+
+
+def test_chebyshev_structure_reports_a_wrong_power(monkeypatch):
+    # a wrong M(pi_2) is named in the report; the other checks still pass
+    real = fusion.regular_matrix
+    monkeypatch.setattr(fusion, "regular_matrix",
+                        lambda R, i: real(R, i).scale(2) if i == 2
+                        else real(R, i))
+    rep = chebyshev_structure_check(4)
+    assert rep.failures == ("U_2(M/2) != M(pi_2)",)
+    assert rep.annihilated and rep.charpoly_is_u_next and not rep.passed
 
 
 def test_parity_sequence():

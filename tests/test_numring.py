@@ -32,7 +32,12 @@ from cyclotwist.numring import (
     real_cyclotomic,
     resolve_z2_module,
 )
-from cyclotwist.numring import _higman_endomorphism, _rmat_to_z
+from cyclotwist.numring import (
+    _amplify,
+    _galois_images,
+    _higman_endomorphism,
+    _rmat_to_z,
+)
 
 # minimal polynomials of 2cos(2pi/p), lowest coefficient first; checked
 # against the numeric product over the conjugate roots
@@ -297,6 +302,20 @@ def _random_unimodular(rng, n, shears=4):
         for k in range(n):
             tinv[k][j] -= c * tinv[k][i]
     return IntMatrix.from_rows(t), IntMatrix.from_rows(tinv)
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 31])
+def test_amplify_matches_horner_oracle(p):
+    # the recurrence blocks against 2T_a(X/2) mod mu Horner-evaluated at
+    # beta, on free lattices and their conjugates by unimodular matrices
+    ring = real_cyclotomic(p)
+    rng = random.Random(p)
+    for rank in (1, 2):
+        beta = RLattice.free(ring, rank).beta
+        T, Tinv = _random_unimodular(rng, beta.rows, shears=2 * beta.rows)
+        for b in (beta, T @ beta @ Tinv):
+            assert _amplify(ring, b) == [t.eval_matrix(b)
+                                         for t in _galois_images(ring)]
 
 
 def test_lattice_split_random_pairs():

@@ -4,6 +4,8 @@ Everything here reduces existence questions for (Z/mZ, omega_m^k)-actions
 on O_{n+1} to divisibility conditions on the twist residue k.  Where two
 independent formulations of the same criterion exist they are evaluated
 separately and compared; a disagreement raises instead of guessing.
+The Fibonacci test builds its root from the factorization of n and checks
+the verdict against the classification of the primes of n mod 5.
 
 K-theory enters only through its decidable shadow: K_0(O_{n+1}) = Z/nZ
 with the unit as generator, and the circle-valued refinement whose
@@ -18,20 +20,9 @@ from math import gcd
 
 from .exactalg import factorize, radical
 
-
-@dataclass(frozen=True)
-class KSharpCuntz:
-    """Rational points of the circle model of the refined K-group of
-    O_{n+1}; evaluation at the unit multiplies a class by n."""
-
-    n: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("parameter must be >= 1")
-
-    def ev1(self, s) -> Fraction:
-        return (self.n * Fraction(s)) % 1
+# Largest m or n factored here.  Trial division grows as sqrt(n): a prime
+# near this limit takes about 1 s, and a 19-digit one minutes.
+MAX_MODULUS = 10**14
 
 
 @dataclass(frozen=True)
@@ -45,6 +36,8 @@ class ActionQuery:
     def __post_init__(self):
         if self.m < 1 or self.n < 1:
             raise ValueError("orders must be >= 1")
+        if max(self.m, self.n) > MAX_MODULUS:
+            raise ValueError("orders must be <= %d" % MAX_MODULUS)
         object.__setattr__(self, "k", self.k % self.m)
 
 
@@ -53,7 +46,7 @@ class FibonacciReport:
     n: int
     acts: bool
     witness: int | None  # a root of x^2 = x + 1 mod n when one exists
-    brute: bool
+    constructed: bool
     classification: bool
 
     def __bool__(self) -> bool:
@@ -122,40 +115,81 @@ def intro_formulation(q: ActionQuery) -> bool:
     return q.k % gcd(gcd(q.n, a), q.m) == 0
 
 
+def _sqrt_mod(a: int, p: int) -> int:
+    """A square root of the quadratic residue a modulo the odd prime p,
+    by Tonelli-Shanks (Cohen, GTM 138, Alg. 1.5.1)."""
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q, s = q // 2, s + 1
+    z = next(z for z in range(2, p) if pow(z, (p - 1) // 2, p) == p - 1)
+    c, x, t = pow(z, q, p), pow(a, (q + 1) // 2, p), pow(a, q, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            i, t2 = i + 1, t2 * t2 % p
+        b = pow(c, 1 << (s - i - 1), p)
+        s, c, x = i, b * b % p, x * b % p
+        t = t * c % p
+    return x
+
+
+def _local_roots(p: int, e: int) -> list:
+    """All roots of x^2 - x - 1 modulo p^e, for an odd prime p."""
+    if p == 5:
+        return [3] if e == 1 else []
+    if pow(5, (p - 1) // 2, p) != 1:  # Euler's criterion
+        return []
+    r, roots = _sqrt_mod(5, p), []
+    for x in ((1 + r) * (p + 1) // 2 % p, (1 - r) * (p + 1) // 2 % p):
+        # x = (1 +- sqrt 5)/2 mod p, then Newton steps double the
+        # precision; the derivative 2x - 1 is a unit since p != 5
+        k, q = p, p**e
+        while k < q:
+            k = min(k * k, q)
+            x = (x - (x * x - x - 1) * pow(2 * x - 1, -1, k)) % k
+        roots.append(x)
+    return roots
+
+
 def fibonacci_acts(n: int) -> FibonacciReport:
     """Whether x^2 = x + 1 has a root mod n, certified two ways.
 
-    Brute route: scan all residues.  Classification route: impossible
-    for even n; for odd n the root exists iff n is a product of primes
-    congruent to +-1 mod 5, with at most a single factor of 5.  The two
+    Constructed route: an even n has no root mod 2.  For odd n the roots
+    mod each prime power p^e of n are built (3 mod 5; otherwise Euler's
+    criterion on 5, Tonelli-Shanks for sqrt 5 and Newton lifting to p^e)
+    and combined by CRT over every choice of local root; the least is
+    the witness, checked by substitution.  Classification route:
+    impossible for even n; for odd n the root exists iff n is a product
+    of primes congruent to +-1 mod 5, with at most a single factor of 5
+    (quadratic reciprocity, independent of Euler's criterion).  The two
     verdicts are compared and a mismatch raises; no silent fallback.
     """
     if n < 1:
         raise ValueError("modulus must be >= 1")
-    witness = next((x for x in range(n) if (x * x - x - 1) % n == 0), None)
-    brute = witness is not None
-    if n % 2 == 0:
-        classification = False
-    else:
-        classification = True
-        for p, e in factorize(n).items():
-            if p == 5:
-                if e > 1:
-                    classification = False
-                    break
-                continue
-            if p % 5 not in (1, 4):
-                classification = False
-                break
-    if brute != classification:
+    if n > MAX_MODULUS:
+        raise ValueError("modulus must be <= %d" % MAX_MODULUS)
+    # x^2 - x - 1 is odd for every x, so an even n needs no factoring
+    primes = factorize(n) if n % 2 else {}
+    roots, modulus = [0] if n % 2 else [], 1
+    for p, e in primes.items():
+        q = p**e
+        lift = pow(modulus, -1, q)
+        roots = [r + modulus * ((s - r) * lift % q)
+                 for r in roots for s in _local_roots(p, e)]
+        if not roots:
+            break
+        modulus *= q
+    witness = min(roots, default=None)
+    if witness is not None and (witness * witness - witness - 1) % n:
+        raise AssertionError("constructed root %d fails at n=%d"
+                             % (witness, n))
+    constructed = witness is not None
+    classification = n % 2 == 1 and all(
+        p % 5 in (1, 4) or (p == 5 and e == 1) for p, e in primes.items())
+    if constructed != classification:
         raise AssertionError(
-            "fibonacci criteria disagree at n=%d: brute=%s classified=%s"
-            % (n, brute, classification)
+            "fibonacci criteria disagree at n=%d: constructed=%s "
+            "classified=%s" % (n, constructed, classification)
         )
-    return FibonacciReport(
-        n=n,
-        acts=brute,
-        witness=witness,
-        brute=brute,
-        classification=classification,
-    )
+    return FibonacciReport(n, constructed, witness, constructed,
+                           classification)

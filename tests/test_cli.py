@@ -163,6 +163,36 @@ def test_invariant_violation_exits_three(capsys, monkeypatch):
     assert "invariant violation" in err
 
 
+def test_wrong_fibonacci_root_exits_three(capsys, monkeypatch):
+    # a local root that is not a root fails the substitution check
+    monkeypatch.setattr("cyclotwist.obstruction._local_roots",
+                        lambda p, e: [1])
+    code, out, err = run(capsys, ["obstruction", "fibonacci", "--n", "11"])
+    assert code == 3 and out == ""
+    assert "invariant violation" in err
+
+
+_LIMIT = 10**14
+
+
+@pytest.mark.parametrize("argv", [
+    ["fibonacci", "--n", str(_LIMIT + 1)],
+    ["cuntz", "--m", str(_LIMIT + 1), "--n", "3", "--k", "1"],
+    ["cuntz", "--m", "3", "--n", str(_LIMIT + 1), "--k", "1"],
+    ["tensor", "--m", str(_LIMIT + 1), "--n", "3", "--k", "1"],
+    ["tensor", "--m", "3", "--n", str(_LIMIT + 1), "--k", "1"],
+    ["intro", "--m", str(_LIMIT + 1), "--n", "3", "--k", "1"],
+    ["intro", "--m", "3", "--n", str(_LIMIT + 1), "--k", "1"],
+])
+def test_obstruction_moduli_above_the_limit_exit_two(capsys, argv):
+    code, out, err = run(capsys, ["obstruction"] + argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and str(_LIMIT) in err
+    # the limit itself is accepted (10^14 = 2^14 5^14 factors at once)
+    at_limit = [str(_LIMIT) if a == str(_LIMIT + 1) else a for a in argv]
+    assert run(capsys, ["obstruction"] + at_limit)[0] == 0
+
+
 def test_unclassifiable_cocycle_exits_three(capsys, monkeypatch):
     from cyclotwist.cocycle import NotClassified
 

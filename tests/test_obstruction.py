@@ -1,3 +1,5 @@
+import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -7,7 +9,6 @@ from cyclotwist.exactalg import factorize, is_prime
 from cyclotwist.obstruction import (
     ActionQuery,
     FibonacciReport,
-    KSharpCuntz,
     ev1_image,
     exists_automorphism_action,
     exists_tensor_action,
@@ -15,6 +16,27 @@ from cyclotwist.obstruction import (
     intro_formulation,
     radical,
 )
+
+
+@dataclass(frozen=True)
+class KSharpCuntz:
+    """Rational points of the circle model of the refined K-group of
+    O_{n+1}; evaluation at the unit multiplies a class by n."""
+
+    n: int
+
+    def __post_init__(self):
+        if self.n < 1:
+            raise ValueError("parameter must be >= 1")
+
+    def ev1(self, s) -> Fraction:
+        return (self.n * Fraction(s)) % 1
+
+
+def scan_root(n):
+    """The least root of x^2 = x + 1 mod n by scanning every residue,
+    or None: the oracle of the constructed route."""
+    return next((x for x in range(n) if (x * x - x - 1) % n == 0), None)
 
 
 def test_anchor_cases():
@@ -85,8 +107,9 @@ def test_action_query_normalizes_twist():
 
 
 def test_fibonacci_dual_route():
-    # the constructor raises if brute force and classification disagree,
-    # so a clean sweep is itself the agreement check
+    # the constructor raises if the constructed root and the
+    # classification disagree, so a clean sweep is itself the agreement
+    # check
     for n in range(1, 2001):
         fibonacci_acts(n)
     r = fibonacci_acts(11)
@@ -100,6 +123,31 @@ def test_fibonacci_dual_route():
     assert all(not fibonacci_acts(n).acts for n in range(2, 600, 2))
     with pytest.raises(ValueError):
         fibonacci_acts(0)
+
+
+def _acting_sample(rng, count):
+    """Moduli in [10^4, 2*10^5], most of them built to act: products of
+    primes = +-1 mod 5, some times 5, plus a few prime powers and
+    uniform draws."""
+    primes = [11, 19, 29, 31, 41, 59, 61, 71, 79, 89, 101, 109, 131, 139]
+    out = [11**4, 19**3, 5 * 29**3, 41**3, 3 * 11**4, 25 * 11 * 59]
+    while len(out) < count:
+        if rng.random() < 0.2:
+            out.append(rng.randint(10**4, 2 * 10**5))
+            continue
+        n = 5 if rng.random() < 0.4 else 1
+        while n < 10**4:
+            n *= rng.choice(primes)
+        if n <= 2 * 10**5:
+            out.append(n)
+    return out
+
+
+def test_fibonacci_matches_scan_oracle():
+    for n in [*range(1, 3001), *_acting_sample(random.Random(12), 40)]:
+        r = fibonacci_acts(n)
+        w = scan_root(n)
+        assert (r.acts, r.witness) == (w is not None, w), n
 
 
 def test_fibonacci_witness_satisfies_equation():

@@ -5,9 +5,11 @@ p-th cyclotomic field (p an odd prime), generated by beta = 2cos(2pi/p)
 with monic minimal polynomial mu of degree (p-1)/2.  Everything here is
 exact: elements are integer coefficient vectors in the power basis of
 beta.  Linear algebra comes from ``exactalg``: Smith-form solves for
-Z-spans and the one GF(2) echelon for everything mod 2.  Each
-certificate is checked in its own verify(), and the constructions below
-return a certificate only after that verify() has passed.
+Z-spans and its one GF(2) echelon for everything mod 2.  A mod-2 action
+is an integer matrix (beta, an idempotent lift d_i(beta)) applied to an
+integer vector, then projected through ``_Quotient``.  Each certificate
+is checked in its own verify(), and the constructions below return a
+certificate only after that verify() has passed.
 
 Contents:
 
@@ -246,35 +248,21 @@ def _equal_degree_split(g: PolyF2, d: int) -> list:
     raise ArithmeticError("no power of X splits %r" % (g,))
 
 
-def _xgcd_f2(a: PolyF2, b: PolyF2):
-    """Extended gcd over GF(2)[X]: returns (g, s, t) with s*a + t*b = g."""
-    r0, r1 = a, b
-    s0, s1 = PolyF2(1), PolyF2(0)
-    t0, t1 = PolyF2(0), PolyF2(1)
-    while not r1.is_zero():
-        q = r0 // r1
-        r0, r1 = r1, r0 + q * r1
-        s0, s1 = s1, s0 + q * s1
-        t0, t1 = t1, t0 + q * t1
-    return r0, s0, t0
-
-
 def idempotents_mod2(p: int) -> list:
     """CRT idempotents e_1..e_n of R/2R, one per prime factor of 2.
 
-    e_i = 1 mod factor_i and 0 mod the others; pairwise orthogonal and
-    summing to 1.
+    e_i = m * (m^-1 mod g) for the factor g of degree f and its cofactor
+    m = (mu mod 2)/g: 1 mod g and 0 mod the others.  The inverse is
+    Fermat's m^(2^f - 2) in the field F2[X]/g = F_(2^f) (von zur Gathen &
+    Gerhard, Modern Computer Algebra, ch. 4).  Pairwise orthogonality
+    and the sum 1 are checked before returning.
     """
     fact = factor_two(p)
     f2 = real_cyclotomic(p).mu.reduce_mod2()
     out = []
     for g in fact.factors:
         m = f2 // g
-        gg, s, _ = _xgcd_f2(m, g)
-        if not gg.is_one():
-            raise ArithmeticError("cofactor not coprime to factor")
-        e = (s * m) % f2
-        out.append(e)
+        out.append((m.powmod(2**fact.f - 2, g) * m) % f2)
     total = PolyF2(0)
     for e in out:
         total = total + e
@@ -461,40 +449,12 @@ class _SpanChecker:
         return self.coords(v) is not None
 
 
-def _f2_identity(n: int) -> tuple:
-    return tuple(1 << i for i in range(n))
-
-
-def _f2_vec_act(v_bits: int, rows) -> int:
-    out = 0
-    i = 0
-    while v_bits:
-        if v_bits & 1:
-            out ^= rows[i]
-        v_bits >>= 1
-        i += 1
-    return out
-
-
-def _f2_mat_mul(A_rows, B_rows) -> tuple:
-    return tuple(_f2_vec_act(r, B_rows) for r in A_rows)
-
-
-def _f2_poly_eval(poly: PolyF2, A_rows, n: int) -> tuple:
-    res = (0,) * n
-    ident = _f2_identity(n)
-    for c in reversed(poly.coeffs()):
-        res = _f2_mat_mul(res, A_rows)
-        if c:
-            res = tuple(r ^ e for r, e in zip(res, ident))
-    return res
-
-
 class _Quotient:
-    """M/N as an F2-space for 2M <= N <= M, with projection and lifts.
+    """M/N as an F2-space for 2M <= N <= M, by its projection.
 
     Quotient coordinates are the free columns of the reduced echelon
-    form of N mod 2.
+    form of N mod 2.  An endomorphism of M that keeps N, such as beta or
+    d_i(beta), acts on M/N by acting on an integer vector, then projecting.
     """
 
     def __init__(self, dim: int, n_rows):
@@ -512,17 +472,20 @@ class _Quotient:
                 out |= 1 << k
         return out
 
-    def lift(self, k: int) -> list:
-        v = [0] * self.dim
-        v[self.free_cols[k]] = 1
-        return v
 
-    def induced_matrix(self, A: IntMatrix) -> tuple:
-        """F2 matrix of the endomorphism A on the quotient."""
-        return tuple(
-            self.project_vec(_row_act(A, self.lift(k)))
-            for k in range(self.qdim)
-        )
+def _embed(gi: int, vec, d: int, nG: int) -> list:
+    """vec placed in copy gi of M[G] = Z^(d * nG)."""
+    out = [0] * (d * nG)
+    out[gi * d:(gi + 1) * d] = vec
+    return out
+
+
+def _project_amp(Q: _Quotient, vec, d: int, nG: int) -> int:
+    """Class of vec in (M/N)[G], copy gi in bits gi*qdim onwards."""
+    bits = 0
+    for gi in range(nG):
+        bits |= Q.project_vec(vec[gi * d:(gi + 1) * d]) << (gi * Q.qdim)
+    return bits
 
 
 @dataclass(frozen=True)
@@ -732,6 +695,155 @@ class SplitCertificate:
         return True
 
 
+def _component_bases(Q: _Quotient, A, dbase, beta: IntMatrix, f: int):
+    """Stage 1: greedy component bases B_i inside the R-basis A.
+
+    Row idx joins B_i when the class of A[idx] d_i(beta) in M/N leaves
+    the span so far; its beta orbit of length f then joins the span.  B_i
+    is complete once the span is the whole image of d_i(beta) on M/N.
+    Returns the B_i and their echelons, stage 2's solvers.
+    """
+    B_sets, spans = [], []
+    for i, di in enumerate(dbase):
+        B, span = [], F2Echelon()
+        for idx, y in enumerate(A):
+            x = _row_act(di, y)
+            w = Q.project_vec(x)
+            if not w or not span.residue(w):
+                continue
+            for v in _orbit(x, [beta], f):
+                if not span.add(Q.project_vec(v)):
+                    raise AssertionError("beta orbit collapsed inside span")
+            B.append(idx)
+        if span.rank != F2Echelon(Q.project_vec(v)
+                                  for v in di.to_rows()).rank:
+            raise AssertionError("component %d not fully spanned" % i)
+        B_sets.append(B)
+        spans.append(span)
+    return B_sets, spans
+
+
+def _correct_complements(ring: RealCyclotomic, Q: _Quotient, A, B_sets,
+                         spans, d_lift, dbase, beta: IntMatrix,
+                         f: int) -> list:
+    """Stage 2: correct the complement of each B_j to kill its component,
+    returning the corrected rows of A.
+
+    Stage 1's echelon of component j is the solver: its rows, the beta
+    orbits of A[idx] d_j(beta) mod N for idx in B_j, still hold, because
+    an earlier correction of A[idx] is a multiple of the lift of another
+    idempotent d_i, and d_j d_i = 0 kills it mod N.
+    """
+    A = list(A)
+    for j, (Bj, solver) in enumerate(zip(B_sets, spans)):
+        orb_amb = [_orbit(A[idx], [beta], ring.degree) for idx in Bj]
+        for idx in range(len(A)):
+            if idx in Bj:
+                continue
+            w = Q.project_vec(_row_act(dbase[j], A[idx]))
+            if not w:
+                continue
+            coords = solver.solve(w)
+            if coords is None:
+                raise AssertionError("component image escaped its span")
+            corr = [0] * len(A[idx])
+            for pos in range(len(Bj)):
+                bits = (coords >> (pos * f)) & ((1 << f) - 1)
+                if not bits:
+                    continue
+                cpoly = PolyZ([(bits >> c) & 1 for c in range(f)])
+                elem = ring.coeff_vector(ring.reduce(d_lift[j] * cpoly))
+                # any lift of the class mod 2R works; take the 0/1 one
+                # to keep the corrected basis entries small
+                for c, co in enumerate(elem):
+                    if co % 2:
+                        corr = [a + b for a, b in zip(corr, orb_amb[pos][c])]
+            A[idx] = _vec_sub(A[idx], corr)
+    return A
+
+
+def _amplified_supports(Q: _Quotient, A, B_sets, dbase, perm_g,
+                        f: int) -> dict:
+    """Stage 3: for each idx in some B_i, in increasing order, the
+    components that the class of A[idx] meets in each copy of M[G].  On
+    the copy twisted by sigma_a, e_i(sigma_a beta) = e_{perm_a(i)}(beta)
+    mod (2, mu), so component i there reads A[idx] d_{perm_a(i)}(beta).
+    """
+    supports = {}
+    for idx in sorted({idx for B in B_sets for idx in B}):
+        n_y = sum(idx in B for B in B_sets)
+        comp = [Q.project_vec(_row_act(di, A[idx])) for di in dbase]
+        per_copy = [frozenset(i for i, j in enumerate(perm) if comp[j])
+                    for perm in perm_g]
+        if any(len(S) != n_y for S in per_copy):
+            raise AssertionError("support size drifted across copies")
+        for i in range(len(dbase)):
+            if sum(1 for S in per_copy if i in S) != f * n_y:
+                raise AssertionError("support column count off")
+        supports[idx] = per_copy
+    return supports
+
+
+def _equalize(A, supports, dbase, perm_g, f: int, d: int):
+    """Stage 4: deterministic borrower/lender equalization.  For idx
+    meeting n_y components, each of its first rho = f n_y copies borrows
+    every component i it misses from a lender copy h >= rho that has it,
+    adding A[idx] d_i(sigma_h beta) in copy h.  Returns the amplified
+    free-part representatives W and the replaced (idx, copy) pairs.
+    """
+    nG = len(perm_g)
+    W, replaced = [], set()
+    for idx, per_copy in supports.items():
+        rho = f * len(per_copy[0])
+        lenders = {}
+        for i in range(len(dbase)):
+            need = [gi for gi in range(rho) if i not in per_copy[gi]]
+            have = [gi for gi in range(rho, nG) if i in per_copy[gi]]
+            if len(need) != len(have):
+                raise AssertionError("borrower/lender counts differ")
+            for gi, h in zip(need, have):
+                lenders[(gi, i)] = h
+        for gi in range(rho):
+            w = _embed(gi, A[idx], d, nG)
+            for i in range(len(dbase)):
+                if i in per_copy[gi]:
+                    continue
+                h = lenders[(gi, i)]
+                corr = _embed(h, _row_act(dbase[perm_g[h][i]], A[idx]), d, nG)
+                w = [a + b for a, b in zip(w, corr)]
+            W.append(w)
+            replaced.add((idx, gi))
+    return W, replaced
+
+
+def _correct_into_n(Q: _Quotient, A, W, replaced, beta_g, d: int):
+    """Stage 5: check that the classes of the W orbits are an F2-basis of
+    (M/N)[G], then correct every other amplified row of A into N[G] by
+    subtracting W orbit rows.  Returns the rows of L_0 and of L_1.
+    """
+    nG = len(beta_g)
+    L0 = [v for w in W for v in _orbit(w, beta_g, nG)]
+    solver = F2Echelon(_project_amp(Q, v, d, nG) for v in L0)
+    if len(L0) != Q.qdim * nG or solver.rank != Q.qdim * nG:
+        raise AssertionError("amplified classes are not a free basis")
+    L1 = []
+    for gi in range(nG):
+        for idx in range(len(A)):
+            if (idx, gi) in replaced:
+                continue
+            z = _embed(gi, A[idx], d, nG)
+            qz = _project_amp(Q, z, d, nG)
+            if qz:
+                coords = solver.solve(qz)
+                if coords is None:
+                    raise AssertionError("class escaped the free basis span")
+                for pos, v in enumerate(L0):
+                    if (coords >> pos) & 1:
+                        z = _vec_sub(z, v)
+            L1.append(z)
+    return L0, [v for z in L1 for v in _orbit(z, beta_g, nG)]
+
+
 def lattice_split(p: int, M: RLattice, n_gens) -> SplitCertificate:
     """Split M[G] = L_0 (+) L_1 with N[G] = 2 L_0 (+) L_1, G the Galois
     group of the degree-(p-1)/2 real subfield, acting by twisting the
@@ -740,16 +852,15 @@ def lattice_split(p: int, M: RLattice, n_gens) -> SplitCertificate:
     N is the beta-stable sublattice generated by ``n_gens`` and must
     satisfy 2M <= N <= M.  L_0 is spanned by amplified basis vectors
     whose classes form a free R/2R-basis of (M/N)[G]; L_1 is spanned by
-    the corrected complements, which land in N[G].  Everything is exact
-    and the certificate is returned only after its verify() passes.
+    the corrected complements, which land in N[G].  Every mod-2 action
+    is an integer matrix (beta, or the lift d_i(beta) of an idempotent)
+    followed by the projection to M/N.  Everything is exact and the
+    certificate is returned only after its verify() passes.
     """
     ring = M.ring
     if ring.p != p:
         raise ValueError("p does not match the ring of M")
-    deg = ring.degree
-    d = M.dim
-    r = M.rank
-    beta = M.beta
+    deg, d, beta = ring.degree, M.dim, M.beta
 
     # N: beta-saturate the generators, then check 2M <= N <= M
     gens = [list(map(index, g)) for g in n_gens]
@@ -759,181 +870,30 @@ def lattice_split(p: int, M: RLattice, n_gens) -> SplitCertificate:
                              % (len(g), d))
     H = _row_basis_rows(v for g in gens for v in _orbit(g, [beta], deg))
     hcheck = _SpanChecker(H)
-    for i in range(d):
-        e2 = [0] * d
-        e2[i] = 2
+    for i, e2 in enumerate(IntMatrix.identity(d).scale(2).to_rows()):
         if not hcheck.contains(e2):
             raise ValueError("2M <= N fails at coordinate %d" % i)
 
     A = _free_r_basis(ring, IntMatrix.identity(d).to_rows(), [beta])
-
-    fac = factor_two(p)
-    f = fac.f
-    nprimes = fac.count
-    idem = idempotents_mod2(p)
-
-    Q = _Quotient(d, H)
-    qdim = Q.qdim
-    betaQ = Q.induced_matrix(beta)
-    E = [_f2_poly_eval(e, betaQ, qdim) for e in idem]
-
-    # stage 1: greedy component bases B_i inside the R-basis
-    B_sets = [[] for _ in range(nprimes)]
-    spans = [F2Echelon() for _ in range(nprimes)]
-    for i, span in enumerate(spans):
-        for idx in range(r):
-            w = _f2_vec_act(Q.project_vec(A[idx]), E[i])
-            if not w or not span.residue(w):
-                continue
-            cur = w
-            for _ in range(f):
-                if not span.add(cur):
-                    raise AssertionError("beta orbit collapsed inside span")
-                cur = _f2_vec_act(cur, betaQ)
-            B_sets[i].append(idx)
-        if span.rank != F2Echelon(E[i]).rank:
-            raise AssertionError("component %d not fully spanned" % i)
-
-    # stage 2: correct the complement of each B_i to kill its component.
-    # Stage 1's echelon of component j is the solver: its rows, the beta
-    # orbits of e_j A[idx] mod N for idx in B_j, still hold, because an
-    # earlier correction of A[idx] is a multiple of the lift of another
-    # idempotent e_i, and e_j e_i = 0 kills it mod N.
-    d_lift = [PolyZ([int(c) for c in e.coeffs()]) for e in idem]
-    for j in range(nprimes):
-        Bj = B_sets[j]
-        solver = spans[j]
-        orb_amb = [_orbit(A[idx], [beta], deg) for idx in Bj]
-        for idx in range(r):
-            if idx in Bj:
-                continue
-            w = _f2_vec_act(Q.project_vec(A[idx]), E[j])
-            if not w:
-                continue
-            coords = solver.solve(w)
-            if coords is None:
-                raise AssertionError("component image escaped its span")
-            corr = [0] * d
-            for pos in range(len(Bj)):
-                bits = (coords >> (pos * f)) & ((1 << f) - 1)
-                if not bits:
-                    continue
-                cpoly = PolyZ([(bits >> c) & 1 for c in range(f)])
-                elem = ring.reduce(d_lift[j] * cpoly)
-                # any lift of the class mod 2R works; take the 0/1 one
-                # to keep the corrected basis entries small
-                elem = PolyZ([co % 2 for co in ring.coeff_vector(elem)])
-                for c, co in enumerate(ring.coeff_vector(elem)):
-                    if co:
-                        corr = [a + co * b
-                                for a, b in zip(corr, orb_amb[pos][c])]
-            A[idx] = _vec_sub(A[idx], corr)
-
-    # stage 3: amplify over the group and compute supports
-    nG = deg
-    beta_g = _amplify(ring, beta)
-    betaQ_g = [Q.induced_matrix(b) for b in beta_g]
-    E_g = [[_f2_poly_eval(e, bq, qdim) for e in idem] for bq in betaQ_g]
-    # the lift of d_i acting on the copy twisted by sigma_a is any element
-    # congruent to d_i mod 2R; sigma_a(e_i) = e_{perm_a(i)}, so the 0/1
-    # lift of the permuted idempotent keeps entries small
-    perms = galois_factor_permutation(p)
+    f = factor_two(p).f
+    # the 0/1 lifts d_i of the idempotents and their matrices d_i(beta)
+    d_lift = [PolyZ([int(c) for c in e.coeffs()])
+              for e in idempotents_mod2(p)]
     dbase = [dl.eval_matrix(beta) for dl in d_lift]
-    D_mats = [[dbase[perms[a][i]] for i in range(nprimes)]
-              for a in range(1, nG + 1)]
-    Damp = d * nG
+    Q = _Quotient(d, H)
+    perms = galois_factor_permutation(p)
+    perm_g = [perms[a] for a in range(1, deg + 1)]
+    beta_g = _amplify(ring, beta)
 
-    def embed(gi, vec):
-        out = [0] * Damp
-        out[gi * d:(gi + 1) * d] = vec
-        return out
+    B_sets, spans = _component_bases(Q, A, dbase, beta, f)
+    A = _correct_complements(ring, Q, A, B_sets, spans, d_lift, dbase,
+                             beta, f)
+    supports = _amplified_supports(Q, A, B_sets, dbase, perm_g, f)
+    W, replaced = _equalize(A, supports, dbase, perm_g, f, d)
+    L0_rows, L1_rows = _correct_into_n(Q, A, W, replaced, beta_g, d)
 
-    def project_amp(vec):
-        bits = 0
-        for gi in range(nG):
-            q = Q.project_vec(vec[gi * d:(gi + 1) * d])
-            bits |= q << (gi * qdim)
-        return bits
-
-    B_list = sorted({idx for Bi in B_sets for idx in Bi})
-    I_y = {idx: [i for i in range(nprimes) if idx in B_sets[i]]
-           for idx in B_list}
-
-    supports = {}
-    for idx in B_list:
-        qy = Q.project_vec(A[idx])
-        n_y = len(I_y[idx])
-        per_copy = []
-        for gi in range(nG):
-            S = frozenset(i for i in range(nprimes)
-                          if _f2_vec_act(qy, E_g[gi][i]))
-            if len(S) != n_y:
-                raise AssertionError("support size drifted across copies")
-            per_copy.append(S)
-        for i in range(nprimes):
-            if sum(1 for S in per_copy if i in S) != f * n_y:
-                raise AssertionError("support column count off")
-        supports[idx] = per_copy
-
-    # stage 4: deterministic borrower/lender equalization
-    replaced = set()
-    W = []          # amplified representatives (free part)
-    for idx in B_list:
-        per_copy = supports[idx]
-        rho = f * len(I_y[idx])
-        Gy = list(range(rho))
-        pool = list(range(rho, nG))
-        lenders = {}
-        for i in range(nprimes):
-            need = [gi for gi in Gy if i not in per_copy[gi]]
-            have = [gi for gi in pool if i in per_copy[gi]]
-            if len(need) != len(have):
-                raise AssertionError("borrower/lender counts differ")
-            for gi, h in zip(need, have):
-                lenders[(gi, i)] = h
-        for gi in Gy:
-            w = embed(gi, A[idx])
-            for i in range(nprimes):
-                if i in per_copy[gi]:
-                    continue
-                h = lenders[(gi, i)]
-                corr = embed(h, _row_act(D_mats[h][i], A[idx]))
-                w = [a + b for a, b in zip(w, corr)]
-            W.append(w)
-            replaced.add((idx, gi))
-
-    # the classes of the W orbits must form an F2-basis of (M/N)[G]
-    orb_w = [_orbit(w, beta_g, deg) for w in W]
-    rows_check = [project_amp(v) for orbit in orb_w for v in orbit]
-    solver = F2Echelon(rows_check)
-    if len(rows_check) != qdim * nG or solver.rank != qdim * nG:
-        raise AssertionError("amplified classes are not a free basis")
-
-    # stage 5: correct everything else into N[G]
-    L1 = []
-    for gi in range(nG):
-        for idx in range(r):
-            if (idx, gi) in replaced:
-                continue
-            z = embed(gi, A[idx])
-            qz = project_amp(z)
-            if qz:
-                coords = solver.solve(qz)
-                if coords is None:
-                    raise AssertionError("class escaped the free basis span")
-                pos = 0
-                for s in range(len(W)):
-                    for c in range(deg):
-                        if (coords >> pos) & 1:
-                            z = _vec_sub(z, orb_w[s][c])
-                        pos += 1
-            L1.append(z)
-
-    L0_rows = [v for orbit in orb_w for v in orbit]
-    L1_rows = [v for z in L1 for v in _orbit(z, beta_g, deg)]
-    cert = SplitCertificate(M, _mat(L0_rows, Damp), _mat(L1_rows, Damp),
+    cert = SplitCertificate(M, _mat(L0_rows, d * deg), _mat(L1_rows, d * deg),
                             IntMatrix.from_rows(H))
-
     if not cert.verify():
         raise AssertionError("split certificate failed verification")
     return cert

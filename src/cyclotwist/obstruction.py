@@ -84,11 +84,13 @@ def exists_tensor_action(q: ActionQuery) -> bool:
         k in p^(r-s+1) Z and p odd,  or
         k in p^(r-s+2) Z and p = 2.
 
-    Primes dividing n but not m impose nothing (r = 0 makes min(r,s) = 0).
+    Primes dividing n but not m impose nothing (r = 0 makes min(r,s) = 0),
+    so n is never factored: only its valuation at each p | m is read.
     """
-    en = factorize(q.n)
     for p, r in factorize(q.m).items():
-        s = en.get(p, 0)
+        s, n = 0, q.n
+        while n % p == 0:
+            s, n = s + 1, n // p
         if _ppart_divides(q.k, p, min(r, s)):
             continue
         if p != 2 and _ppart_divides(q.k, p, r - s + 1):

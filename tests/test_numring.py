@@ -1,4 +1,5 @@
 import copy
+import functools
 import random
 
 import pytest
@@ -11,9 +12,11 @@ from cyclotwist.exactalg import (
     chebyshev_t2,
     chebyshev_u,
     det_exact,
+    is_prime,
     smith_normal_form,
     solve_linear,
 )
+import cyclotwist.numring as numring
 from cyclotwist.numring import (
     HigmanCertificate,
     InvolutionError,
@@ -33,10 +36,14 @@ from cyclotwist.numring import (
     resolve_z2_module,
 )
 from cyclotwist.numring import (
+    _Quotient,
     _amplify,
     _galois_images,
     _higman_endomorphism,
+    _orbit,
     _rmat_to_z,
+    _row_act,
+    _row_basis_rows,
 )
 
 # minimal polynomials of 2cos(2pi/p), lowest coefficient first; checked
@@ -384,6 +391,131 @@ def test_lattice_split_conjugated_p13_past_the_pairs():
     cert = lattice_split(13, M, CONJUGATED_P13_N_GENS)
     assert (cert.basis_L0.rows, cert.basis_L1.rows) == (36, 36)
     assert cert.verify()
+
+
+# Oracles for the mod-2 actions of lattice_split.  The split applies
+# e_i(beta) and e_i(sigma_a beta) on M/N as the integer matrices
+# d_i(beta) and d_{perm_a(i)}(beta) followed by one projection; the
+# oracle evaluates e_i at the F2 matrix that beta induces on M/N, and
+# inverts the cofactor of each idempotent by the extended Euclidean
+# algorithm instead of by Fermat's power.
+
+def _f2_vec_act(v_bits, rows):
+    out, i = 0, 0
+    while v_bits:
+        if v_bits & 1:
+            out ^= rows[i]
+        v_bits >>= 1
+        i += 1
+    return out
+
+
+def _f2_poly_eval(poly, rows, n):
+    """poly(A) for the F2 matrix with packed rows A, by Horner."""
+    res = (0,) * n
+    for c in reversed(poly.coeffs()):
+        res = tuple(_f2_vec_act(r, rows) for r in res)
+        if c:
+            res = tuple(r ^ (1 << k) for k, r in enumerate(res))
+    return res
+
+
+def _induced_matrix(Q, A):
+    """F2 matrix of the endomorphism A on the quotient, one row per
+    quotient coordinate, through the unit vector lifting it."""
+    rows = []
+    for j in Q.free_cols:
+        unit = [0] * Q.dim
+        unit[j] = 1
+        rows.append(Q.project_vec(_row_act(A, unit)))
+    return tuple(rows)
+
+
+def _split_lattices():
+    """(p, M, n_gens) for the lattices the split tests build."""
+    rng = random.Random(0xF2)
+    ring5 = real_cyclotomic(5)
+    mixed = [[2 if j == i else 0 for j in range(4)] for i in range(2)] + \
+        [[1 if j == i else 0 for j in range(4)] for i in range(2, 4)]
+    ring7 = real_cyclotomic(7)
+    T, Tinv = _random_unimodular(rng, 6)
+    M7 = RLattice(ring7, 2, T @ RLattice.free(ring7, 2).beta @ Tinv)
+    gens7 = IntMatrix.identity(6).scale(2).to_rows() + \
+        [[rng.randint(-2, 2) for _ in range(6)] for _ in range(2)]
+    ring17 = real_cyclotomic(17)
+    f1 = PolyZ([int(b) for b in factor_two(17).factors[0].coeffs()])
+    ring31 = real_cyclotomic(31)
+    g1, g2 = [PolyZ([int(b) for b in g.coeffs()])
+              for g in factor_two(31).factors[:2]]
+    return [
+        (5, RLattice.free(ring5, 2), mixed),
+        (7, M7, gens7),
+        (13, RLattice(real_cyclotomic(13), 2,
+                      IntMatrix.from_rows(CONJUGATED_P13_BETA)),
+         CONJUGATED_P13_N_GENS),
+        (17, RLattice.free(ring17, 1),
+         [ring17.coeff_vector(PolyZ([2])), ring17.coeff_vector(f1)]),
+        (31, RLattice.free(ring31, 1),
+         [ring31.coeff_vector(ring31.reduce(g)) for g in
+          (PolyZ([4]), g1.scale(2), g2.scale(2), g1 * g2)]),
+    ]
+
+
+def test_idempotent_actions_match_f2_matrix_oracle():
+    rng = random.Random(0x1DE)
+    for p, M, gens in _split_lattices():
+        ring, d = M.ring, M.dim
+        Q = _Quotient(d, _row_basis_rows(
+            v for g in gens for v in _orbit(g, [M.beta], ring.degree)))
+        assert 0 < Q.qdim < d
+        idem = idempotents_mod2(p)
+        dbase = [PolyZ([int(c) for c in e.coeffs()]).eval_matrix(M.beta)
+                 for e in idem]
+        perms = galois_factor_permutation(p)
+        # copy a = 1 is beta itself, with the identity permutation
+        assert _amplify(ring, M.beta)[0] == M.beta
+        assert perms[1] == tuple(range(len(idem)))
+        vecs = [[rng.randint(-3, 3) for _ in range(d)] for _ in range(6)]
+        for a, block in enumerate(_amplify(ring, M.beta), 1):
+            induced = _induced_matrix(Q, block)
+            for i, e in enumerate(idem):
+                E = _f2_poly_eval(e, induced, Q.qdim)
+                for v in vecs:
+                    assert _f2_vec_act(Q.project_vec(v), E) == \
+                        Q.project_vec(_row_act(dbase[perms[a][i]], v)), \
+                        (p, a, i)
+
+
+def _xgcd_f2(a, b):
+    """Extended gcd over GF(2)[X]: (g, s, t) with s*a + t*b = g."""
+    r0, r1 = a, b
+    s0, s1 = PolyF2(1), PolyF2(0)
+    t0, t1 = PolyF2(0), PolyF2(1)
+    while not r1.is_zero():
+        q = r0 // r1
+        r0, r1 = r1, r0 + q * r1
+        s0, s1 = s1, s0 + q * s1
+        t0, t1 = t1, t0 + q * t1
+    return r0, s0, t0
+
+
+def test_idempotents_match_xgcd_oracle(monkeypatch):
+    # build each ring and factorization of 2 once, for both routes
+    for name in ("real_cyclotomic", "factor_two"):
+        monkeypatch.setattr(numring, name,
+                            functools.lru_cache(None)(getattr(numring, name)))
+    for p in range(3, 212, 2):
+        if not is_prime(p):
+            continue
+        fac = numring.factor_two(p)
+        f2 = numring.real_cyclotomic(p).mu.reduce_mod2()
+        oracle = []
+        for g in fac.factors:
+            m = f2 // g
+            gg, s, _ = _xgcd_f2(m, g)
+            assert gg.is_one()
+            oracle.append((s * m) % f2)
+        assert idempotents_mod2(p) == oracle, p
 
 
 def test_involution_split_trivial_y():

@@ -56,6 +56,22 @@ def test_formulations_agree_everywhere():
                 assert exists_tensor_action(q) == intro_formulation(q), q
 
 
+def test_tensor_action_never_factors_n(monkeypatch):
+    # only the valuations of n at the primes of m are read, so a prime n
+    # near the modulus limit costs no trial division
+    import cyclotwist.obstruction as obstruction
+    seen = []
+
+    def recording(x):
+        seen.append(x)
+        return factorize(x)
+
+    monkeypatch.setattr(obstruction, "factorize", recording)
+    q = ActionQuery(3, 99999999999971, 1)
+    assert exists_tensor_action(q) == intro_formulation(q)
+    assert seen == [3]
+
+
 def test_automorphism_implies_tensor():
     for m in range(1, 37):
         for n in range(1, 37):

@@ -403,7 +403,7 @@ def _cmd_numring_minpoly(args) -> int:
 
 
 def _cmd_numring_factor2(args) -> int:
-    fac = factor_two(args.p)
+    fac = factor_two(real_cyclotomic(args.p))
     _say("mu mod 2 = product of %d irreducible factor(s) of degree %d"
          % (fac.count, fac.f))
     for i, g in enumerate(fac.factors):
@@ -414,7 +414,7 @@ def _cmd_numring_factor2(args) -> int:
 
 
 def _cmd_numring_idem(args) -> int:
-    idem = idempotents_mod2(args.p)
+    idem = idempotents_mod2(real_cyclotomic(args.p))
     for i, e in enumerate(idem):
         _say("e_%d: %s" % (i, " ".join(str(b) for b in e.coeffs())))
     _emit_json(args, {"p": args.p,
@@ -423,30 +423,25 @@ def _cmd_numring_idem(args) -> int:
 
 
 def _cmd_numring_galois(args) -> int:
-    m = galois(args.p, args.a)
+    m = galois(real_cyclotomic(args.p), args.a)
     for i in range(m.rows):
         _say(" ".join(str(x) for x in m.row(i)))
     _emit_json(args, {"p": args.p, "a": args.a, "matrix": m.to_rows()})
     return 0
 
 
-def _lattice_from_json(obj: dict):
-    p = _field(obj, "p", 0)
-    rank = _field(obj, "rank", 0)
+def _lattice_from_json(obj: dict) -> RLattice:
+    p, rank = _field(obj, "p", 0), _field(obj, "rank", 0)
     ring = real_cyclotomic(p)
-    if obj.get("beta") is not None:
-        beta = IntMatrix.from_rows(_field(obj, "beta", 2))
-        lat = RLattice(ring, rank, beta)
-    else:
-        lat = RLattice.free(ring, rank)
-    return p, lat
+    if obj.get("beta") is None:
+        return RLattice.free(ring, rank)
+    return RLattice(ring, rank, IntMatrix.from_rows(_field(obj, "beta", 2)))
 
 
 def _cmd_numring_split(args) -> int:
     obj = _load_json(args.file)
-    p, lat = _lattice_from_json(obj)
     # lattice_split returns only certificates whose verify() passed
-    cert = lattice_split(p, lat, _field(obj, "n_gens", 2))
+    cert = lattice_split(_lattice_from_json(obj), _field(obj, "n_gens", 2))
     _say("L0 rank %d, L1 rank %d, ambient %d, group order %d"
          % (cert.basis_L0.rows, cert.basis_L1.rows, cert.ambient_dim,
             cert.group_order))
@@ -464,13 +459,11 @@ def _cmd_numring_split(args) -> int:
 
 def _cmd_numring_involution(args) -> int:
     obj = _load_json(args.file)
-    p, lat = _lattice_from_json(obj)
-    mod = Z2Module(lat, IntMatrix.from_rows(_field(obj, "y", 2)))
+    mod = Z2Module(_lattice_from_json(obj),
+                   IntMatrix.from_rows(_field(obj, "y", 2)))
     # involution_split returns only decompositions whose verify() passed
-    if args.padding is None:
-        sp = involution_split_auto(p, mod)
-    else:
-        sp = involution_split(p, mod, padding=args.padding)
+    sp = (involution_split_auto(mod) if args.padding is None
+          else involution_split(mod, args.padding))
     _say("padding %d: P+ rank %d, P- rank %d, P0 rank %d"
          % (sp.padding, sp.basis_plus.rows, sp.basis_minus.rows,
             sp.basis_zero.rows))

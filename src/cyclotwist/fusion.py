@@ -184,6 +184,19 @@ class DetReport:
             raise ValueError("|det Z| must be >= 1 for a fusion ring")
 
 
+# `fusion dk --level 47` is the slowest command at this rank, 3.9-4.1 s
+# on a 2-core VM (its module-axiom check grows like rank^5, 10-14 s at
+# rank 64); every other fusion command takes under 0.6 s.  Larger rings
+# are refused before the rank^3 structure tensor is built
+_MAX_RANK = 48
+
+
+def _check_rank(rank: int) -> None:
+    if rank > _MAX_RANK:
+        raise ValueError("fusion ring rank must be <= %d, got %d"
+                         % (_MAX_RANK, rank))
+
+
 def tlj(k: int) -> FusionRing:
     """Level-k Temperley-Lieb-Jones fusion ring on labels pi_0..pi_k.
 
@@ -197,6 +210,7 @@ def tlj(k: int) -> FusionRing:
     if k < 0:
         raise ValueError("level must be >= 0")
     r = k + 1
+    _check_rank(r)
     N = [
         [
             [
@@ -230,6 +244,7 @@ def pointed_cyclic(m: int) -> FusionRing:
     """Group ring of Z/mZ as a fusion ring: basis g^0..g^{m-1}."""
     if m < 1:
         raise ValueError("order must be >= 1")
+    _check_rank(m)
     N = [
         [[int(c == (a + b) % m) for b in range(m)] for a in range(m)]
         for c in range(m)
@@ -475,6 +490,7 @@ def group_ring_iso_check(p: int) -> GroupRingIsoReport:
     """
     from .numring import real_cyclotomic
 
+    _check_rank(p - 1)
     if p < 3 or not is_prime(p) or p % 2 == 0:
         raise ValueError("p must be an odd prime")
     k = p - 2

@@ -13,11 +13,12 @@ certificate only after that verify() has passed.
 
 Contents:
 
-* ``real_cyclotomic``  construct R; mu is extracted from the identity
-  mu(X^2 - 2) = U_{p-1}(X/2), an exact integer change of basis
+* ``real_cyclotomic``  construct R from p; mu is extracted from the
+  identity mu(X^2 - 2) = U_{p-1}(X/2), an exact integer change of basis
 * ``factor_two``       factor mu mod 2 (distinct/equal-degree splitting)
 * ``idempotents_mod2`` CRT idempotents of R/2R
 * ``galois``           matrices of the Galois group on the power basis
+* ``galois_factor_permutation`` the Galois action on the factors of 2
 * ``lattice_split``    the constructive proof that M[G]/N[G] splits off a
   free part: M[G] = L_0 + L_1 with N[G] = 2L_0 + L_1 (SplitCertificate)
 * ``involution_split`` eigenlattice decomposition for an R-linear
@@ -26,6 +27,9 @@ Contents:
 * ``resolve_z2_module`` four-term resolutions of R[Z/2Z]-modules
   (Resolution)
 * ``higman_check``     verify x = phi(x) + phi(xY)Y
+
+Only ``real_cyclotomic``, ``free_z2_module`` and ``resolve_z2_module``
+take a bare p; every other function reads R from what it is handed.
 
 What each verify() proves from the stored matrices alone:
 
@@ -161,7 +165,7 @@ def real_cyclotomic(p: int) -> RealCyclotomic:
 class PrimeFactorTwo:
     """Factorization of mu modulo 2: distinct irreducibles, equal degree."""
 
-    p: int
+    ring: RealCyclotomic
     factors: tuple
     f: int
     count: int
@@ -183,7 +187,7 @@ def _order_of_two_mod_p_up_to_sign(p: int) -> int:
     return t
 
 
-def factor_two(p: int) -> PrimeFactorTwo:
+def factor_two(ring: RealCyclotomic) -> PrimeFactorTwo:
     """Factor mu mod 2 into distinct irreducibles of equal degree.
 
     Distinct-degree splitting via gcd(f, X^{2^d} - X), then equal-degree
@@ -192,7 +196,6 @@ def factor_two(p: int) -> PrimeFactorTwo:
     the powers of X in turn, so no randomness enters; the factors are
     returned sorted by their bitmasks.
     """
-    ring = real_cyclotomic(p)
     f2 = ring.mu.reduce_mod2()
     # squarefree guard: 2 is unramified, so gcd(f, f') must be 1
     der = f2.derivative()
@@ -216,13 +219,13 @@ def factor_two(p: int) -> PrimeFactorTwo:
     if len(degs) != 1:
         raise ArithmeticError("factors of unequal degree: %r" % (degs,))
     f = degs.pop()
-    expected_f = _order_of_two_mod_p_up_to_sign(p)
+    expected_f = _order_of_two_mod_p_up_to_sign(ring.p)
     if f != expected_f:
         raise ArithmeticError(
             "residue degree %d != order of 2 in (Z/%dZ)^x/{+-1} = %d"
-            % (f, p, expected_f)
+            % (f, ring.p, expected_f)
         )
-    return PrimeFactorTwo(p=p, factors=tuple(factors), f=f, count=len(factors))
+    return PrimeFactorTwo(ring, tuple(factors), f, len(factors))
 
 
 def _equal_degree_split(g: PolyF2, d: int) -> list:
@@ -248,17 +251,19 @@ def _equal_degree_split(g: PolyF2, d: int) -> list:
     raise ArithmeticError("no power of X splits %r" % (g,))
 
 
-def idempotents_mod2(p: int) -> list:
-    """CRT idempotents e_1..e_n of R/2R, one per prime factor of 2.
+def idempotents_mod2(ring: RealCyclotomic) -> list:
+    """CRT idempotents e_1..e_n of R/2R, one per prime factor of 2."""
+    return _idempotents(factor_two(ring))
 
-    e_i = m * (m^-1 mod g) for the factor g of degree f and its cofactor
+
+def _idempotents(fact: PrimeFactorTwo) -> list:
+    """e_i = m * (m^-1 mod g) for the factor g of degree f and its cofactor
     m = (mu mod 2)/g: 1 mod g and 0 mod the others.  The inverse is
     Fermat's m^(2^f - 2) in the field F2[X]/g = F_(2^f) (von zur Gathen &
     Gerhard, Modern Computer Algebra, ch. 4).  Pairwise orthogonality
     and the sum 1 are checked before returning.
     """
-    fact = factor_two(p)
-    f2 = real_cyclotomic(p).mu.reduce_mod2()
+    f2 = fact.ring.mu.reduce_mod2()
     out = []
     for g in fact.factors:
         m = f2 // g
@@ -268,12 +273,9 @@ def idempotents_mod2(p: int) -> list:
         total = total + e
     if not (total % f2 == PolyF2(1) % f2):
         raise ArithmeticError("idempotents do not sum to 1")
-    for i, a in enumerate(out):
-        for j, b in enumerate(out):
-            prod = (a * b) % f2
-            want = a if i == j else PolyF2(0)
-            if prod != want:
-                raise ArithmeticError("idempotent orthogonality fails")
+    if any((a * b) % f2 != (a if i == j else PolyF2(0))
+           for i, a in enumerate(out) for j, b in enumerate(out)):
+        raise ArithmeticError("idempotent orthogonality fails")
     return out
 
 
@@ -285,15 +287,14 @@ def _canonical_rep(a: int, p: int) -> int:
     return min(a, p - a)
 
 
-def galois(p: int, a: int) -> IntMatrix:
+def galois(ring: RealCyclotomic, a: int) -> IntMatrix:
     """Matrix of the automorphism beta -> 2cos(2pi*a/p) on the power basis.
 
     sigma_a(beta) = 2*T_a(beta/2) reduced mod mu; columns are the images
     of the basis powers beta^i.  Valid indices are 1..(p-1)/2, canonical
     representatives of (Z/pZ)^x / {+-1}.
     """
-    ring = real_cyclotomic(p)
-    image = ring.reduce(chebyshev_t2(_canonical_rep(a, p)))
+    image = ring.reduce(chebyshev_t2(_canonical_rep(a, ring.p)))
     cols = []
     acc = PolyZ([1])
     for _ in range(ring.degree):
@@ -316,27 +317,29 @@ def _amplify(ring: RealCyclotomic, beta: IntMatrix) -> list:
     return chebyshev_matrices(beta, 2, ring.degree + 1)[1:]
 
 
-def galois_factor_permutation(p: int) -> dict:
-    """Permutation action of each sigma_a on the mod-2 prime factors.
+def galois_factor_permutation(ring: RealCyclotomic) -> dict:
+    """Permutation action of each sigma_a on the mod-2 prime factors."""
+    return _factor_permutation(factor_two(ring))
 
-    Returns {a: mapping} where mapping[i] = j means sigma_a carries the
-    i-th factor to the j-th: the image generator f_i(sigma_a(beta))
-    vanishes mod (2, f_j).
+
+def _factor_permutation(fact: PrimeFactorTwo) -> dict:
+    """{a: mapping} where mapping[i] = j means sigma_a carries the i-th
+    factor to the j-th: f_i(sigma_a(beta)) vanishes mod (2, f_j).  The
+    value is computed in F2[X]/(mu mod 2), by Horner at sigma_a(beta)
+    mod 2, reducing after every step (von zur Gathen & Gerhard, Modern
+    Computer Algebra, 5.2).
     """
-    ring = real_cyclotomic(p)
-    fact = factor_two(p)
-    f2 = ring.mu.reduce_mod2()
+    f2 = fact.ring.mu.reduce_mod2()
     perms = {}
-    for a, image in enumerate(_galois_images(ring), 1):
+    for a, image in enumerate(_galois_images(fact.ring), 1):
+        x = image.reduce_mod2()
         mapping = []
-        for i, fi in enumerate(fact.factors):
-            val = ring.reduce(PolyZ(list(fi.coeffs())).compose(image))
-            vbits = val.reduce_mod2() % f2
-            hits = [
-                j
-                for j, fj in enumerate(fact.factors)
-                if (vbits % fj).is_zero()
-            ]
+        for fi in fact.factors:
+            val = PolyF2(0)
+            for c in reversed(fi.coeffs()):
+                val = (val * x) % f2 + PolyF2(c)
+            hits = [j for j, fj in enumerate(fact.factors)
+                    if (val % fj).is_zero()]
             if len(hits) != 1:
                 raise ArithmeticError(
                     "factor image not carried to a unique factor: %r" % hits
@@ -844,22 +847,22 @@ def _correct_into_n(Q: _Quotient, A, W, replaced, beta_g, d: int):
     return L0, [v for z in L1 for v in _orbit(z, beta_g, nG)]
 
 
-def lattice_split(p: int, M: RLattice, n_gens) -> SplitCertificate:
+def lattice_split(M: RLattice, n_gens) -> SplitCertificate:
     """Split M[G] = L_0 (+) L_1 with N[G] = 2 L_0 (+) L_1, G the Galois
-    group of the degree-(p-1)/2 real subfield, acting by twisting the
-    R-structure of the copies of M.
+    group of the real subfield whose ring of integers is M.ring, acting
+    by twisting the R-structure of the copies of M.
 
     N is the beta-stable sublattice generated by ``n_gens`` and must
     satisfy 2M <= N <= M.  L_0 is spanned by amplified basis vectors
     whose classes form a free R/2R-basis of (M/N)[G]; L_1 is spanned by
     the corrected complements, which land in N[G].  Every mod-2 action
     is an integer matrix (beta, or the lift d_i(beta) of an idempotent)
-    followed by the projection to M/N.  Everything is exact and the
+    followed by the projection to M/N.  The factorization of 2, its
+    idempotents and the Galois permutation of the factors are computed
+    once and passed to the stages.  Everything is exact and the
     certificate is returned only after its verify() passes.
     """
     ring = M.ring
-    if ring.p != p:
-        raise ValueError("p does not match the ring of M")
     deg, d, beta = ring.degree, M.dim, M.beta
 
     # N: beta-saturate the generators, then check 2M <= N <= M
@@ -875,21 +878,19 @@ def lattice_split(p: int, M: RLattice, n_gens) -> SplitCertificate:
             raise ValueError("2M <= N fails at coordinate %d" % i)
 
     A = _free_r_basis(ring, IntMatrix.identity(d).to_rows(), [beta])
-    f = factor_two(p).f
+    fact = factor_two(ring)
     # the 0/1 lifts d_i of the idempotents and their matrices d_i(beta)
-    d_lift = [PolyZ([int(c) for c in e.coeffs()])
-              for e in idempotents_mod2(p)]
+    d_lift = [PolyZ(e.coeffs()) for e in _idempotents(fact)]
     dbase = [dl.eval_matrix(beta) for dl in d_lift]
     Q = _Quotient(d, H)
-    perms = galois_factor_permutation(p)
-    perm_g = [perms[a] for a in range(1, deg + 1)]
+    perm_g = list(_factor_permutation(fact).values())  # a = 1..deg
     beta_g = _amplify(ring, beta)
 
-    B_sets, spans = _component_bases(Q, A, dbase, beta, f)
+    B_sets, spans = _component_bases(Q, A, dbase, beta, fact.f)
     A = _correct_complements(ring, Q, A, B_sets, spans, d_lift, dbase,
-                             beta, f)
-    supports = _amplified_supports(Q, A, B_sets, dbase, perm_g, f)
-    W, replaced = _equalize(A, supports, dbase, perm_g, f, d)
+                             beta, fact.f)
+    supports = _amplified_supports(Q, A, B_sets, dbase, perm_g, fact.f)
+    W, replaced = _equalize(A, supports, dbase, perm_g, fact.f, d)
     L0_rows, L1_rows = _correct_into_n(Q, A, W, replaced, beta_g, d)
 
     cert = SplitCertificate(M, _mat(L0_rows, d * deg), _mat(L1_rows, d * deg),
@@ -1058,8 +1059,7 @@ class InvolutionSplit:
                    for t, a in zip(trows, mat.to_rows()))
 
 
-def involution_split(p: int, module: Z2Module, padding: int = 0) \
-        -> InvolutionSplit:
+def involution_split(module: Z2Module, padding: int = 0) -> InvolutionSplit:
     """Split the amplified module into Y-eigenparts and a certified
     projective rest.
 
@@ -1072,8 +1072,6 @@ def involution_split(p: int, module: Z2Module, padding: int = 0) \
     is none.
     """
     ring = module.lattice.ring
-    if ring.p != p:
-        raise ValueError("p does not match the ring of the module")
     if padding < 0:
         raise ValueError("padding must be nonnegative")
     deg = ring.degree
@@ -1107,7 +1105,7 @@ def involution_split(p: int, module: Z2Module, padding: int = 0) \
             if c is None:
                 raise AssertionError("2-division lattice escaped M2")
             n2_abs.append(c)
-        cert = lattice_split(p, RLattice.free(ring, k), n2_abs)
+        cert = lattice_split(RLattice.free(ring, k), n2_abs)
         # back to ambient coordinates, copy by copy: x -> x . T
         back = [IntMatrix.from_rows(T_rows)] * nG
         halves[tau] = tuple([_act(back, v) for v in basis.to_rows()]
@@ -1158,12 +1156,12 @@ def involution_split(p: int, module: Z2Module, padding: int = 0) \
 _MAX_PADDING = 4
 
 
-def involution_split_auto(p: int, module: Z2Module) -> InvolutionSplit:
+def involution_split_auto(module: Z2Module) -> InvolutionSplit:
     """involution_split with the smallest padding that succeeds."""
     last = None
     for pad in range(_MAX_PADDING + 1):
         try:
-            return involution_split(p, module, pad)
+            return involution_split(module, pad)
         except (InvolutionError, RuntimeError) as exc:
             last = exc
     raise InvolutionError(
@@ -1185,8 +1183,9 @@ class Resolution:
     equivariance check from the stored matrices.
     """
 
-    def __init__(self, p, rank, relations, a, b, f1, f2, f3):
-        self.p = p
+    def __init__(self, ring, rank, relations, a, b, f1, f2, f3):
+        self.ring = ring
+        self.p = ring.p
         self.rank = rank
         self.relations = relations
         self.a = a
@@ -1201,10 +1200,9 @@ class Resolution:
                 % (self.b, self.a, self.b, self.rank))
 
     def _actions(self):
-        ring = real_cyclotomic(self.p)
-        deg = ring.degree
-        b0 = ring.beta_matrix().transpose()
-        fb, fy = _free_z2_blocks(ring)
+        deg = self.ring.degree
+        b0 = self.ring.beta_matrix().transpose()
+        fb, fy = _free_z2_blocks(self.ring)
         ident = IntMatrix.identity(deg)
         tgt_beta = _block_diag([fb] * self.rank)
         tgt_y = _block_diag([fy] * self.rank)
@@ -1329,7 +1327,7 @@ def resolve_z2_module(p: int, rank: int, relations) -> Resolution:
     f2 = _mat(f2_rows, mid)
     f3 = IntMatrix.zeros(0, b * deg)
 
-    res = Resolution(p, rank, rel_mat, a, b, f1, f2, f3)
+    res = Resolution(ring, rank, rel_mat, a, b, f1, f2, f3)
     if not res.verify():
         raise AssertionError("constructed resolution failed verification")
     return res

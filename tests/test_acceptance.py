@@ -155,7 +155,7 @@ def test_criterion_09_number_ring_suite():
         ring = real_cyclotomic(p)
         _, rem = chebyshev_u(p - 1).divmod_exact(ring.mu)
         assert rem.is_zero()
-        fac = factor_two(p)
+        fac = factor_two(ring)
         assert fac.f == _two_order_mod_signs(p)
         assert fac.count * fac.f == (p - 1) // 2
         prod = PolyZ([1]).reduce_mod2()
@@ -166,7 +166,7 @@ def test_criterion_09_number_ring_suite():
         for i, g in enumerate(fac.factors):
             for h in fac.factors[i + 1:]:
                 assert g.gcd(h).is_one()
-        perms = galois_factor_permutation(p)
+        perms = galois_factor_permutation(ring)
         orbit = {0}
         frontier = [0]
         while frontier:
@@ -199,19 +199,19 @@ def test_criterion_10_lattice_certificate_algorithms():
     # lattice splitting: trivial inclusions
     ring5 = real_cyclotomic(5)
     M = RLattice.free(ring5, 1)
-    same = lattice_split(5, M, IntMatrix.identity(M.dim).to_rows())
+    same = lattice_split(M, IntMatrix.identity(M.dim).to_rows())
     assert same.verify() and same.basis_L0.rows == 0
-    double = lattice_split(5, M, IntMatrix.identity(M.dim).scale(2).to_rows())
+    double = lattice_split(M, IntMatrix.identity(M.dim).scale(2).to_rows())
     assert double.verify() and double.basis_L1.rows == 0
 
     # product of two primes over 2 at p = 31: index 2^10, free rank 150
     ring31 = real_cyclotomic(31)
-    fac = factor_two(31)
+    fac = factor_two(ring31)
     f1 = PolyZ([int(b) for b in fac.factors[0].coeffs()])
     f2 = PolyZ([int(b) for b in fac.factors[1].coeffs()])
     gens = [ring31.coeff_vector(ring31.reduce(g))
             for g in (PolyZ([4]), f1.scale(2), f2.scale(2), f1 * f2)]
-    cert = lattice_split(31, RLattice.free(ring31, 1), gens)
+    cert = lattice_split(RLattice.free(ring31, 1), gens)
     assert abs(det_exact(cert.n_basis)) == 2 ** 10
     assert cert.basis_L0.rows == 150
     assert cert.verify()
@@ -228,16 +228,16 @@ def test_criterion_10_lattice_certificate_algorithms():
         gens = IntMatrix.identity(M0.dim).scale(2).to_rows()
         for _ in range(rng.randint(0, 2)):
             gens.append([rng.randint(-2, 2) for _ in range(M0.dim)])
-        assert lattice_split(p, M1, gens).verify()
+        assert lattice_split(M1, gens).verify()
 
     # involution splitting on the three stock examples
     triv = Z2Module(M, IntMatrix.identity(M.dim))
-    sp = involution_split(5, triv)
+    sp = involution_split(triv)
     assert sp.verify()
     assert sp.basis_plus.rows == M.dim * sp.group_order
     assert sp.basis_minus.rows == 0 and sp.basis_zero.rows == 0
 
-    sp = involution_split(5, free_z2_module(5, 1))
+    sp = involution_split(free_z2_module(5, 1))
     assert sp.verify()
     assert sp.higman is not None and sp.higman.verify()
 
@@ -249,7 +249,7 @@ def test_criterion_10_lattice_certificate_algorithms():
     for i in range(deg):
         rows.append([0] * deg + [-x for x in ident.row(i)])
     eig = Z2Module(RLattice.free(ring5, 2), IntMatrix.from_rows(rows))
-    sp = involution_split(5, eig)
+    sp = involution_split(eig)
     assert sp.verify()
     assert sp.basis_plus.rows == deg * sp.group_order
     assert sp.basis_minus.rows == deg * sp.group_order

@@ -152,6 +152,42 @@ def test_numring_prime_limit_exits_two(capsys, argv):
     assert err == "error: p must be an odd prime <= 1009, got 1013\n"
 
 
+# each fusion flag at the largest rank allowed (48) and one above it; the
+# iso ring tlj(p - 2) has rank p - 1, and the limit is checked before
+# the primality of p
+@pytest.mark.parametrize("argv", [
+    ["fusion", "det", "--tlj", "47"],
+    ["fusion", "det", "--tlj-even", "47"],
+    ["fusion", "det", "--pointed", "48"],
+    ["fusion", "cheb", "--level", "47", "--assert"],
+    ["fusion", "parity", "--half-level", "23", "--assert"],
+    ["fusion", "iso", "--p", "47", "--assert"],
+])
+def test_fusion_rank_at_the_limit_runs(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 0 and out and err == ""
+
+
+def test_fusion_iso_at_the_limit_checks_the_prime(capsys):
+    code, out, err = run(capsys, ["fusion", "iso", "--p", "49"])
+    assert (code, out, err) == (2, "", "error: p must be an odd prime\n")
+
+
+@pytest.mark.parametrize("argv, rank", [
+    (["fusion", "det", "--tlj", "48"], 49),
+    (["fusion", "build", "--tlj-even", "48"], 49),
+    (["fusion", "build", "--pointed", "49"], 49),
+    (["fusion", "cheb", "--level", "48"], 49),
+    (["fusion", "parity", "--half-level", "24"], 49),
+    (["fusion", "iso", "--p", "50"], 49),
+    (["fusion", "iso", "--p", "53"], 52),
+])
+def test_fusion_rank_limit_exits_two(capsys, argv, rank):
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err == "error: fusion ring rank must be <= 48, got %d\n" % rank
+
+
 def test_invariant_violation_exits_three(capsys, monkeypatch):
     def broken(q):
         raise AssertionError("forced certificate mismatch")

@@ -252,7 +252,7 @@ def test_snf_matches_full_scan_oracle(kind):
     lambda: CorrSpec.from_json_obj({"n": 1.9, "mult": [["inf"]]}),
     lambda: Cocycle3.from_json_obj(
         {"m": 2.9, "denominator": 1, "values": [0] * 8}),
-    lambda: lattice_split(5, RLattice.free(real_cyclotomic(5), 1),
+    lambda: lattice_split(RLattice.free(real_cyclotomic(5), 1),
                           [[2.7, 0], [0, 2.2]]),
     lambda: resolve_z2_module(5, 1, [[1.5, 0, 0, 0]]),
     lambda: FusionRing(["1"], 0, [0], [[[1.0]]]),

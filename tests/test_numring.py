@@ -1,6 +1,7 @@
 import copy
 import functools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -112,7 +113,7 @@ def test_beta_matrix_is_multiplication_by_x():
 
 def test_factor_two_structure():
     for p, (f, count) in SPLITTING_TABLE.items():
-        fac = factor_two(p)
+        fac = factor_two(real_cyclotomic(p))
         assert fac.f == f
         assert fac.count == count
         ring = real_cyclotomic(p)
@@ -130,9 +131,9 @@ def test_factor_two_structure():
 
 def test_idempotents_orthogonal():
     for p in (17, 31):
-        fac = factor_two(p)
+        fac = factor_two(real_cyclotomic(p))
         f2 = real_cyclotomic(p).mu.reduce_mod2()
-        idem = idempotents_mod2(p)
+        idem = idempotents_mod2(real_cyclotomic(p))
         assert len(idem) == fac.count
         total = PolyF2(0)
         for i, e in enumerate(idem):
@@ -151,25 +152,25 @@ def test_galois_action():
     for p in (7, 11, 13):
         ring = real_cyclotomic(p)
         deg = ring.degree
-        assert galois(p, 1) == IntMatrix.identity(deg)
+        assert galois(ring, 1) == IntMatrix.identity(deg)
         # -1 fixes the real subfield
-        assert galois(p, p - 1) == IntMatrix.identity(deg)
+        assert galois(ring, p - 1) == IntMatrix.identity(deg)
         for a in range(1, deg + 1):
-            m = galois(p, a)
+            m = galois(ring, a)
             # image of beta itself is 2*T_a(beta/2)
             xvec = ring.coeff_vector(ring.reduce(PolyZ.x()))
             assert m.apply(xvec) == ring.coeff_vector(
                 ring.reduce(chebyshev_t2(a)))
             # ring automorphism: composition matches index product
             for b in range(1, deg + 1):
-                assert m @ galois(p, b) == galois(p, a * b)
+                assert m @ galois(ring, b) == galois(ring, a * b)
 
 
 def test_galois_is_ring_homomorphism():
     p = 11
     ring = real_cyclotomic(p)
     rng = random.Random(7)
-    m = galois(p, 3)
+    m = galois(ring, 3)
     for _ in range(10):
         a = ring.from_vector([rng.randint(-5, 5) for _ in range(ring.degree)])
         b = ring.from_vector([rng.randint(-5, 5) for _ in range(ring.degree)])
@@ -183,8 +184,8 @@ def test_galois_factor_permutation():
     for p in (17, 31):
         ring = real_cyclotomic(p)
         deg = ring.degree
-        fac = factor_two(p)
-        perms = galois_factor_permutation(p)
+        fac = factor_two(ring)
+        perms = galois_factor_permutation(ring)
         assert set(perms) == set(range(1, deg + 1))
         for a, perm in perms.items():
             assert sorted(perm) == list(range(fac.count))
@@ -212,6 +213,61 @@ def test_galois_factor_permutation():
         assert orbit == set(range(fac.count))
 
 
+def compose_factor_permutation(ring):
+    """The Galois permutation of the factors of 2 by composing each factor
+    with sigma_a(beta) over Z, then reducing mod mu and mod 2: the route
+    the Horner evaluation in F2[X]/(mu mod 2) replaced, kept as its
+    oracle."""
+    fact = factor_two(ring)
+    f2 = ring.mu.reduce_mod2()
+    perms = {}
+    for a, image in enumerate(_galois_images(ring), 1):
+        mapping = []
+        for fi in fact.factors:
+            val = ring.reduce(PolyZ(list(fi.coeffs())).compose(image))
+            vbits = val.reduce_mod2() % f2
+            hits = [j for j, fj in enumerate(fact.factors)
+                    if (vbits % fj).is_zero()]
+            assert len(hits) == 1
+            mapping.append(hits[0])
+        perms[a] = tuple(mapping)
+    return perms
+
+
+@pytest.mark.parametrize("p", [p for p in range(3, 32, 2) if is_prime(p)])
+def test_factor_permutation_matches_compose_oracle(p):
+    ring = real_cyclotomic(p)
+    assert galois_factor_permutation(ring) == compose_factor_permutation(ring)
+
+
+def test_constructions_read_the_ring_from_their_input(monkeypatch):
+    # only the entry points handed a bare p build the ring; a split
+    # factors 2 once, and a resolution verifies with the ring it keeps
+    ring = real_cyclotomic(13)
+    deg = ring.degree
+    gens13 = [[2 * int(j == i) for j in range(2 * deg)] for i in range(deg)]
+    gens13 += [[int(j == i) for j in range(2 * deg)]
+               for i in range(deg, 2 * deg)]
+    module7 = free_z2_module(7, 1)
+    res = resolve_z2_module(5, 1, [[1, 0, 1, 0], [0, 1, 0, 1]])
+    calls = Counter()
+    for name in ("real_cyclotomic", "factor_two", "lattice_split"):
+        def counted(*args, fn=getattr(numring, name), name=name, **kw):
+            calls[name] += 1
+            return fn(*args, **kw)
+
+        monkeypatch.setattr(numring, name, counted)
+    numring.lattice_split(RLattice.free(ring, 2), gens13)
+    assert calls == Counter(lattice_split=1, factor_two=1)
+    calls.clear()
+    involution_split_auto(module7)
+    assert calls["real_cyclotomic"] == 0
+    assert 0 < calls["factor_two"] <= calls["lattice_split"]
+    calls.clear()
+    assert res.verify()
+    assert calls["real_cyclotomic"] == 0
+
+
 def test_lattice_split_trivial_cases():
     for p, rank in ((5, 1), (5, 2), (7, 2)):
         ring = real_cyclotomic(p)
@@ -219,12 +275,12 @@ def test_lattice_split_trivial_cases():
         d = M.dim
         # N = M: nothing survives in the quotient
         full = IntMatrix.identity(d).to_rows()
-        cert = lattice_split(p, M, full)
+        cert = lattice_split(M, full)
         assert cert.basis_L0.rows == 0
         assert cert.basis_L1.rows == cert.ambient_dim
         assert cert.verify()
         # N = 2M: the quotient is everything
-        cert = lattice_split(p, M, IntMatrix.identity(d).scale(2).to_rows())
+        cert = lattice_split(M, IntMatrix.identity(d).scale(2).to_rows())
         assert cert.basis_L0.rows == cert.ambient_dim
         assert cert.basis_L1.rows == 0
         assert cert.verify()
@@ -245,7 +301,7 @@ def test_lattice_split_mixed_components():
         row = [0] * M.dim
         row[deg + i] = 1
         gens.append(row)
-    cert = lattice_split(p, M, gens)
+    cert = lattice_split(M, gens)
     assert cert.group_order == deg
     assert cert.basis_L0.rows == deg * cert.group_order
     assert cert.basis_L0.rows + cert.basis_L1.rows == cert.ambient_dim
@@ -257,13 +313,13 @@ def test_lattice_split_prime_product_p31():
     # so the free part of the amplified quotient has rank 10 * 15
     p = 31
     ring = real_cyclotomic(p)
-    fac = factor_two(p)
+    fac = factor_two(ring)
     f1 = PolyZ([int(b) for b in fac.factors[0].coeffs()])
     f2 = PolyZ([int(b) for b in fac.factors[1].coeffs()])
     gens = [ring.coeff_vector(ring.reduce(g))
             for g in (PolyZ([4]), f1.scale(2), f2.scale(2), f1 * f2)]
     M = RLattice.free(ring, 1)
-    cert = lattice_split(p, M, gens)
+    cert = lattice_split(M, gens)
     assert abs(det_exact(cert.n_basis)) == 2 ** 10
     assert cert.basis_L0.rows == 150
     assert cert.verify()
@@ -276,8 +332,8 @@ def test_split_verify_rejects_basis_that_is_not_a_submodule():
     # neither span is stable under beta
     p = 17
     ring = real_cyclotomic(p)
-    f1 = PolyZ([int(b) for b in factor_two(p).factors[0].coeffs()])
-    cert = lattice_split(p, RLattice.free(ring, 1),
+    f1 = PolyZ([int(b) for b in factor_two(ring).factors[0].coeffs()])
+    cert = lattice_split(RLattice.free(ring, 1),
                          [ring.coeff_vector(PolyZ([2])), ring.coeff_vector(f1)])
     snf = smith_normal_form(cert.n_basis)
     d, D = cert.base_dim, cert.ambient_dim
@@ -340,7 +396,7 @@ def test_lattice_split_random_pairs():
         gens = IntMatrix.identity(d).scale(2).to_rows()
         for _ in range(rng.randint(0, 2)):
             gens.append([rng.randint(-2, 2) for _ in range(d)])
-        cert = lattice_split(p, M, gens)
+        cert = lattice_split(M, gens)
         assert cert.verify()
         # rank of the free part = log2 of the sublattice index, per copy
         index = abs(det_exact(cert.n_basis))
@@ -388,7 +444,7 @@ CONJUGATED_P13_N_GENS = [
 def test_lattice_split_conjugated_p13_past_the_pairs():
     M = RLattice(real_cyclotomic(13), 2,
                  IntMatrix.from_rows(CONJUGATED_P13_BETA))
-    cert = lattice_split(13, M, CONJUGATED_P13_N_GENS)
+    cert = lattice_split(M, CONJUGATED_P13_N_GENS)
     assert (cert.basis_L0.rows, cert.basis_L1.rows) == (36, 36)
     assert cert.verify()
 
@@ -443,10 +499,10 @@ def _split_lattices():
     gens7 = IntMatrix.identity(6).scale(2).to_rows() + \
         [[rng.randint(-2, 2) for _ in range(6)] for _ in range(2)]
     ring17 = real_cyclotomic(17)
-    f1 = PolyZ([int(b) for b in factor_two(17).factors[0].coeffs()])
+    f1 = PolyZ([int(b) for b in factor_two(ring17).factors[0].coeffs()])
     ring31 = real_cyclotomic(31)
     g1, g2 = [PolyZ([int(b) for b in g.coeffs()])
-              for g in factor_two(31).factors[:2]]
+              for g in factor_two(ring31).factors[:2]]
     return [
         (5, RLattice.free(ring5, 2), mixed),
         (7, M7, gens7),
@@ -468,10 +524,10 @@ def test_idempotent_actions_match_f2_matrix_oracle():
         Q = _Quotient(d, _row_basis_rows(
             v for g in gens for v in _orbit(g, [M.beta], ring.degree)))
         assert 0 < Q.qdim < d
-        idem = idempotents_mod2(p)
+        idem = idempotents_mod2(ring)
         dbase = [PolyZ([int(c) for c in e.coeffs()]).eval_matrix(M.beta)
                  for e in idem]
-        perms = galois_factor_permutation(p)
+        perms = galois_factor_permutation(ring)
         # copy a = 1 is beta itself, with the identity permutation
         assert _amplify(ring, M.beta)[0] == M.beta
         assert perms[1] == tuple(range(len(idem)))
@@ -507,7 +563,7 @@ def test_idempotents_match_xgcd_oracle(monkeypatch):
     for p in range(3, 212, 2):
         if not is_prime(p):
             continue
-        fac = numring.factor_two(p)
+        fac = numring.factor_two(numring.real_cyclotomic(p))
         f2 = numring.real_cyclotomic(p).mu.reduce_mod2()
         oracle = []
         for g in fac.factors:
@@ -515,7 +571,7 @@ def test_idempotents_match_xgcd_oracle(monkeypatch):
             gg, s, _ = _xgcd_f2(m, g)
             assert gg.is_one()
             oracle.append((s * m) % f2)
-        assert idempotents_mod2(p) == oracle, p
+        assert idempotents_mod2(numring.real_cyclotomic(p)) == oracle, p
 
 
 def test_involution_split_trivial_y():
@@ -523,7 +579,7 @@ def test_involution_split_trivial_y():
     ring = real_cyclotomic(p)
     M = RLattice.free(ring, 1)
     mod = Z2Module(M, IntMatrix.identity(M.dim))
-    sp = involution_split(p, mod)
+    sp = involution_split(mod)
     assert sp.basis_plus.rows == M.dim * sp.group_order
     assert sp.basis_minus.rows == 0
     assert sp.basis_zero.rows == 0
@@ -536,7 +592,7 @@ def test_involution_split_regular_module():
     # projective, and the Higman endomorphism certifies freeness
     p = 5
     mod = free_z2_module(p, 1)
-    sp = involution_split(p, mod)
+    sp = involution_split(mod)
     assert sp.basis_plus.rows == 0
     assert sp.basis_minus.rows == 0
     assert sp.basis_zero.rows == mod.dim * sp.group_order
@@ -559,13 +615,13 @@ def test_involution_split_two_eigenlines():
     for i in range(deg):
         rows.append([0] * deg + [-x for x in ident.row(i)])
     mod = Z2Module(M, IntMatrix.from_rows(rows))
-    sp = involution_split(p, mod)
+    sp = involution_split(mod)
     assert sp.basis_plus.rows == deg * sp.group_order
     assert sp.basis_minus.rows == deg * sp.group_order
     assert sp.basis_zero.rows == 0
     assert sp.verify()
     # padding by one regular module shifts only the projective part
-    sp1 = involution_split(p, mod, padding=1)
+    sp1 = involution_split(mod, padding=1)
     assert sp1.basis_plus.rows == deg * sp1.group_order
     assert sp1.basis_zero.rows == 2 * deg * sp1.group_order
     assert sp1.higman is not None
@@ -576,7 +632,7 @@ def test_involution_verify_ties_higman_certificate_to_p0():
     # a valid Higman certificate for a free module of the right size, but
     # with a Y that the stored basis of P_0 does not carry to P_0's Y
     for p, copies in ((5, 1), (5, 2), (7, 1)):
-        sp = involution_split(p, free_z2_module(p, copies))
+        sp = involution_split(free_z2_module(p, copies))
         other = free_z2_module(p, sp.higman.module.lattice.rank // 2)
         deg, n = sp.group_order, other.dim
         # projection onto the 1-component of each regular summand
@@ -591,7 +647,7 @@ def test_involution_verify_ties_higman_certificate_to_p0():
 def test_involution_split_auto_reports_padding():
     p = 5
     mod = free_z2_module(p, 1)
-    sp = involution_split_auto(p, mod)
+    sp = involution_split_auto(mod)
     assert sp.padding == 0
     assert sp.verify()
 
@@ -674,7 +730,7 @@ def test_higman_solve_matches_dense_oracle():
     rng = random.Random(0x4167)
     cases = []
     for p, copies in ((5, 1), (5, 2), (7, 1)):
-        sp = involution_split(p, free_z2_module(p, copies))
+        sp = involution_split(free_z2_module(p, copies))
         ring, y_z = real_cyclotomic(p), sp.higman.module.Y
         deg, k = ring.degree, y_z.rows // ring.degree
         cases.append((ring, [[PolyZ(y_z.row(s * deg)[t * deg:(t + 1) * deg])

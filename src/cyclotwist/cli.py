@@ -322,6 +322,8 @@ def _cmd_cocycle_check(args) -> int:
                              % (chk.ok, certified))
     if not chk.ok:
         _say("witness quadruple: %s" % (chk.witness,))
+    _emit_json(args, {"m": c.m, "cocycle": chk.ok,
+                      "witness": None if chk.ok else list(chk.witness)})
     return _verdict(args, "cocycle identity", chk.ok, CIT_COCYCLE)
 
 
@@ -339,11 +341,13 @@ def _cmd_cocycle_class(args) -> int:
 
 def _cmd_cocycle_embed(args) -> int:
     ok = embed_check(args.m, args.n, args.k)
+    _emit_json(args, {"m": args.m, "n": args.n, "k": args.k, "embed": ok})
     return _verdict(args, "embedding identity", ok, CIT_EMBED)
 
 
 def _cmd_cocycle_crt(args) -> int:
     ok = crt_check(args.m, args.n, args.k)
+    _emit_json(args, {"m": args.m, "n": args.n, "k": args.k, "crt": ok})
     return _verdict(args, "coprime split classes", ok, CIT_CRT)
 
 
@@ -366,13 +370,17 @@ def _cmd_obstruction_cuntz(args) -> int:
 
 
 def _cmd_obstruction_tensor(args) -> int:
-    return _verdict(args, "tensor-stabilized action",
-                    exists_tensor_action(_query(args)), CIT_TENSOR)
+    q = _query(args)
+    ok = exists_tensor_action(q)
+    _emit_json(args, {"m": q.m, "n": q.n, "k": q.k, "tensor": ok})
+    return _verdict(args, "tensor-stabilized action", ok, CIT_TENSOR)
 
 
 def _cmd_obstruction_intro(args) -> int:
-    return _verdict(args, "divisibility-form action",
-                    intro_formulation(_query(args)), CIT_INTRO)
+    q = _query(args)
+    ok = intro_formulation(q)
+    _emit_json(args, {"m": q.m, "n": q.n, "k": q.k, "intro": ok})
+    return _verdict(args, "divisibility-form action", ok, CIT_INTRO)
 
 
 def _cmd_obstruction_fibonacci(args) -> int:

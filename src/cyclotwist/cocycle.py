@@ -167,14 +167,6 @@ def is_cocycle(c: Cocycle3) -> CocycleCheck:
     return CocycleCheck(ok=True, witness=None)
 
 
-def reverse(c: Cocycle3) -> Cocycle3:
-    """The reversed cocycle c'(f,g,h) = c(-h,-g,-f); an involution."""
-    m, v = c.m, c.nums
-    return Cocycle3.from_function(
-        m, c.den,
-        lambda f, g, h: v[((-h) % m) * m * m + ((-g) % m) * m + (-f) % m])
-
-
 def coboundary(m: int, beta) -> Cocycle3:
     """d(beta)(i,j,h) = beta(j,h) - beta(i+j,h) + beta(i,j+h) - beta(i,j).
 

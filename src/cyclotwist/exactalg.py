@@ -8,8 +8,10 @@ in this module.  Each solver exists once, here:
 * ``IntMatrix``          dense integer matrix, immutable after construction
 * ``smith_normal_form``  S = U*A*V with unimodular U, V and the divisibility
   chain d_1 | d_2 | ...; the exactness oracle for all module computations.
-  It runs the one elimination on A with I_m beside it and I_n below;
-  ``elementary_divisors`` runs it on A alone for the bare diagonal
+  It runs the one elimination on A with I_m beside it and I_n below.  The
+  other front ends build no transform they do not read:
+  ``elementary_divisors`` runs it on A alone for the bare diagonal, and
+  ``kernel_basis`` and ``row_basis`` on A with I_n below, for V only
 * ``snf_back_substitute`` the one Smith-form back-substitution: solves
   S*y = U*b over Z; ``solve_linear`` is its front end
 * ``F2Echelon``          the one GF(2) echelon: rank, residue,
@@ -184,10 +186,9 @@ class SNFResult:
             if a != 0 and b % a != 0:
                 return False
         # off-diagonal entries must vanish
-        for i in range(self.S.rows):
-            for j in range(self.S.cols):
-                if i != j and self.S.at(i, j) != 0:
-                    return False
+        if any(x for i, row in enumerate(self.S.to_rows())
+               for j, x in enumerate(row) if i != j):
+            return False
         if max(A.rows, A.cols) <= _DET_CHECK_MAX_DIM:
             if abs(det_exact(self.U)) != 1 or abs(det_exact(self.V)) != 1:
                 return False
@@ -201,12 +202,21 @@ def _diagonalize(M: list, m: int, n: int) -> None:
     block, row by row, which keeps growth tame (Cohen, GTM 138, 2.4.4).
     No entry beats a unit, so the search stops at the first +-1, and a
     pivot 1 skips the scan that checks it divides the trailing block.
-    A row operation runs over the whole row and a column operation over
-    all rows, so blocks beside and below the leading one record them.
+
+    Rows past the m-th record the column operations (V below A), and
+    columns past the n-th the row operations (U beside A).  No step
+    touches an entry it cannot change.  At step t, rows t..m-1 are zero
+    left of column t and the rows above t are zero in A from column t
+    on, so row operations, sign flips and the fold run from column t,
+    and column swaps from row t.  Once column t is zero below the pivot,
+    a column operation changes only the pivot row and the rows of V that
+    are nonzero in column t: without transforms, one entry.
     """
+    vrows = M[m:]
 
     def col_swap(j, k):
-        for r in M:
+        for i in range(t, len(M)):
+            r = M[i]
             r[j], r[k] = r[k], r[j]
 
     t = 0
@@ -232,29 +242,34 @@ def _diagonalize(M: list, m: int, n: int) -> None:
         if pj != t:
             col_swap(t, pj)
         while True:
-            if M[t][t] < 0:
-                M[t] = [-x for x in M[t]]
-            p = M[t][t]
+            Mt = M[t]
+            if Mt[t] < 0:
+                Mt[t:] = [-x for x in Mt[t:]]
+            p = Mt[t]
+            tail = Mt[t:]
             restart = False
             for i in range(t + 1, m):
-                v = M[i][t]
+                Mi = M[i]
+                v = Mi[t]
                 if v:
                     q = v // p
-                    M[i] = [a - q * b for a, b in zip(M[i], M[t])]
-                    if M[i][t]:
+                    Mi[t:] = [a - q * b for a, b in zip(Mi[t:], tail)]
+                    if Mi[t]:
                         # remainder is a strictly smaller pivot candidate
-                        M[t], M[i] = M[i], M[t]
+                        M[t], M[i] = Mi, Mt
                         restart = True
                         break
             if restart:
                 continue
+            # column t is now zero below the pivot
+            live = [Mt] + [r for r in vrows if r[t]]
             for j in range(t + 1, n):
-                v = M[t][j]
+                v = Mt[j]
                 if v:
                     q = v // p
-                    for r in M:
+                    for r in live:
                         r[j] -= q * r[t]
-                    if M[t][j]:
+                    if Mt[j]:
                         col_swap(t, j)
                         restart = True
                         break
@@ -263,29 +278,28 @@ def _diagonalize(M: list, m: int, n: int) -> None:
             # the pivot must divide the trailing block (a unit always does):
             # else fold the first row holding an entry it misses into the
             # pivot row and re-eliminate
-            p = M[t][t]
             bad = None if p == 1 else next(
                 (r for r in M[t + 1:m] if any(x % p for x in r[t + 1:n])),
                 None)
             if bad is None:
                 break
-            M[t] = [a + b for a, b in zip(M[t], bad)]
+            Mt[t:] = [a + b for a, b in zip(Mt[t:], bad[t:])]
         t += 1
 
 
 def smith_normal_form(A: IntMatrix) -> SNFResult:
     """Diagonalize A over Z by unimodular row and column operations,
-    eliminating on [[A, I_m], [I_n, 0]] so that U and V build up beside
+    eliminating on [[A, I_m], [I_n]] so that U and V build up beside
     and below A."""
     m, n = A.rows, A.cols
     M = [row + [int(i == j) for j in range(m)]
          for i, row in enumerate(A.to_rows())]
-    M += [[int(i == j) for j in range(n)] + [0] * m for i in range(n)]
+    M += IntMatrix.identity(n).to_rows()
     _diagonalize(M, m, n)
     return SNFResult(
         S=IntMatrix(m, n, [x for r in M[:m] for x in r[:n]]),
         U=IntMatrix(m, m, [x for r in M[:m] for x in r[n:]]),
-        V=IntMatrix(n, n, [x for r in M[m:] for x in r[:n]]),
+        V=IntMatrix(n, n, [x for r in M[m:] for x in r]),
     )
 
 
@@ -294,6 +308,15 @@ def elementary_divisors(A: IntMatrix) -> list:
     M = A.to_rows()
     _diagonalize(M, A.rows, A.cols)
     return [M[i][i] for i in range(min(A.rows, A.cols))]
+
+
+def _smith_with_v(A: IntMatrix):
+    """The elimination on [[A], [I_n]]: the Smith-form diagonal of A and
+    the rows of V, with no U built."""
+    m, n = A.rows, A.cols
+    M = A.to_rows() + IntMatrix.identity(n).to_rows()
+    _diagonalize(M, m, n)
+    return [M[i][i] for i in range(min(m, n))], M[m:]
 
 
 def det_exact(A: IntMatrix) -> int:
@@ -685,11 +708,26 @@ def kernel_basis(A: IntMatrix) -> list:
     The kernel is spanned by the columns of V beyond the SNF rank; that
     span is saturated, so it is the full kernel lattice.
     """
-    snf = smith_normal_form(A)
-    r = snf.rank()
-    n = A.cols
-    V = snf.V
-    return [[V.at(i, j) for i in range(n)] for j in range(r, n)]
+    diag, V = _smith_with_v(A)
+    r = sum(1 for s in diag if s)
+    return [[row[j] for row in V] for j in range(r, A.cols)]
+
+
+def row_basis(A: IntMatrix) -> list:
+    """Integer basis of the Z-span of the rows of A: the nonzero rows of
+    U*A for the Smith form S = U*A*V.  A tall A builds no m x m U: row i
+    of U*A = S*V^-1 is s_i times row i of V^-1, and V^-1 = V'*U' from the
+    Smith form U'*V*V' = I of the n x n V.  Otherwise U is the smaller
+    transform and U*A is formed directly.
+    """
+    if A.rows <= A.cols:
+        snf = smith_normal_form(A)
+        return (snf.U @ A).to_rows()[:snf.rank()]
+    diag, V = _smith_with_v(A)
+    r = sum(1 for s in diag if s)
+    inv = smith_normal_form(IntMatrix.from_rows(V))
+    top = IntMatrix(r, A.cols, inv.V.entries[:r * A.cols]) @ inv.U
+    return [[s * x for x in row] for s, row in zip(diag, top.to_rows())]
 
 
 def pack_mod2(vec) -> int:

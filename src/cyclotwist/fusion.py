@@ -254,36 +254,6 @@ def pointed_cyclic(m: int) -> FusionRing:
     return FusionRing(labels, 0, dual, N)
 
 
-def deligne_product(A: FusionRing, B: FusionRing) -> FusionRing:
-    """Product ring on pairs of labels; structure constants multiply."""
-    ra, rb = A.rank, B.rank
-
-    def idx(i, j):
-        return i * rb + j
-
-    r = ra * rb
-    N = [[[0] * r for _ in range(r)] for _ in range(r)]
-    for c1 in range(ra):
-        for c2 in range(rb):
-            plane = N[idx(c1, c2)]
-            for a1 in range(ra):
-                for a2 in range(rb):
-                    row = plane[idx(a1, a2)]
-                    for b1 in range(ra):
-                        na = A.N[c1][a1][b1]
-                        if not na:
-                            continue
-                        for b2 in range(rb):
-                            row[idx(b1, b2)] = na * B.N[c2][a2][b2]
-    labels = [
-        "(%s,%s)" % (A.labels[i], B.labels[j])
-        for i in range(ra)
-        for j in range(rb)
-    ]
-    dual = [idx(A.dual[i], B.dual[j]) for i in range(ra) for j in range(rb)]
-    return FusionRing(labels, idx(A.unit, B.unit), dual, N)
-
-
 def regular_matrix(R: FusionRing, tau) -> IntMatrix:
     """Matrix of multiplication by tau in the regular representation.
 

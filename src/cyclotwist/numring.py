@@ -63,6 +63,7 @@ from .exactalg import (
     is_prime,
     kernel_basis,
     pack_mod2,
+    row_basis,
     smith_normal_form,
     solve_linear,
 )
@@ -95,9 +96,6 @@ class RealCyclotomic:
         a = self.reduce(a)
         c = list(a.coeffs)
         return c + [0] * (self.degree - len(c))
-
-    def from_vector(self, v) -> PolyZ:
-        return PolyZ(list(v))
 
     def mult_matrix(self, a: PolyZ) -> IntMatrix:
         """Matrix of multiplication by a on the power basis (columns)."""
@@ -425,12 +423,7 @@ def _vec_sub(u, v):
 def _row_basis_rows(rows) -> list:
     """Integer basis of the Z-span of the given row vectors."""
     rows = [list(r) for r in rows if any(r)]
-    if not rows:
-        return []
-    A = IntMatrix.from_rows(rows)
-    snf = smith_normal_form(A)
-    UA = snf.U @ A
-    return [UA.row(i) for i in range(snf.rank())]
+    return row_basis(IntMatrix.from_rows(rows)) if rows else []
 
 
 class _SpanChecker:
@@ -557,14 +550,9 @@ def _div2_lattice(rows, dim: int) -> list:
     """Basis of {x in Z^dim : 2x in Z-span(rows)}."""
     if not rows:
         return []
-    m = len(rows)
-    eqs = []
-    for j in range(dim):
-        row = [0] * (dim + m)
-        row[j] = 2
-        for i in range(m):
-            row[dim + i] = -rows[i][j]
-        eqs.append(row)
+    # x-parts of the kernel of [2I | -rows^T]
+    eqs = [[2 * (i == j) for i in range(dim)] + [-r[j] for r in rows]
+           for j in range(dim)]
     ker = kernel_basis(IntMatrix.from_rows(eqs))
     return _row_basis_rows([v[:dim] for v in ker])
 
@@ -872,10 +860,14 @@ def lattice_split(M: RLattice, n_gens) -> SplitCertificate:
             raise ValueError("sublattice generator has length %d, want %d"
                              % (len(g), d))
     H = _row_basis_rows(v for g in gens for v in _orbit(g, [beta], deg))
-    hcheck = _SpanChecker(H)
-    for i, e2 in enumerate(IntMatrix.identity(d).scale(2).to_rows()):
-        if not hcheck.contains(e2):
-            raise ValueError("2M <= N fails at coordinate %d" % i)
+    # 2M <= N iff N has d elementary divisors, each 1 or 2; only on
+    # failure, name the first coordinate i with 2 e_i outside N
+    if len(H) != d or any(s not in (1, 2)
+                          for s in elementary_divisors(_mat(H, d))):
+        hcheck = _SpanChecker(H)
+        i = next(i for i in range(d)
+                 if not hcheck.contains([2 * (k == i) for k in range(d)]))
+        raise ValueError("2M <= N fails at coordinate %d" % i)
 
     A = _free_r_basis(ring, IntMatrix.identity(d).to_rows(), [beta])
     fact = factor_two(ring)

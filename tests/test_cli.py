@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -5,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from cyclotwist.cli import main
+from cyclotwist.cli import _build_parser, main
 
 # exit convention: 0 completed, 1 false verdict under --assert,
 # 2 usage/scope error, 3 invariant violation
@@ -531,3 +532,77 @@ def test_certificates_verified_once_and_gate_output(capsys, tmp_path,
     code, out, err = run(capsys, argv)
     assert code == 3 and out == ""
     assert "invariant violation" in err
+
+
+def _json_leaves():
+    """(group, leaf) for every command whose parser takes --json."""
+
+    def children(parser):
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                return action.choices
+        return {}
+
+    return [(g, name) for g, group in children(_build_parser()).items()
+            for name, leaf in children(group).items()
+            if any("--json" in a.option_strings for a in leaf._actions)]
+
+
+# the smallest useful arguments of each leaf; {name} is an input file
+_LEAF_ARGS = {
+    ("fusion", "build"): ["--tlj", "2"],
+    ("fusion", "det"): ["--tlj", "3"],
+    ("fusion", "cheb"): ["--level", "4"],
+    ("fusion", "parity"): ["--half-level", "2"],
+    ("fusion", "dk"): ["--level", "3"],
+    ("fusion", "iso"): ["--p", "5"],
+    ("cocycle", "make"): ["--m", "4", "--k", "3"],
+    ("cocycle", "check"): ["--m", "4", "--k", "3"],
+    ("cocycle", "class"): ["--m", "4", "--k", "3"],
+    ("cocycle", "embed"): ["--m", "2", "--n", "3", "--k", "1"],
+    ("cocycle", "crt"): ["--m", "3", "--n", "4", "--k", "5"],
+    ("obstruction", "cuntz"): ["--m", "2", "--n", "8", "--k", "1"],
+    ("obstruction", "tensor"): ["--m", "2", "--n", "8", "--k", "1"],
+    ("obstruction", "intro"): ["--m", "2", "--n", "8", "--k", "1"],
+    ("obstruction", "fibonacci"): ["--n", "11"],
+    ("obstruction", "ev1"): ["--m", "6", "--n", "4"],
+    ("numring", "minpoly"): ["--p", "5"],
+    ("numring", "factor2"): ["--p", "5"],
+    ("numring", "idem"): ["--p", "5"],
+    ("numring", "galois"): ["--p", "7", "--a", "2"],
+    ("numring", "split"): ["--file", "{split}"],
+    ("numring", "involution"): ["--file", "{involution}"],
+    ("numring", "resolve"): ["--file", "{resolve}"],
+    ("pimsner", "check"): ["--file", "{corr}"],
+    ("sweep", "agreement"): ["--max", "6"],
+    ("sweep", "det"): ["--max-k", "3"],
+    ("sweep", "fibonacci"): ["--max-n", "50"],
+}
+
+_LEAF_FILES = {
+    "split": {"p": 5, "rank": 1, "n_gens": [[2, 0]]},
+    "involution": {"p": 5, "rank": 1, "y": [[1, 0], [0, 1]]},
+    "resolve": {"p": 5, "rank": 1,
+                "relations": [[1, 0, 1, 0], [0, 1, 0, 1]]},
+    "corr": {"n": 2, "mult": [["inf", 1], [0, 1]]},
+}
+
+
+def test_every_leaf_takes_json_and_has_arguments():
+    assert sorted(_json_leaves()) == sorted(_LEAF_ARGS)
+
+
+@pytest.mark.parametrize("group, leaf", _json_leaves())
+def test_every_json_leaf_writes_its_payload(capsys, tmp_path, group, leaf):
+    paths = {}
+    for name, obj in _LEAF_FILES.items():
+        paths[name] = str(tmp_path / (name + ".json"))
+        with open(paths[name], "w", encoding="utf-8") as fh:
+            json.dump(obj, fh)
+    args = [a.format(**paths) for a in _LEAF_ARGS[group, leaf]]
+    out = tmp_path / "out.json"
+    code, _, err = run(capsys, [group, leaf] + args + ["--json", str(out)])
+    assert code == 0, err
+    payload = json.loads(out.read_text(encoding="utf-8"))
+    assert isinstance(payload, dict) and payload["seed"] == 0
+    assert len(payload) > 1

@@ -144,6 +144,10 @@ def _cases():
     add(["cocycle", "embed", "--m", "3", "--n", "4", "--k", "2", "--assert"])
     add(["cocycle", "crt", "--m", "3", "--n", "4", "--k", "5", "--assert"])
     add(["cocycle", "crt", "--m", "4", "--n", "6", "--k", "1"])
+    add(["cocycle", "check", "--m", "4", "--k", "3"] + J)
+    add(["cocycle", "check", "--file", "{table}"] + J, table=bad)
+    add(["cocycle", "embed", "--m", "2", "--n", "3", "--k", "1"] + J)
+    add(["cocycle", "crt", "--m", "5", "--n", "3", "--k", "7"] + J)
 
     # obstruction
     for m, n, k in ((2, 2, 1), (2, 8, 1), (12, 8, 4), (9, 3, 3)):
@@ -152,6 +156,9 @@ def _cases():
     for sub in ("tensor", "intro"):
         add(["obstruction", sub, "--m", "8", "--n", "4", "--k", "2"])
         add(["obstruction", sub, "--m", "2", "--n", "4", "--k", "1"])
+        add(["obstruction", sub, "--m", "12", "--n", "8", "--k", "4"] + J)
+        add(["obstruction", sub, "--m", "8", "--n", "4", "--k", "2",
+             "--assert"] + J)
     add(["obstruction", "cuntz", "--m", "0", "--n", "2", "--k", "1"])
     for n in (1, 11, 12, 55, 25):
         add(["obstruction", "fibonacci", "--n", str(n), "--assert"] + J)

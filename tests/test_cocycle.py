@@ -16,8 +16,16 @@ from cyclotwist.cocycle import (
     embed_check,
     is_cocycle,
     omega,
-    reverse,
 )
+
+
+def reverse(c: Cocycle3) -> Cocycle3:
+    """The reversed cocycle c'(f,g,h) = c(-h,-g,-f); an involution."""
+    m, v = c.m, c.nums
+    return Cocycle3.from_function(
+        m, c.den,
+        lambda f, g, h: v[((-h) % m) * m * m + ((-g) % m) * m + (-f) % m])
+
 
 # class of reverse(omega_m^k) for m <= 6, computed once with the exact
 # certificate substitution turned on and frozen here; reversal fixes

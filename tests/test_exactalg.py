@@ -16,6 +16,7 @@ from cyclotwist.exactalg import (
     det_exact,
     elementary_divisors,
     kernel_basis,
+    row_basis,
     smith_normal_form,
     solve_linear,
 )
@@ -240,6 +241,27 @@ def test_snf_matches_full_scan_oracle(kind):
         assert (r.S.to_rows(), r.U.to_rows(), r.V.to_rows()) == (S, U, V)
         assert elementary_divisors(a) == [S[i][i]
                                           for i in range(min(a.rows, a.cols))]
+
+
+def _row_basis_oracle(a):
+    """The row basis as it was built from the full Smith form: the
+    nonzero rows of U*A."""
+    snf = smith_normal_form(a)
+    return (snf.U @ a).to_rows()[:snf.rank()]
+
+
+@pytest.mark.parametrize(
+    "kind", ["dense", "sparse-units", "zero-lines", "low-rank", "unimodular"])
+def test_row_basis_and_kernel_read_the_smith_transforms(kind):
+    # both come from the elimination on [[A], [I_n]], with no U built
+    rng = random.Random("row-basis/" + kind)
+    for _ in range(120 if kind != "unimodular" else 30):
+        a = _snf_case(rng, kind)
+        snf = smith_normal_form(a)
+        r = snf.rank()
+        assert row_basis(a) == _row_basis_oracle(a)
+        assert kernel_basis(a) == [[snf.V.at(i, j) for i in range(a.cols)]
+                                   for j in range(r, a.cols)]
 
 
 @pytest.mark.parametrize("build", [

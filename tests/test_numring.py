@@ -47,6 +47,12 @@ from cyclotwist.numring import (
     _row_basis_rows,
 )
 
+
+def from_vector(v) -> PolyZ:
+    """The ring element with power-basis coefficients v."""
+    return PolyZ(list(v))
+
+
 # minimal polynomials of 2cos(2pi/p), lowest coefficient first; checked
 # against the numeric product over the conjugate roots
 MU_TABLE = {
@@ -96,8 +102,8 @@ def test_mult_matrix_is_multiplicative(p, data):
     coeff = st.integers(min_value=-9, max_value=9)
     va = data.draw(st.lists(coeff, min_size=deg, max_size=deg))
     vb = data.draw(st.lists(coeff, min_size=deg, max_size=deg))
-    a = ring.from_vector(va)
-    b = ring.from_vector(vb)
+    a = from_vector(va)
+    b = from_vector(vb)
     prod = ring.mul(a, b)
     assert ring.mul(b, a) == prod
     assert ring.mult_matrix(b).apply(va) == ring.coeff_vector(prod)
@@ -172,10 +178,10 @@ def test_galois_is_ring_homomorphism():
     rng = random.Random(7)
     m = galois(ring, 3)
     for _ in range(10):
-        a = ring.from_vector([rng.randint(-5, 5) for _ in range(ring.degree)])
-        b = ring.from_vector([rng.randint(-5, 5) for _ in range(ring.degree)])
-        ga = ring.from_vector(m.apply(ring.coeff_vector(a)))
-        gb = ring.from_vector(m.apply(ring.coeff_vector(b)))
+        a = from_vector([rng.randint(-5, 5) for _ in range(ring.degree)])
+        b = from_vector([rng.randint(-5, 5) for _ in range(ring.degree)])
+        ga = from_vector(m.apply(ring.coeff_vector(a)))
+        gb = from_vector(m.apply(ring.coeff_vector(b)))
         assert m.apply(ring.coeff_vector(ring.mul(a, b))) == \
             ring.coeff_vector(ring.mul(ga, gb))
 
@@ -404,6 +410,33 @@ def test_lattice_split_random_pairs():
         assert index == 2 ** k
         assert cert.basis_L0.rows == k * cert.group_order
         cases += 1
+
+
+def test_lattice_split_names_the_first_coordinate_outside_n():
+    # 2M <= N is decided on the Smith diagonal of N; on failure the error
+    # names the first i with 2 e_i outside N, as a span scan finds it
+    rng = random.Random(0x2C0)
+    outcomes = Counter()
+    for _ in range(40):
+        ring = real_cyclotomic(rng.choice([5, 7]))
+        M = RLattice.free(ring, rng.choice([1, 2]))
+        d = M.dim
+        gens = [[rng.choice([1, 2, 4, 6, 8]) if k == j else 0
+                 for k in range(d)] for j in range(d) if rng.random() < 0.8]
+        if rng.random() < 0.5:
+            gens.append([rng.randint(-2, 2) for _ in range(d)])
+        orbits = [v for g in gens for v in _orbit(g, [M.beta], ring.degree)]
+        span = IntMatrix.from_rows(orbits).transpose() if orbits else None
+        outside = [i for i in range(d) if span is None or solve_linear(
+            span, [2 * int(k == i) for k in range(d)]) is None]
+        if outside:
+            with pytest.raises(ValueError, match="2M <= N fails at "
+                               "coordinate %d$" % outside[0]):
+                lattice_split(M, gens)
+        else:
+            assert lattice_split(M, gens).verify()
+        outcomes[outside[0] if outside else None] += 1
+    assert outcomes[None] >= 10 and len(outcomes) >= 4
 
 
 # A free rank-2 lattice at p = 13 conjugated by a unimodular matrix,

@@ -21,10 +21,11 @@ cocycles can, since omega_m^k and d(beta) are cocycles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import index
+
+from ._record import Record
 
 # tables have m^3 entries and the identity scan visits m^4 quadruples:
 # about 1.2 s at m = 48 on a 2-core VM
@@ -110,8 +111,7 @@ class Cocycle3:
         return "Cocycle3(m=%d)" % self.m
 
 
-@dataclass(frozen=True)
-class CohClass:
+class CohClass(Record):
     m: int
     k: int
 
@@ -120,8 +120,7 @@ class CohClass:
             raise ValueError("class representative out of range")
 
 
-@dataclass(frozen=True)
-class CocycleCheck:
+class CocycleCheck(Record):
     ok: bool
     witness: tuple | None  # first violating (f,g,h,k) if any
 

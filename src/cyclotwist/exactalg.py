@@ -26,8 +26,9 @@ in this module.  Each solver exists once, here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import index, mul
+
+from ._record import Record
 
 # SNFResult.verify checks det(U), det(V) = +-1 only up to this many rows
 _DET_CHECK_MAX_DIM = 64
@@ -150,8 +151,7 @@ class IntMatrix:
         return "IntMatrix.from_rows(%r)" % (self.to_rows(),)
 
 
-@dataclass(frozen=True)
-class SNFResult:
+class SNFResult(Record):
     """Smith normal form S = U*A*V with unimodular U, V.
 
     Diagonal entries are non-negative and each divides the next.
@@ -490,10 +490,6 @@ class PolyF2:
         if bits < 0:
             raise ValueError("negative bitmask")
         self.bits = index(bits)
-
-    @classmethod
-    def from_coeffs(cls, coeffs) -> "PolyF2":
-        return cls(pack_mod2(index(c) for c in coeffs))
 
     def coeffs(self) -> list:
         return [(self.bits >> i) & 1 for i in range(self.degree() + 1)]

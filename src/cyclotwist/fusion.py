@@ -14,10 +14,10 @@ what ``global_det`` reports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 from operator import index
 
+from ._record import Record
 from .exactalg import (
     IntMatrix,
     PolyZ,
@@ -170,8 +170,7 @@ class FusionModule:
                     )
 
 
-@dataclass(frozen=True)
-class DetReport:
+class DetReport(Record):
     """Z-matrix of a fusion ring with its determinant data."""
 
     ring: FusionRing
@@ -280,8 +279,7 @@ def global_det(R: FusionRing) -> DetReport:
     return DetReport(ring=R, Z=Z, det_abs=d, radical=radical(d))
 
 
-@dataclass(frozen=True)
-class ChebyshevReport:
+class ChebyshevReport(Record):
     k: int
     powers_match: bool
     annihilated: bool
@@ -327,8 +325,7 @@ def chebyshev_structure_check(k: int) -> ChebyshevReport:
     )
 
 
-@dataclass(frozen=True)
-class ParityReport:
+class ParityReport(Record):
     """Exactness data for 0 -> Z^k -> Z^{k+1} -> Z -> 0 at half-level k."""
 
     k: int
@@ -413,8 +410,7 @@ def dk_module(k: int) -> FusionModule:
     return FusionModule(R, rank, action)
 
 
-@dataclass(frozen=True)
-class GroupRingIsoReport:
+class GroupRingIsoReport(Record):
     """Witnesses that tlj(p-2) is the even subring with an adjoined
     square root of 1, i.e. a group ring over Z/2Z, with the even subring
     identified through the real cyclotomic minimal polynomial."""

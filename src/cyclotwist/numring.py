@@ -48,9 +48,10 @@ What each verify() proves from the stored matrices alone:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from math import prod
 from operator import index
 
+from ._record import Record
 from .exactalg import (
     F2Echelon,
     IntMatrix,
@@ -159,8 +160,7 @@ def real_cyclotomic(p: int) -> RealCyclotomic:
     return RealCyclotomic(p, mu)
 
 
-@dataclass(frozen=True)
-class PrimeFactorTwo:
+class PrimeFactorTwo(Record):
     """Factorization of mu modulo 2: distinct irreducibles, equal degree."""
 
     ring: RealCyclotomic
@@ -407,13 +407,25 @@ def _unimodular(rows, ncols: int) -> bool:
     return len(diag) == len(rows) and all(s == 1 for s in diag)
 
 
+def _span_profile(rows, ncols: int) -> tuple:
+    """(rank, index in its saturation) of the Z-span of the rows: the
+    number of nonzero elementary divisors and their product."""
+    diag = [s for s in elementary_divisors(_mat(rows, ncols)) if s]
+    return len(diag), prod(diag)
+
+
 def _same_span(a, b) -> bool:
-    """The row lists a and b have the same Z-span."""
-    for x, y in ((a, b), (b, a)):
-        check = _SpanChecker(x)
-        if not all(check.contains(v) for v in y):
-            return False
-    return True
+    """The row lists a and b have the same Z-span.
+
+    Both spans lie in L = span(a + b).  Equal rank puts a sublattice and
+    L in the same saturation, and equal index there forces equality; so
+    three Smith diagonals decide it, with no transforms and no solves.
+    """
+    if not a and not b:
+        return True
+    ncols = len((a or b)[0])
+    whole = _span_profile(a + b, ncols)
+    return _span_profile(a, ncols) == whole == _span_profile(b, ncols)
 
 
 def _vec_sub(u, v):
@@ -484,8 +496,7 @@ def _project_amp(Q: _Quotient, vec, d: int, nG: int) -> int:
     return bits
 
 
-@dataclass(frozen=True)
-class RLattice:
+class RLattice(Record):
     """Free R-module of the given rank, presented as Z^(rank*degree)
     with the integer matrix of right multiplication by beta."""
 
@@ -510,8 +521,7 @@ class RLattice:
                    _block_diag([ring.beta_matrix().transpose()] * rank))
 
 
-@dataclass(frozen=True)
-class Z2Module:
+class Z2Module(Record):
     """An RLattice together with an R-linear involution Y."""
 
     lattice: RLattice
@@ -910,8 +920,7 @@ def higman_check(module: Z2Module, phi: IntMatrix) -> bool:
     return phi + (Y @ phi @ Y) == IntMatrix.identity(dmod)
 
 
-@dataclass(frozen=True)
-class HigmanCertificate:
+class HigmanCertificate(Record):
     """An explicit R-linear phi with x = phi(x) + phi(xY)Y, in the
     coordinates of the stated module."""
 
@@ -1266,19 +1275,17 @@ def resolve_z2_module(p: int, rank: int, relations) -> Resolution:
     rel_mat = _mat(rel_rows, D0)
     K_rows = _row_basis_rows(rel_rows)
     if K_rows:
-        kcheck = _SpanChecker(K_rows)
-        for v in K_rows:
-            if not kcheck.contains(_row_act(tgt_beta, v)) or \
-                    not kcheck.contains(_row_act(tgt_y, v)):
-                raise ValueError(
-                    "non-equivariant presentation: the relation lattice "
-                    "is not stable under the beta and Y actions")
-
-    if K_rows:
+        # K is stable iff K + K.beta + K.Y has the span profile of K
         Km = IntMatrix.from_rows(K_rows)
+        KY = Km @ tgt_y
+        moved = K_rows + (Km @ tgt_beta).to_rows() + KY.to_rows()
+        if _span_profile(moved, D0) != _span_profile(K_rows, D0):
+            raise ValueError(
+                "non-equivariant presentation: the relation lattice "
+                "is not stable under the beta and Y actions")
         mK = Km.rows
-        diff = Km @ tgt_y + Km.scale(-1)
-        summ = Km @ tgt_y + Km
+        diff = KY + Km.scale(-1)
+        summ = KY + Km
         cplus = kernel_basis(diff.transpose())
         cminus = kernel_basis(summ.transpose())
         if len(cplus) + len(cminus) != mK:

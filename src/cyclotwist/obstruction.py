@@ -14,10 +14,10 @@ evaluation map multiplies a rational circle point by n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
+from ._record import Record
 from .exactalg import factorize, radical
 
 # Largest m or n factored here.  Trial division grows as sqrt(n): a prime
@@ -25,8 +25,7 @@ from .exactalg import factorize, radical
 MAX_MODULUS = 10**14
 
 
-@dataclass(frozen=True)
-class ActionQuery:
+class ActionQuery(Record):
     """(m, n, k): group order, Cuntz parameter, twist residue mod m."""
 
     m: int
@@ -41,8 +40,7 @@ class ActionQuery:
         object.__setattr__(self, "k", self.k % self.m)
 
 
-@dataclass(frozen=True)
-class FibonacciReport:
+class FibonacciReport(Record):
     n: int
     acts: bool
     witness: int | None  # a root of x^2 = x + 1 mod n when one exists

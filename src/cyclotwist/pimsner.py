@@ -43,8 +43,9 @@ it reproduces the known simplicity of O_infty from the 1x1 table
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import index
+
+from ._record import Record
 
 
 class _Infinite:
@@ -109,24 +110,21 @@ class CorrSpec:
         return "CorrSpec(n=%d, mult=%r)" % (self.n, self.mult)
 
 
-@dataclass(frozen=True)
-class Flags:
+class Flags(Record):
     faithful: bool
     full: bool
     proper: bool
     nondegenerate: bool  # automatic in the block model
 
 
-@dataclass(frozen=True)
-class IdealReport:
+class IdealReport(Record):
     # nontrivial subsets S (1-based labels) closed under the forward map
     forward_closed: tuple
     # those additionally absorbing the compact preimage: both inclusions
     invariant: tuple
 
 
-@dataclass(frozen=True)
-class SimplicityReport:
+class SimplicityReport(Record):
     toeplitz_simple: bool | None
     cuntz_pimsner_simple: bool | None
     witnesses: tuple  # violating subsets, 1-based, sorted

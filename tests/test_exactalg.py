@@ -269,7 +269,6 @@ def test_row_basis_and_kernel_read_the_smith_transforms(kind):
     lambda: PolyZ([0.7, 2.2]),
     lambda: PolyF2(2.5),
     lambda: IntMatrix.identity(2).scale(1.5),
-    lambda: PolyF2.from_coeffs([1.5, 3.0]),
     lambda: solve_linear(IntMatrix.identity(1), [1.5]),
     lambda: CorrSpec.from_json_obj({"n": 1.9, "mult": [["inf"]]}),
     lambda: Cocycle3.from_json_obj(
@@ -281,7 +280,7 @@ def test_row_basis_and_kernel_read_the_smith_transforms(kind):
     lambda: FusionModule(FusionRing(["1"], 0, [0], [[[1]]]), 1.0,
                          [IntMatrix.identity(1)]),
 ], ids=["IntMatrix", "PolyZ", "PolyF2", "IntMatrix.scale",
-        "PolyF2.from_coeffs", "solve_linear", "CorrSpec",
+        "solve_linear", "CorrSpec",
         "Cocycle3", "lattice_split", "resolve_z2_module", "FusionRing",
         "FusionModule"])
 def test_non_integer_inputs_raise_type_error(build):

@@ -14,6 +14,7 @@ from cyclotwist.exactalg import (
     chebyshev_u,
     det_exact,
     is_prime,
+    pack_mod2,
     smith_normal_form,
     solve_linear,
 )
@@ -38,13 +39,17 @@ from cyclotwist.numring import (
 )
 from cyclotwist.numring import (
     _Quotient,
+    _SpanChecker,
     _amplify,
+    _free_z2_blocks,
     _galois_images,
     _higman_endomorphism,
     _orbit,
     _rmat_to_z,
     _row_act,
     _row_basis_rows,
+    _same_span,
+    _span_profile,
 )
 
 
@@ -204,7 +209,7 @@ def test_galois_factor_permutation():
                 comp = ring.reduce(lifted.compose(sa))
                 # f_i(sigma_a beta) vanishes mod (2, f_{perm[i]})
                 vec = ring.coeff_vector(comp)
-                asf2 = PolyF2.from_coeffs([c % 2 for c in vec])
+                asf2 = PolyF2(pack_mod2(vec))
                 assert (asf2 % fac.factors[perm[i]]) == PolyF2(0)
         # composition and transitivity of the orbit of factor 0
         def rep(a):
@@ -867,6 +872,96 @@ def test_resolution_rejects_non_equivariant():
     deg = real_cyclotomic(p).degree
     with pytest.raises(ValueError):
         resolve_z2_module(p, 1, [[1] + [0] * (2 * deg - 1)])
+
+
+def _contains_all(x, y) -> bool:
+    check = _SpanChecker(x)
+    return all(check.contains(v) for v in y)
+
+
+def _same_span_oracle(a, b) -> bool:
+    """Mutual containment, by two Smith forms with transforms and one
+    solve per row."""
+    return _contains_all(a, b) and _contains_all(b, a)
+
+
+def test_span_profile_needs_the_joint_span():
+    # equal rank and equal index, (2, 2), yet different lattices: only
+    # the profile of a + b tells them apart
+    a, b = [[1, 0], [0, 2]], [[2, 0], [0, 1]]
+    assert _span_profile(a, 2) == _span_profile(b, 2) == (2, 2)
+    assert not _same_span_oracle(a, b)
+    assert not _same_span(a, b)
+    assert _same_span(a, [[1, 2], [0, 2]])
+
+
+def test_same_span_matches_containment_oracle():
+    rng = random.Random("same-span")
+    seen = Counter()
+    for _ in range(400):
+        n = rng.randint(1, 5)
+        a = [[rng.randint(-3, 3) for _ in range(n)]
+             for _ in range(rng.randint(0, 5))]
+        mode = rng.choice(["same", "scaled", "random", "empty"])
+        if mode == "empty":
+            b = []
+        elif mode == "random":
+            b = [[rng.randint(-3, 3) for _ in range(n)]
+                 for _ in range(rng.randint(0, 5))]
+        else:
+            # unimodular row operations on a, plus redundant combinations
+            b = [list(r) for r in a]
+            if len(b) > 1:
+                T, _ = _random_unimodular(rng, len(b))
+                b = (T @ IntMatrix.from_rows(b)).to_rows()
+            if b:
+                for _ in range(rng.randint(0, 2)):
+                    cs = [rng.randint(-2, 2) for _ in a]
+                    b.append([sum(c * r[j] for c, r in zip(cs, a))
+                              for j in range(n)])
+                if mode == "scaled":
+                    i = rng.randrange(len(b))
+                    b[i] = [rng.choice([2, 3]) * x for x in b[i]]
+            rng.shuffle(b)
+        want = _same_span_oracle(a, b)
+        assert _same_span(a, b) == want, (a, b)
+        assert _same_span(b, a) == want, (a, b)
+        seen[mode, want] += 1
+    # both verdicts occur, and rank-deficient and empty lists are covered
+    assert seen["same", True] and seen["scaled", False]
+    assert seen["random", False] and seen["empty", True]
+
+
+def test_equivariance_test_matches_containment_oracle():
+    # resolve_z2_module refuses a relation lattice K exactly when some
+    # K.beta or K.Y row lies outside K
+    p = 5
+    fb, fy = _free_z2_blocks(real_cyclotomic(p))
+    D0 = fb.rows
+    rng = random.Random("equivariance")
+    refused = Counter()
+    for _ in range(60):
+        rel = []
+        for _ in range(rng.randint(1, 2)):
+            v = [rng.randint(-2, 2) for _ in range(D0)]
+            rel.append(v)
+            if rng.random() < 0.7:
+                vb = _row_act(fb, v)
+                rel += [vb, _row_act(fy, v), _row_act(fy, vb)]
+        K = _row_basis_rows(rel)
+        stable = not K or _contains_all(
+            K, [_row_act(g, v) for g in (fb, fy) for v in K])
+        try:
+            resolve_z2_module(p, 1, rel)
+            was_refused = False
+        except ValueError as e:
+            assert "non-equivariant presentation" in str(e)
+            was_refused = True
+        except ResolutionError:
+            was_refused = False
+        assert was_refused == (not stable), rel
+        refused[was_refused] += 1
+    assert refused[True] and refused[False]
 
 
 def test_resolution_eigen_split_obstruction():

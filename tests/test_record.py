@@ -1,0 +1,83 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import cyclotwist
+from cyclotwist.exactalg import IntMatrix, SNFResult
+from cyclotwist.obstruction import MAX_MODULUS, ActionQuery
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    # a fresh interpreter, so that nothing imported by the test session
+    # counts; dataclasses pulls in inspect, ast, dis and tokenize
+    src = str(Path(cyclotwist.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    r = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, cyclotwist.cli; "
+         "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+        capture_output=True, text=True, env=env,
+    )
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "[]"
+
+
+_M = IntMatrix.from_rows
+
+
+# (record class, fields in order with values, exact repr)
+RECORDS = [
+    (ActionQuery, {"m": 4, "n": 2, "k": 3}, "ActionQuery(m=4, n=2, k=3)"),
+    (SNFResult, {"S": _M([[1, 0], [0, 2]]), "U": _M([[1, 0], [0, 1]]),
+                 "V": _M([[0, 1], [1, 0]])},
+     "SNFResult(S=IntMatrix.from_rows([[1, 0], [0, 2]]), "
+     "U=IntMatrix.from_rows([[1, 0], [0, 1]]), "
+     "V=IntMatrix.from_rows([[0, 1], [1, 0]]))"),
+]
+
+
+@pytest.mark.parametrize("cls, kw, text", RECORDS,
+                         ids=[r[0].__name__ for r in RECORDS])
+def test_record_semantics(cls, kw, text):
+    names, values = tuple(kw), tuple(kw.values())
+    a = cls(*values)
+    assert a == cls(**kw) == cls(*values[:1], **dict(list(kw.items())[1:]))
+    assert hash(a) == hash(cls(**kw))
+    assert repr(a) == text
+    assert a != values and a != object()
+    for name, value in kw.items():
+        assert getattr(a, name) == value
+    # missing, extra, unknown and repeated fields
+    with pytest.raises(TypeError):
+        cls(*values[:-1])
+    with pytest.raises(TypeError):
+        cls(*values, values[0])
+    with pytest.raises(TypeError):
+        cls(*values[:-1], zzz=values[-1])
+    with pytest.raises(TypeError):
+        cls(*values, **{names[0]: values[0]})
+    # frozen: no assignment or deletion, of fields or anything else
+    for name in (names[0], "zzz"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, values[0])
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    assert a == cls(*values)
+
+
+def test_record_fields_differ():
+    assert ActionQuery(4, 2, 3) != ActionQuery(4, 2, 1)
+    assert ActionQuery(4, 2, 3) != ActionQuery(4, 3, 3)
+
+
+def test_action_query_post_init_runs():
+    # __post_init__ reduces the twist and rejects out-of-range orders
+    assert ActionQuery(4, 2, 7) == ActionQuery(4, 2, 3)
+    assert ActionQuery(m=4, n=2, k=-1).k == 3
+    for m, n in ((0, 2), (2, 0), (-1, 1), (MAX_MODULUS + 1, 1),
+                 (1, MAX_MODULUS + 1)):
+        with pytest.raises(ValueError):
+            ActionQuery(m, n, 0)

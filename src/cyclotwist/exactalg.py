@@ -10,15 +10,15 @@ in this module.  Each solver exists once, here:
   chain d_1 | d_2 | ...; the exactness oracle for all module computations.
   It runs the one elimination on A with I_m beside it and I_n below.  The
   other front ends build no transform they do not read:
-  ``elementary_divisors`` runs it on A alone for the bare diagonal, and
-  ``kernel_basis`` and ``row_basis`` on A with I_n below, for V only
-* ``snf_back_substitute`` the one Smith-form back-substitution: solves
-  S*y = U*b over Z; ``solve_linear`` is its front end
+  ``elementary_divisors`` runs it on A alone for the bare diagonal, whose
+  product is |det A| for a square A, and ``kernel_basis`` and
+  ``row_basis`` on A with I_n below, for V only
+* ``coordinates``        the one Z-linear solver: for a batch of rows w,
+  an x with x*B = w or None, from one Smith form of B^T
 * ``F2Echelon``          the one GF(2) echelon: rank, residue,
   coordinate-tracked solve and the reduced form with its free columns,
   on vectors packed into int bitmasks by ``pack_mod2``
 * ``factorize`` / ``radical`` / ``is_prime``  the integer helpers
-* ``det_exact``          fraction-free Bareiss determinant
 * ``charpoly_exact``     division-free characteristic polynomial (Berkowitz)
 * ``chebyshev_u``        U_n(X/2) as an integer polynomial
 * ``PolyZ`` / ``PolyF2``  dense polynomials, lowest degree first
@@ -29,10 +29,6 @@ from __future__ import annotations
 from operator import index, mul
 
 from ._record import Record
-
-# SNFResult.verify checks det(U), det(V) = +-1 only up to this many rows
-_DET_CHECK_MAX_DIM = 64
-
 
 class IntMatrix:
     """Dense integer matrix, entries stored row-major, immutable."""
@@ -120,15 +116,6 @@ class IntMatrix:
         c = index(c)
         return IntMatrix(self.rows, self.cols, [c * x for x in self.entries])
 
-    def apply(self, vector) -> list:
-        """Matrix times column vector, returned as a plain list."""
-        v = list(vector)
-        if len(v) != self.cols:
-            raise ValueError("vector length mismatch")
-        n, e = self.cols, self.entries
-        return [sum(map(mul, e[i * n : (i + 1) * n], v))
-                for i in range(self.rows)]
-
     def is_zero(self) -> bool:
         return all(x == 0 for x in self.entries)
 
@@ -166,33 +153,6 @@ class SNFResult(Record):
 
     def rank(self) -> int:
         return sum(1 for d in self.diagonal() if d != 0)
-
-    def verify(self, A: IntMatrix) -> bool:
-        """Re-check every SNF invariant against the original matrix.
-
-        The determinant test on U and V is skipped above
-        ``_DET_CHECK_MAX_DIM`` rows: Bareiss minors of large transforms
-        can be huge, and U, V are products of elementary operations by
-        construction.
-        """
-        if self.U @ A @ self.V != self.S:
-            return False
-        d = self.diagonal()
-        if any(x < 0 for x in d):
-            return False
-        for a, b in zip(d, d[1:]):
-            if a == 0 and b != 0:
-                return False
-            if a != 0 and b % a != 0:
-                return False
-        # off-diagonal entries must vanish
-        if any(x for i, row in enumerate(self.S.to_rows())
-               for j, x in enumerate(row) if i != j):
-            return False
-        if max(A.rows, A.cols) <= _DET_CHECK_MAX_DIM:
-            if abs(det_exact(self.U)) != 1 or abs(det_exact(self.V)) != 1:
-                return False
-        return True
 
 
 def _diagonalize(M: list, m: int, n: int) -> None:
@@ -319,36 +279,6 @@ def _smith_with_v(A: IntMatrix):
     return [M[i][i] for i in range(min(m, n))], M[m:]
 
 
-def det_exact(A: IntMatrix) -> int:
-    """Exact determinant by fraction-free Bareiss elimination."""
-    if A.rows != A.cols:
-        raise ValueError("determinant of a non-square matrix")
-    n = A.rows
-    if n == 0:
-        return 1
-    M = A.to_rows()
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if M[k][k] == 0:
-            for i in range(k + 1, n):
-                if M[i][k]:
-                    M[k], M[i] = M[i], M[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pk = M[k][k]
-        for i in range(k + 1, n):
-            Mi, Mk = M[i], M[k]
-            mik = Mi[k]
-            for j in range(k + 1, n):
-                Mi[j] = (Mi[j] * pk - mik * Mk[j]) // prev
-            Mi[k] = 0
-        prev = pk
-    return sign * M[n - 1][n - 1]
-
-
 class PolyZ:
     """Integer polynomial, dense coefficients, lowest degree first."""
 
@@ -359,10 +289,6 @@ class PolyZ:
         while c and c[-1] == 0:
             c.pop()
         self.coeffs = tuple(c)
-
-    @classmethod
-    def x(cls) -> "PolyZ":
-        return cls([0, 1])
 
     def degree(self) -> int:
         # degree of the zero polynomial reported as -1
@@ -439,13 +365,6 @@ class PolyZ:
         except ArithmeticError:
             return False
         return r.is_zero()
-
-    def __call__(self, x):
-        """Evaluate at an int, Fraction, or float by Horner's rule."""
-        acc = 0 * x if self.coeffs else 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
 
     def compose(self, inner: "PolyZ") -> "PolyZ":
         """self(inner(X)) by Horner's rule on polynomials."""
@@ -660,42 +579,37 @@ def charpoly_exact(A: IntMatrix) -> PolyZ:
     return PolyZ(list(reversed(C)))
 
 
-def snf_back_substitute(snf: SNFResult, c):
-    """Solve A*x = b through its Smith form, given c = U*b.
+def coordinates(B: IntMatrix, rows) -> list:
+    """For each row w, an integer x with x*B = w, or None when w lies
+    outside the Z-span of the rows of B; any solution if B is rank
+    deficient.
 
-    With S = U*A*V diagonal the system is s_i * y_i = c_i, one coordinate
-    at a time, and x = V*y.  Each s_i must divide c_i (a zero s_i only a
-    zero c_i).  Returns None when some coordinate has no solution.
+    One Smith form S = U*B^T*V serves the whole batch: x*B = w reads
+    S*y = U*w with x = V*y, so each diagonal entry s_i must divide
+    coordinate i of U*w (past the diagonal, or at s_i = 0, it must be
+    zero).  The products with U and V are read off their rows, with no
+    transposed or intermediate matrix built.
     """
+    rows = [list(map(index, w)) for w in rows]
+    if any(len(w) != B.cols for w in rows):
+        raise ValueError("vector length mismatch")
+    snf = smith_normal_form(B.transpose())
     diag = snf.diagonal()
-    y = [0] * snf.V.rows
-    for i, ci in enumerate(c):
-        s = diag[i] if i < len(diag) else 0
-        if s == 0:
-            if ci:
-                return None
-        else:
-            q, r = divmod(ci, s)
-            if r:
-                return None
-            y[i] = q
-    return snf.V.apply(y)
-
-
-def solve_linear(A: IntMatrix, b, snf: SNFResult | None = None):
-    """Find an integer x with A*x = b exactly, or None.
-
-    Decided through the Smith form: with U*A*V = S diagonal, each
-    diagonal entry must divide its coordinate of U*b.  Pass a
-    precomputed ``snf`` to amortize the reduction across right-hand
-    sides.
-    """
-    b = list(map(index, b))
-    if len(b) != A.rows:
-        raise ValueError("right-hand side length mismatch")
-    if snf is None:
-        snf = smith_normal_form(A)
-    return snf_back_substitute(snf, snf.U.apply(b))
+    U, V = snf.U.to_rows(), snf.V.to_rows()
+    out = []
+    for w in rows:
+        y = [0] * B.rows
+        for i, u in enumerate(U):
+            c = sum(map(mul, u, w))
+            s = diag[i] if i < len(diag) else 0
+            # the remainder of c by s, all of c when s = 0
+            if c % s if s else c:
+                y = None
+                break
+            if s:
+                y[i] = c // s
+        out.append(None if y is None else [sum(map(mul, v, y)) for v in V])
+    return out
 
 
 def kernel_basis(A: IntMatrix) -> list:

@@ -14,7 +14,7 @@ what ``global_det`` reports.
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, prod
 from operator import index
 
 from ._record import Record
@@ -24,7 +24,6 @@ from .exactalg import (
     charpoly_exact,
     chebyshev_matrices,
     chebyshev_u,
-    det_exact,
     elementary_divisors,
     is_prime,
     radical,
@@ -97,11 +96,6 @@ class FusionRing:
                             raise ValueError(
                                 "associativity fails at %s" % ((a, b, c, d),)
                             )
-
-    def validate(self) -> None:
-        """Re-run every invariant check, associativity included."""
-        self._check_basic()
-        self._check_associative()
 
     def to_json_obj(self) -> dict:
         return {
@@ -275,7 +269,8 @@ def global_det(R: FusionRing) -> DetReport:
     Z = IntMatrix.zeros(r, r)
     for p in range(r):
         Z = Z + regular_matrix(R, p) @ regular_matrix(R, R.dual[p])
-    d = abs(det_exact(Z))
+    # the product of the Smith diagonal: |det Z|, or 0 if Z is singular
+    d = prod(elementary_divisors(Z))
     return DetReport(ring=R, Z=Z, det_abs=d, radical=radical(d))
 
 

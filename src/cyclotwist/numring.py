@@ -4,12 +4,13 @@ The ring R is the ring of integers of the maximal real subfield of the
 p-th cyclotomic field (p an odd prime), generated by beta = 2cos(2pi/p)
 with monic minimal polynomial mu of degree (p-1)/2.  Everything here is
 exact: elements are integer coefficient vectors in the power basis of
-beta.  Linear algebra comes from ``exactalg``: Smith-form solves for
-Z-spans and its one GF(2) echelon for everything mod 2.  A mod-2 action
-is an integer matrix (beta, an idempotent lift d_i(beta)) applied to an
-integer vector, then projected through ``_Quotient``.  Each certificate
-is checked in its own verify(), and the constructions below return a
-certificate only after that verify() has passed.
+beta.  Linear algebra comes from ``exactalg``: Smith forms for Z-spans,
+with the questions put to one span asked as one batch of
+``coordinates``, and its one GF(2) echelon for everything mod 2.  A
+mod-2 action is an integer matrix (beta, an idempotent lift d_i(beta))
+applied to an integer vector, then projected through ``_Quotient``.
+Each certificate is checked in its own verify(), and the constructions
+below return a certificate only after that verify() has passed.
 
 Contents:
 
@@ -60,13 +61,12 @@ from .exactalg import (
     chebyshev_matrices,
     chebyshev_t2,
     chebyshev_u,
+    coordinates,
     elementary_divisors,
     is_prime,
     kernel_basis,
     pack_mod2,
     row_basis,
-    smith_normal_form,
-    solve_linear,
 )
 
 
@@ -438,25 +438,6 @@ def _row_basis_rows(rows) -> list:
     return row_basis(IntMatrix.from_rows(rows)) if rows else []
 
 
-class _SpanChecker:
-    """Membership oracle for the Z-span of a fixed set of row vectors;
-    one Smith form, then each query is one back-substitution."""
-
-    def __init__(self, basis_rows):
-        self.At = (IntMatrix.from_rows(basis_rows).transpose()
-                   if basis_rows else None)
-        self.snf = smith_normal_form(self.At) if basis_rows else None
-
-    def coords(self, v):
-        """x with x . basis = v, or None."""
-        if self.At is None:
-            return [] if not any(v) else None
-        return solve_linear(self.At, v, self.snf)
-
-    def contains(self, v) -> bool:
-        return self.coords(v) is not None
-
-
 class _Quotient:
     """M/N as an F2-space for 2M <= N <= M, by its projection.
 
@@ -505,6 +486,8 @@ class RLattice(Record):
     beta: IntMatrix
 
     def __post_init__(self):
+        if self.rank < 0:
+            raise ValueError("rank must be >= 0, got %d" % self.rank)
         d = self.rank * self.ring.degree
         if self.beta.rows != d or self.beta.cols != d:
             raise ValueError("beta matrix has wrong shape")
@@ -591,13 +574,10 @@ def _free_r_basis(ring: RealCyclotomic, span_rows, blocks) -> list:
     k = m // deg
     if k == 0:
         return []
-    Vcheck = _SpanChecker(V)
-    beta_abs = []
-    for v in V:
-        c = Vcheck.coords(_act(blocks, v))
-        if c is None:
-            raise ValueError("lattice is not stable under beta")
-        beta_abs.append(c)
+    beta_abs = coordinates(IntMatrix.from_rows(V),
+                           [_act(blocks, v) for v in V])
+    if None in beta_abs:
+        raise ValueError("lattice is not stable under beta")
     beta_abs = IntMatrix.from_rows(beta_abs)
     if deg == 1:
         return V
@@ -874,9 +854,8 @@ def lattice_split(M: RLattice, n_gens) -> SplitCertificate:
     # failure, name the first coordinate i with 2 e_i outside N
     if len(H) != d or any(s not in (1, 2)
                           for s in elementary_divisors(_mat(H, d))):
-        hcheck = _SpanChecker(H)
-        i = next(i for i in range(d)
-                 if not hcheck.contains([2 * (k == i) for k in range(d)]))
+        i = coordinates(_mat(H, d),
+                        IntMatrix.identity(d).scale(2).to_rows()).index(None)
         raise ValueError("2M <= N fails at coordinate %d" % i)
 
     A = _free_r_basis(ring, IntMatrix.identity(d).to_rows(), [beta])
@@ -1099,13 +1078,9 @@ def involution_split(module: Z2Module, padding: int = 0) -> InvolutionSplit:
         basisR = _free_r_basis(ring, M2, [beta_t])
         k = len(basisR)
         T_rows = [v for b in basisR for v in _orbit(b, [beta_t], deg)]
-        tcheck = _SpanChecker(T_rows)
-        n2_abs = []
-        for v in N2:
-            c = tcheck.coords(v)
-            if c is None:
-                raise AssertionError("2-division lattice escaped M2")
-            n2_abs.append(c)
+        n2_abs = coordinates(IntMatrix.from_rows(T_rows), N2)
+        if None in n2_abs:
+            raise AssertionError("2-division lattice escaped M2")
         cert = lattice_split(RLattice.free(ring, k), n2_abs)
         # back to ambient coordinates, copy by copy: x -> x . T
         back = [IntMatrix.from_rows(T_rows)] * nG
@@ -1130,14 +1105,12 @@ def involution_split(module: Z2Module, padding: int = 0) -> InvolutionSplit:
         basis0 = _free_r_basis(ring, P0, beta_amp)
         k0 = len(basis0)
         T0_rows = [v for b in basis0 for v in _orbit(b, beta_amp, deg)]
-        t0check = _SpanChecker(T0_rows)
-        y_r = []
-        for s in range(k0):
-            c = t0check.coords(_act(y_amp, basis0[s]))
-            if c is None:
-                raise AssertionError("P_0 is not Y-stable")
-            y_r.append([PolyZ(list(c[t * deg:(t + 1) * deg]))
-                        for t in range(k0)])
+        y_abs = coordinates(IntMatrix.from_rows(T0_rows),
+                            [_act(y_amp, b) for b in basis0])
+        if None in y_abs:
+            raise AssertionError("P_0 is not Y-stable")
+        y_r = [[PolyZ(c[t * deg:(t + 1) * deg]) for t in range(k0)]
+               for c in y_abs]
         phi_z = _higman_endomorphism(ring, y_r)
         if phi_z is None:
             raise InvolutionError(

@@ -362,6 +362,18 @@ def test_numring_involution_file_input(capsys, tmp_path):
     assert "higman certificate: present" in out
 
 
+@pytest.mark.parametrize("sub, obj", [
+    ("split", {"p": 5, "rank": -1, "n_gens": []}),
+    ("involution", {"p": 5, "rank": -1, "y": []}),
+])
+def test_numring_negative_rank_exits_two(capsys, tmp_path, sub, obj):
+    f = tmp_path / "in.json"
+    f.write_text(json.dumps(obj))
+    code, out, err = run(capsys, ["numring", sub, "--file", str(f)])
+    assert code == 2 and out == ""
+    assert "rank must be >= 0, got -1" in err
+
+
 def test_numring_resolve_file_input(capsys, tmp_path):
     f = tmp_path / "res.json"
     f.write_text(json.dumps({"p": 5, "rank": 1,

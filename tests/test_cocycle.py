@@ -17,6 +17,7 @@ from cyclotwist.cocycle import (
     is_cocycle,
     omega,
 )
+from exact_oracles import apply
 
 
 def reverse(c: Cocycle3) -> Cocycle3:
@@ -67,7 +68,7 @@ def snf_class(c):
     L = lcm(c.den, m)
     for k in range(m):
         g = c.sub(omega(m, k))
-        ub = snf.U.apply([x * (L // g.den) for x in g.nums])
+        ub = apply(snf.U, [x * (L // g.den) for x in g.nums])
         if all(ci % gcd(diag[i] if i < len(diag) else 0, L) == 0
                for i, ci in enumerate(ub)):
             return k

@@ -13,21 +13,35 @@ from cyclotwist.exactalg import (
     chebyshev_matrices,
     chebyshev_t2,
     chebyshev_u,
-    det_exact,
+    coordinates,
     elementary_divisors,
     kernel_basis,
     row_basis,
     smith_normal_form,
-    solve_linear,
 )
-from cyclotwist.fusion import FusionModule, FusionRing
+from cyclotwist.fusion import (
+    FusionModule,
+    FusionRing,
+    global_det,
+    pointed_cyclic,
+    tlj,
+    tlj_even,
+)
 from cyclotwist.numring import (
     RLattice,
+    _span_profile,
     lattice_split,
     real_cyclotomic,
     resolve_z2_module,
 )
 from cyclotwist.pimsner import CorrSpec
+from exact_oracles import (
+    apply,
+    det_bareiss,
+    poly_eval,
+    snf_verify,
+    solve_one,
+)
 
 
 def test_intmatrix_shape_guard():
@@ -42,7 +56,7 @@ def test_intmatrix_product_and_transpose():
     b = IntMatrix.from_rows([[0, 1], [1, 0]])
     assert a @ b == IntMatrix.from_rows([[2, 1], [4, 3]])
     assert a.transpose() == IntMatrix.from_rows([[1, 3], [2, 4]])
-    assert a.apply([1, 1]) == [3, 7]
+    assert apply(a, [1, 1]) == [3, 7]
 
 
 def test_intmatrix_zero_dimensions():
@@ -56,7 +70,7 @@ def test_snf_identity():
     a = IntMatrix.identity(3)
     r = smith_normal_form(a)
     assert r.S == a and r.U == a and r.V == a
-    assert r.verify(a)
+    assert snf_verify(r, a)
 
 
 def test_snf_hand_example():
@@ -64,21 +78,21 @@ def test_snf_hand_example():
     a = IntMatrix.from_rows([[2, 4], [6, 8]])
     r = smith_normal_form(a)
     assert r.diagonal() == [2, 4]
-    assert r.verify(a)
+    assert snf_verify(r, a)
 
 
 def test_snf_zero_matrix():
     a = IntMatrix.zeros(2, 2)
     r = smith_normal_form(a)
     assert r.S == a
-    assert abs(det_exact(r.U)) == 1 and abs(det_exact(r.V)) == 1
-    assert r.verify(a)
+    assert abs(det_bareiss(r.U)) == 1 and abs(det_bareiss(r.V)) == 1
+    assert snf_verify(r, a)
 
 
 def test_snf_rectangular():
     a = IntMatrix.from_rows([[1, 2, 3], [4, 5, 6]])
     r = smith_normal_form(a)
-    assert r.verify(a)
+    assert snf_verify(r, a)
     assert r.diagonal() == [1, 3]  # 2x2 minors have gcd 3
 
 
@@ -120,7 +134,7 @@ def test_elementary_divisors_match_snf_diagonal():
                              else 0 for _ in range(m * n)])
         r = smith_normal_form(a)
         assert elementary_divisors(a) == r.diagonal()
-        assert r.verify(a)
+        assert snf_verify(r, a)
 
 
 def _diagonalize_full_scan(M, m, n):
@@ -269,7 +283,7 @@ def test_row_basis_and_kernel_read_the_smith_transforms(kind):
     lambda: PolyZ([0.7, 2.2]),
     lambda: PolyF2(2.5),
     lambda: IntMatrix.identity(2).scale(1.5),
-    lambda: solve_linear(IntMatrix.identity(1), [1.5]),
+    lambda: coordinates(IntMatrix.identity(1), [[1.5]]),
     lambda: CorrSpec.from_json_obj({"n": 1.9, "mult": [["inf"]]}),
     lambda: Cocycle3.from_json_obj(
         {"m": 2.9, "denominator": 1, "values": [0] * 8}),
@@ -280,7 +294,7 @@ def test_row_basis_and_kernel_read_the_smith_transforms(kind):
     lambda: FusionModule(FusionRing(["1"], 0, [0], [[[1]]]), 1.0,
                          [IntMatrix.identity(1)]),
 ], ids=["IntMatrix", "PolyZ", "PolyF2", "IntMatrix.scale",
-        "solve_linear", "CorrSpec",
+        "coordinates", "CorrSpec",
         "Cocycle3", "lattice_split", "resolve_z2_module", "FusionRing",
         "FusionModule"])
 def test_non_integer_inputs_raise_type_error(build):
@@ -289,24 +303,45 @@ def test_non_integer_inputs_raise_type_error(build):
 
 
 def test_det_examples():
-    assert det_exact(IntMatrix.identity(5)) == 1
-    assert det_exact(IntMatrix.from_rows([[3, 0, 1], [0, 4, 0], [1, 0, 3]])) == 32
-    assert det_exact(IntMatrix.from_rows([[2, 1], [1, 3]])) == 5
+    for rows, det in (([[3, 0, 1], [0, 4, 0], [1, 0, 3]], 32),
+                      ([[2, 1], [1, 3]], 5), ([[2, 4], [1, 2]], 0)):
+        a = IntMatrix.from_rows(rows)
+        assert det_bareiss(a) == det
+        assert math.prod(elementary_divisors(a)) == abs(det)
+    assert det_bareiss(IntMatrix.identity(5)) == 1
+    assert math.prod(elementary_divisors(IntMatrix.identity(0))) == 1
     with pytest.raises(ValueError):
-        det_exact(IntMatrix.zeros(2, 3))
+        det_bareiss(IntMatrix.zeros(2, 3))
 
 
 def test_det_agrees_with_snf_on_random_matrices():
+    # |det| as global_det takes it, the product of the Smith diagonal,
+    # against Bareiss; a third of the matrices are singular
     rng = random.Random(20260814)
-    for _ in range(200):
+    singular = 0
+    for _ in range(300):
         n = rng.randint(1, 12)
-        a = IntMatrix(n, n, [rng.randint(-9, 9) for _ in range(n * n)])
+        if rng.random() < 1 / 3:
+            r = rng.randint(0, n - 1)
+            a = (IntMatrix(n, r, [rng.randint(-4, 4) for _ in range(n * r)])
+                 @ IntMatrix(r, n, [rng.randint(-4, 4) for _ in range(r * n)]))
+        else:
+            a = IntMatrix(n, n, [rng.randint(-9, 9) for _ in range(n * n)])
         r = smith_normal_form(a)
-        assert r.verify(a)
-        prod = 1
-        for d in r.diagonal():
-            prod *= d
-        assert abs(det_exact(a)) == abs(prod)
+        assert snf_verify(r, a)
+        det = det_bareiss(a)
+        assert math.prod(elementary_divisors(a)) == abs(det)
+        singular += det == 0
+    assert singular >= 80
+
+
+@pytest.mark.parametrize("family, first", [
+    (tlj, 0), (tlj_even, 0), (pointed_cyclic, 1)],
+    ids=["tlj", "tlj_even", "pointed_cyclic"])
+def test_global_det_matches_bareiss(family, first):
+    for k in range(first, 21):
+        rep = global_det(family(k))
+        assert rep.det_abs == abs(det_bareiss(rep.Z))
 
 
 def test_chebyshev_u_small():
@@ -323,7 +358,7 @@ def test_chebyshev_u_roots_float():
         p = chebyshev_u(n)
         for j in range(1, n + 1):
             x = 2.0 * math.cos(j * math.pi / (n + 1))
-            assert abs(p(x)) < 1e-9
+            assert abs(poly_eval(p, x)) < 1e-9
 
 
 def test_chebyshev_t2_angle_doubling():
@@ -331,7 +366,8 @@ def test_chebyshev_t2_angle_doubling():
     for n in range(8):
         p = chebyshev_t2(n)
         for t in (0.3, 1.1, 2.0):
-            assert abs(p(2.0 * math.cos(t)) - 2.0 * math.cos(n * t)) < 1e-9
+            assert abs(poly_eval(p, 2.0 * math.cos(t))
+                       - 2.0 * math.cos(n * t)) < 1e-9
 
 
 def test_chebyshev_matrices_match_horner():
@@ -374,16 +410,68 @@ def test_charpoly_matches_det_at_points():
         p = charpoly_exact(a)
         for x in (-2, -1, 0, 1, 3):
             shifted = IntMatrix.identity(n).scale(x) - a
-            assert p(x) == det_exact(shifted)
+            assert poly_eval(p, x) == det_bareiss(shifted)
 
 
-def test_solve_linear_exact():
+def test_coordinates_exact():
     a = IntMatrix.from_rows([[2, 0], [0, 3]])
-    assert solve_linear(a, [4, 9]) == [2, 3]
-    assert solve_linear(a, [1, 3]) is None
-    wide = IntMatrix.from_rows([[1, 2, 3]])
-    x = solve_linear(wide, [7])
-    assert x is not None and wide.apply(x) == [7]
+    assert coordinates(a, [[4, 9], [1, 3], [0, 0]]) == [[2, 3], None, [0, 0]]
+    assert coordinates(a, []) == []
+    # rank deficient: any solution will do
+    tall = IntMatrix.from_rows([[1], [2], [3]])
+    (x,) = coordinates(tall, [[7]])
+    assert x is not None and apply(tall.transpose(), x) == [7]
+    with pytest.raises(ValueError):
+        coordinates(a, [[1, 2, 3]])
+
+
+def _coordinates_case(rng, kind):
+    """(B, rows): rows of the span of B, some moved off it."""
+    k, n = rng.randint(0, 6), rng.randint(0, 6)
+    if kind == "full-rank":
+        k = rng.randint(0, n)
+        B = IntMatrix(k, n, [rng.randint(-5, 5) for _ in range(k * n)])
+    elif kind == "rank-deficient":
+        r = rng.randint(0, min(k, n))
+        B = (IntMatrix(k, r, [rng.randint(-3, 3) for _ in range(k * r)])
+             @ IntMatrix(r, n, [rng.randint(-3, 3) for _ in range(r * n)]))
+    elif kind == "zero-rows":
+        rows = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(k)]
+        for i in rng.sample(range(k), rng.randint(0, k)):
+            rows[i] = [0] * n
+        B = IntMatrix(k, n, [x for r in rows for x in r])
+    else:
+        B = IntMatrix.zeros(0, n)
+    rows = []
+    for _ in range(rng.randint(0, 5)):
+        x = [rng.randint(-3, 3) for _ in range(B.rows)]
+        w = apply(B.transpose(), x)
+        if rng.random() < 0.5:
+            w = [a + rng.choice([0, 0, 1, -1, 2]) for a in w]
+        rows.append(w)
+    return B, rows
+
+
+@pytest.mark.parametrize(
+    "kind", ["full-rank", "rank-deficient", "zero-rows", "empty"])
+def test_coordinates_matches_back_substitution(kind):
+    # one Smith form for the batch against one per vector; the verdict
+    # also against the span profile of B + [w]
+    rng = random.Random("coordinates/" + kind)
+    seen = set()
+    for _ in range(150):
+        B, rows = _coordinates_case(rng, kind)
+        xs = coordinates(B, rows)
+        assert len(xs) == len(rows)
+        profile = _span_profile(B.to_rows(), B.cols)
+        for w, x in zip(rows, xs):
+            outside = _span_profile(B.to_rows() + [w], B.cols) != profile
+            assert (x is None) == outside, (B, w)
+            if x is not None:
+                assert len(x) == B.rows and apply(B.transpose(), x) == w
+            assert x == solve_one(B.transpose(), w)
+            seen.add(x is None)
+    assert seen == {True, False}
 
 
 def test_kernel_basis():
@@ -391,7 +479,7 @@ def test_kernel_basis():
     ker = kernel_basis(a)
     assert len(ker) == 2
     for v in ker:
-        assert a.apply(v) == [0]
+        assert apply(a, v) == [0]
     # the kernel is saturated: SNF of the kernel matrix has unit diagonal
     km = IntMatrix.from_rows(ker).transpose()
     assert smith_normal_form(km).diagonal() == [1, 1]

@@ -1,7 +1,7 @@
 import pytest
 
 import cyclotwist.fusion as fusion
-from cyclotwist.exactalg import IntMatrix, PolyZ, charpoly_exact, chebyshev_u, det_exact
+from cyclotwist.exactalg import IntMatrix, PolyZ, charpoly_exact, chebyshev_u
 from cyclotwist.fusion import (
     FusionRing,
     chebyshev_structure_check,

@@ -14,50 +14,10 @@ invariant violation (certificate or dual-route consistency failure).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
-from .cocycle import (
-    Cocycle3,
-    NotClassified,
-    cohomology_class,
-    crt_check,
-    embed_check,
-    is_cocycle,
-    omega,
-)
-from .exactalg import IntMatrix
-from .fusion import (
-    chebyshev_structure_check,
-    dk_module,
-    global_det,
-    group_ring_iso_check,
-    parity_sequence,
-    pointed_cyclic,
-    tlj,
-    tlj_even,
-)
-from .numring import (
-    RLattice,
-    Z2Module,
-    factor_two,
-    galois,
-    idempotents_mod2,
-    involution_split,
-    involution_split_auto,
-    lattice_split,
-    real_cyclotomic,
-    resolve_z2_module,
-)
-from .obstruction import (
-    ActionQuery,
-    ev1_image,
-    exists_automorphism_action,
-    exists_tensor_action,
-    fibonacci_acts,
-    intro_formulation,
-)
-from .pimsner import CorrSpec, simplicity_reports, validate
+# Library modules are imported by the handlers that call them, so a
+# process compiles only the modules its command runs.
 
 CIT_DET_TLJ = "det formula at level k: 2^(k+1) (k+2)^(k-1)"
 CIT_DET_EVEN = "even-part det, odd k: (k+2)^floor(k/2) 2^(k-1-2 floor(k/2))"
@@ -92,6 +52,7 @@ def _verdict(args, label: str, value: bool, citation: str) -> int:
 
 def _emit_json(args, payload: dict) -> None:
     if getattr(args, "json_path", None):
+        import json
         payload = dict(payload)
         payload["seed"] = args.seed
         with open(args.json_path, "w", encoding="utf-8") as fh:
@@ -100,6 +61,7 @@ def _emit_json(args, payload: dict) -> None:
 
 
 def _load_json(path: str) -> dict:
+    import json
     with open(path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
     if not isinstance(obj, dict):
@@ -142,6 +104,7 @@ def _field(obj: dict, name: str, depth: int, leaf=_int):
 # ---------------------------------------------------------------- fusion
 
 def _select_ring(args):
+    from .fusion import pointed_cyclic, tlj, tlj_even
     if args.tlj is not None:
         return tlj(args.tlj), "tlj(%d)" % args.tlj
     if args.tlj_even is not None:
@@ -180,6 +143,7 @@ def _even_det_formula(k: int) -> int:
 
 
 def _cmd_fusion_det(args) -> int:
+    from .fusion import global_det
     ring, name = _select_ring(args)
     rep = global_det(ring)
     payload = {"name": name, "det_abs": rep.det_abs, "radical": rep.radical}
@@ -224,6 +188,7 @@ def _cmd_fusion_det(args) -> int:
 
 
 def _cmd_fusion_cheb(args) -> int:
+    from .fusion import chebyshev_structure_check
     rep = chebyshev_structure_check(args.level)
     _say("powers match U_i: %s" % rep.powers_match)
     _say("U_(k+1)(X/2) annihilates: %s" % rep.annihilated)
@@ -238,6 +203,7 @@ def _cmd_fusion_cheb(args) -> int:
 
 
 def _cmd_fusion_parity(args) -> int:
+    from .fusion import parity_sequence
     rep = parity_sequence(args.half_level)
     _say("injective: %s  image saturated: %s  composite zero: %s  "
          "surjective: %s" % (rep.injective, rep.image_saturated,
@@ -253,6 +219,7 @@ def _cmd_fusion_parity(args) -> int:
 
 
 def _cmd_fusion_dk(args) -> int:
+    from .fusion import dk_module
     mod = dk_module(args.level)  # validates the module axioms
     _say("folded module at level %d: rank %d over a base of rank %d"
          % (args.level, mod.rank, mod.base.rank))
@@ -268,6 +235,7 @@ def _cmd_fusion_dk(args) -> int:
 
 
 def _cmd_fusion_iso(args) -> int:
+    from .fusion import group_ring_iso_check
     rep = group_ring_iso_check(args.p)
     for name in ("top_label_squares_to_unit", "flip_is_permutation",
                  "flip_swaps_parity", "grading_multiplicative",
@@ -280,7 +248,8 @@ def _cmd_fusion_iso(args) -> int:
 
 # --------------------------------------------------------------- cocycle
 
-def _load_cocycle(args) -> Cocycle3:
+def _load_cocycle(args):
+    from .cocycle import Cocycle3, omega
     if args.file:
         obj = _load_json(args.file)
         return Cocycle3.from_json_obj({
@@ -301,6 +270,7 @@ def _add_cocycle_source(p):
 
 
 def _cmd_cocycle_make(args) -> int:
+    from .cocycle import omega
     c = omega(args.m, args.k)
     _say("omega(%d, %d): %d table entries, denominator lcm %d"
          % (args.m, args.k, len(c.nums), c.den))
@@ -309,6 +279,7 @@ def _cmd_cocycle_make(args) -> int:
 
 
 def _cmd_cocycle_check(args) -> int:
+    from .cocycle import NotClassified, cohomology_class, is_cocycle
     c = _load_cocycle(args)
     # the m^4 scan decides; the class certificate must agree with it
     chk = is_cocycle(c)
@@ -328,6 +299,7 @@ def _cmd_cocycle_check(args) -> int:
 
 
 def _cmd_cocycle_class(args) -> int:
+    from .cocycle import NotClassified, cohomology_class
     c = _load_cocycle(args)
     try:
         cls = cohomology_class(c)
@@ -340,12 +312,14 @@ def _cmd_cocycle_class(args) -> int:
 
 
 def _cmd_cocycle_embed(args) -> int:
+    from .cocycle import embed_check
     ok = embed_check(args.m, args.n, args.k)
     _emit_json(args, {"m": args.m, "n": args.n, "k": args.k, "embed": ok})
     return _verdict(args, "embedding identity", ok, CIT_EMBED)
 
 
 def _cmd_cocycle_crt(args) -> int:
+    from .cocycle import crt_check
     ok = crt_check(args.m, args.n, args.k)
     _emit_json(args, {"m": args.m, "n": args.n, "k": args.k, "crt": ok})
     return _verdict(args, "coprime split classes", ok, CIT_CRT)
@@ -353,11 +327,13 @@ def _cmd_cocycle_crt(args) -> int:
 
 # ----------------------------------------------------------- obstruction
 
-def _query(args) -> ActionQuery:
+def _query(args):
+    from .obstruction import ActionQuery
     return ActionQuery(args.m, args.n, args.k)
 
 
 def _cmd_obstruction_cuntz(args) -> int:
+    from .obstruction import exists_automorphism_action, exists_tensor_action
     q = _query(args)
     tensor = exists_tensor_action(q)
     aut = exists_automorphism_action(q)
@@ -370,6 +346,7 @@ def _cmd_obstruction_cuntz(args) -> int:
 
 
 def _cmd_obstruction_tensor(args) -> int:
+    from .obstruction import exists_tensor_action
     q = _query(args)
     ok = exists_tensor_action(q)
     _emit_json(args, {"m": q.m, "n": q.n, "k": q.k, "tensor": ok})
@@ -377,6 +354,7 @@ def _cmd_obstruction_tensor(args) -> int:
 
 
 def _cmd_obstruction_intro(args) -> int:
+    from .obstruction import intro_formulation
     q = _query(args)
     ok = intro_formulation(q)
     _emit_json(args, {"m": q.m, "n": q.n, "k": q.k, "intro": ok})
@@ -384,6 +362,7 @@ def _cmd_obstruction_intro(args) -> int:
 
 
 def _cmd_obstruction_fibonacci(args) -> int:
+    from .obstruction import fibonacci_acts
     rep = fibonacci_acts(args.n)
     if rep.witness is not None:
         _say("witness: %d" % rep.witness)
@@ -392,6 +371,7 @@ def _cmd_obstruction_fibonacci(args) -> int:
 
 
 def _cmd_obstruction_ev1(args) -> int:
+    from .obstruction import ev1_image
     g = ev1_image(args.m, args.n)
     _say("ev1 image generator: %d  [%s]" % (g, CIT_EV1))
     _emit_json(args, {"m": args.m, "n": args.n, "generator": g})
@@ -401,6 +381,7 @@ def _cmd_obstruction_ev1(args) -> int:
 # --------------------------------------------------------------- numring
 
 def _cmd_numring_minpoly(args) -> int:
+    from .numring import real_cyclotomic
     ring = real_cyclotomic(args.p)
     _say("mu (lowest coefficient first): %s"
          % " ".join(str(c) for c in ring.mu.coeffs))
@@ -411,6 +392,7 @@ def _cmd_numring_minpoly(args) -> int:
 
 
 def _cmd_numring_factor2(args) -> int:
+    from .numring import factor_two, real_cyclotomic
     fac = factor_two(real_cyclotomic(args.p))
     _say("mu mod 2 = product of %d irreducible factor(s) of degree %d"
          % (fac.count, fac.f))
@@ -422,6 +404,7 @@ def _cmd_numring_factor2(args) -> int:
 
 
 def _cmd_numring_idem(args) -> int:
+    from .numring import idempotents_mod2, real_cyclotomic
     idem = idempotents_mod2(real_cyclotomic(args.p))
     for i, e in enumerate(idem):
         _say("e_%d: %s" % (i, " ".join(str(b) for b in e.coeffs())))
@@ -431,6 +414,7 @@ def _cmd_numring_idem(args) -> int:
 
 
 def _cmd_numring_galois(args) -> int:
+    from .numring import galois, real_cyclotomic
     m = galois(real_cyclotomic(args.p), args.a)
     for i in range(m.rows):
         _say(" ".join(str(x) for x in m.row(i)))
@@ -438,7 +422,9 @@ def _cmd_numring_galois(args) -> int:
     return 0
 
 
-def _lattice_from_json(obj: dict) -> RLattice:
+def _lattice_from_json(obj: dict):
+    from .exactalg import IntMatrix
+    from .numring import RLattice, real_cyclotomic
     p, rank = _field(obj, "p", 0), _field(obj, "rank", 0)
     ring = real_cyclotomic(p)
     if obj.get("beta") is None:
@@ -447,6 +433,7 @@ def _lattice_from_json(obj: dict) -> RLattice:
 
 
 def _cmd_numring_split(args) -> int:
+    from .numring import lattice_split
     obj = _load_json(args.file)
     # lattice_split returns only certificates whose verify() passed
     cert = lattice_split(_lattice_from_json(obj), _field(obj, "n_gens", 2))
@@ -466,6 +453,8 @@ def _cmd_numring_split(args) -> int:
 
 
 def _cmd_numring_involution(args) -> int:
+    from .exactalg import IntMatrix
+    from .numring import Z2Module, involution_split, involution_split_auto
     obj = _load_json(args.file)
     mod = Z2Module(_lattice_from_json(obj),
                    IntMatrix.from_rows(_field(obj, "y", 2)))
@@ -493,6 +482,7 @@ def _cmd_numring_involution(args) -> int:
 
 
 def _cmd_numring_resolve(args) -> int:
+    from .numring import resolve_z2_module
     obj = _load_json(args.file)
     relations = _field(obj, "relations", 2) if "relations" in obj else []
     # resolve_z2_module returns only resolutions whose verify() passed
@@ -515,6 +505,7 @@ def _cmd_numring_resolve(args) -> int:
 # --------------------------------------------------------------- pimsner
 
 def _cmd_pimsner_check(args) -> int:
+    from .pimsner import CorrSpec, simplicity_reports, validate
     obj = _load_json(args.file)
     # entries are checked by CorrSpec itself: integers or "inf"
     spec = CorrSpec.from_json_obj({
@@ -554,6 +545,8 @@ def _cmd_pimsner_check(args) -> int:
 # ----------------------------------------------------------------- sweep
 
 def _cmd_sweep_agreement(args) -> int:
+    from .obstruction import (ActionQuery, exists_automorphism_action,
+                              exists_tensor_action, intro_formulation)
     mmax = args.max
     if mmax < 1 or mmax > 200:
         raise ValueError("--max must be between 1 and 200")
@@ -582,6 +575,7 @@ def _cmd_sweep_agreement(args) -> int:
 
 
 def _cmd_sweep_det(args) -> int:
+    from .fusion import global_det, tlj
     kmax = args.max_k
     if kmax < 1 or kmax > 12:
         raise ValueError("--max-k must be between 1 and 12")
@@ -601,6 +595,7 @@ def _cmd_sweep_det(args) -> int:
 
 
 def _cmd_sweep_fibonacci(args) -> int:
+    from .obstruction import fibonacci_acts
     nmax = args.max_n
     if nmax < 1 or nmax > 200000:
         raise ValueError("--max-n must be between 1 and 200000")
@@ -754,13 +749,14 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (AssertionError, ArithmeticError, NotClassified) as exc:
+    except (AssertionError, ArithmeticError) as exc:
+        # cocycle.NotClassified is an ArithmeticError
         sys.stderr.write("invariant violation: %s\n" % exc)
         return 3
-    except (ValueError, KeyError, OSError, RuntimeError,
-            json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError, RuntimeError) as exc:
         # RuntimeError covers the declared decline paths of the lattice
-        # constructions: input outside the certified scope
+        # constructions: input outside the certified scope; malformed
+        # JSON is a ValueError
         sys.stderr.write("error: %s\n" % exc)
         return 2
 

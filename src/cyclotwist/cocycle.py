@@ -125,7 +125,7 @@ class CocycleCheck(Record):
     witness: tuple | None  # first violating (f,g,h,k) if any
 
 
-class NotClassified(Exception):
+class NotClassified(ArithmeticError):
     """The table is not a cocycle, so it has no class."""
 
 

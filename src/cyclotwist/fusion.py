@@ -265,10 +265,23 @@ def global_det(R: FusionRing) -> DetReport:
     The radical is the sharpest published upper bound for the liftability
     constant of the ring: only the prime divisors of |det Z| matter.
     """
-    r = R.rank
-    Z = IntMatrix.zeros(r, r)
-    for p in range(r):
-        Z = Z + regular_matrix(R, p) @ regular_matrix(R, R.dual[p])
+    r, N, dual = R.rank, R.N, R.dual
+    # entry (a, b) of M(p) M(dual p) is sum_w N[a][p][w] N[w][dual p][b],
+    # so row a of Z gains N[a][p][w] times row N[w][dual p] for each
+    # nonzero N[a][p][w]; those rows are mostly zero, so keep their support
+    support = [[[(b, x) for b, x in enumerate(row) if x] for row in plane]
+               for plane in N]
+    entries = []
+    for a in range(r):
+        z = [0] * r
+        for p, plane in enumerate(N[a]):
+            q = dual[p]
+            for w, c in enumerate(plane):
+                if c:
+                    for b, x in support[w][q]:
+                        z[b] += c * x
+        entries += z
+    Z = IntMatrix(r, r, entries)
     # the product of the Smith diagonal: |det Z|, or 0 if Z is singular
     d = prod(elementary_divisors(Z))
     return DetReport(ring=R, Z=Z, det_abs=d, radical=radical(d))

@@ -193,7 +193,7 @@ def test_invariant_violation_exits_three(capsys, monkeypatch):
     def broken(q):
         raise AssertionError("forced certificate mismatch")
 
-    monkeypatch.setattr("cyclotwist.cli.exists_tensor_action", broken)
+    monkeypatch.setattr("cyclotwist.obstruction.exists_tensor_action", broken)
     code, _, err = run(capsys, ["obstruction", "tensor",
                                 "--m", "2", "--n", "3", "--k", "1"])
     assert code == 3
@@ -237,7 +237,7 @@ def test_unclassifiable_cocycle_exits_three(capsys, monkeypatch):
         raise NotClassified("forced")
 
     # the scan passes a true cocycle that the certificate refuses
-    monkeypatch.setattr("cyclotwist.cli.cohomology_class", refuse)
+    monkeypatch.setattr("cyclotwist.cocycle.cohomology_class", refuse)
     code, _, err = run(capsys, ["cocycle", "check", "--m", "3", "--k", "1"])
     assert code == 3
     assert "invariant violation" in err
@@ -248,7 +248,6 @@ def test_cocycle_class_decides_without_identity_scan(capsys, tmp_path,
     def forbidden(c):
         raise AssertionError("is_cocycle called")
 
-    monkeypatch.setattr("cyclotwist.cli.is_cocycle", forbidden)
     monkeypatch.setattr("cyclotwist.cocycle.is_cocycle", forbidden)
     nc = tmp_path / "nc.json"
     nc.write_text(json.dumps({"m": 2, "denominator": 3,
@@ -283,7 +282,6 @@ _CORR_MIXED = {"n": 3, "mult": [["inf", 0, 0], [1, 0, 0], [0, 0, "inf"]]}
 
 def test_pimsner_check_lists_and_rechecks_once(capsys, tmp_path,
                                               monkeypatch):
-    import cyclotwist.cli as cli
     import cyclotwist.pimsner as pimsner
 
     f = tmp_path / "corr.json"
@@ -305,7 +303,6 @@ def test_pimsner_check_lists_and_rechecks_once(capsys, tmp_path,
                         counted(pimsner.invariant_ideals, "list"))
     validate = counted(pimsner.validate, "validate")
     monkeypatch.setattr(pimsner, "validate", validate)
-    monkeypatch.setattr(cli, "validate", validate)
     monkeypatch.setattr(pimsner, "_recheck", recheck)
     code, out, _ = run(capsys, ["pimsner", "check", "--file", str(f)])
     assert code == 0

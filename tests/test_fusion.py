@@ -160,6 +160,24 @@ def test_pointed_det_table():
         assert global_det(pointed_cyclic(m)).det_abs == m**m
 
 
+def product_sum_z(R: FusionRing) -> IntMatrix:
+    """Z = sum_p M(p) M(dual p) as r matrix products and additions: the
+    route global_det took before it summed the structure tensor."""
+    Z = IntMatrix.zeros(R.rank, R.rank)
+    for p in range(R.rank):
+        Z = Z + regular_matrix(R, p) @ regular_matrix(R, R.dual[p])
+    return Z
+
+
+@pytest.mark.parametrize("family, first", [
+    (tlj, 0), (tlj_even, 0), (pointed_cyclic, 1)],
+    ids=["tlj", "tlj_even", "pointed_cyclic"])
+def test_global_det_z_matches_product_sum(family, first):
+    for k in range(first, 21):
+        R = family(k)
+        assert global_det(R).Z == product_sum_z(R)
+
+
 def test_chebyshev_structure():
     for k in (0, 4, 7):
         rep = chebyshev_structure_check(k)

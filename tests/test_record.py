@@ -10,19 +10,71 @@ from cyclotwist.exactalg import IntMatrix, SNFResult
 from cyclotwist.obstruction import MAX_MODULUS, ActionQuery
 
 
-def test_cli_import_loads_no_dataclasses_or_inspect():
+def _leaf(*argv) -> str:
+    return "assert main(%r) == 0" % list(argv)
+
+
+# (what a fresh interpreter runs after ``import cyclotwist.cli``, the
+# cyclotwist modules it then holds); SPEC names a Pimsner spec file
+FRESH = {
+    "import": ("pass", {"cli"}),
+    # one leaf per command group loads exactly that group's modules
+    "obstruction-cuntz": (
+        _leaf("obstruction", "cuntz", "--m", "3", "--n", "4", "--k", "1"),
+        {"cli", "obstruction", "exactalg", "_record"}),
+    "cocycle-check": (_leaf("cocycle", "check", "--m", "3", "--k", "1"),
+                      {"cli", "cocycle", "_record"}),
+    "numring-minpoly": (_leaf("numring", "minpoly", "--p", "7"),
+                        {"cli", "numring", "exactalg", "_record"}),
+    "fusion-det": (_leaf("fusion", "det", "--tlj", "3"),
+                   {"cli", "fusion", "exactalg", "_record"}),
+    "pimsner-check": ("assert main(['pimsner', 'check', '--file', SPEC]) == 0",
+                      {"cli", "pimsner", "_record"}),
+    "sweep-agreement": (_leaf("sweep", "agreement", "--max", "4"),
+                        {"cli", "obstruction", "exactalg", "_record"}),
+    # the package imports a module on first access, and all six for a
+    # star import
+    "attribute": ("cyclotwist.numring.real_cyclotomic",
+                  {"cli", "numring", "exactalg", "_record"}),
+    "star": ("from cyclotwist import *\n"
+             "assert [m.__name__ for m in (exactalg, fusion, cocycle, "
+             "obstruction, numring, pimsner)] == "
+             "['cyclotwist.' + n for n in cyclotwist.__all__]",
+             {"cli", "exactalg", "fusion", "cocycle", "obstruction",
+              "numring", "pimsner", "_record"}),
+}
+
+
+@pytest.mark.parametrize("code, modules", FRESH.values(), ids=FRESH)
+def test_cli_import_loads_no_dataclasses_or_inspect(tmp_path, code,
+                                                    modules):
     # a fresh interpreter, so that nothing imported by the test session
-    # counts; dataclasses pulls in inspect, ast, dis and tokenize
+    # counts; dataclasses pulls in inspect, ast, dis and tokenize, and a
+    # command compiles only its own group's modules
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"n": 2, "mult": [["inf", 1], [0, 1]]}')
     src = str(Path(cyclotwist.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    r = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, cyclotwist.cli; "
-         "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
-        capture_output=True, text=True, env=env,
-    )
+    probe = "\n".join([
+        "import sys, cyclotwist.cli",
+        "loaded = set(sys.modules)",
+        "main = cyclotwist.cli.main",
+        "SPEC = %r" % str(spec),
+        code,
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)),",
+        "      sorted({'json'} & loaded),",
+        "      sorted(m[11:] for m in sys.modules",
+        "             if m.startswith('cyclotwist.')))",
+    ])
+    r = subprocess.run([sys.executable, "-c", probe],
+                       capture_output=True, text=True, env=env)
     assert r.returncode == 0, r.stderr
-    assert r.stdout.strip() == "[]"
+    assert r.stdout.splitlines()[-1] == "[] [] %s" % sorted(modules)
+
+
+def test_package_names_unknown_attribute():
+    with pytest.raises(AttributeError, match="'no_such_module'"):
+        cyclotwist.no_such_module
 
 
 _M = IntMatrix.from_rows

@@ -422,11 +422,13 @@ def _cmd_numring_galois(args) -> int:
     return 0
 
 
-def _lattice_from_json(obj: dict):
+def _lattice_from_json(obj: dict, construction: str):
     from .exactalg import IntMatrix
-    from .numring import RLattice, real_cyclotomic
+    from .numring import RLattice, check_size, real_cyclotomic
     p, rank = _field(obj, "p", 0), _field(obj, "rank", 0)
     ring = real_cyclotomic(p)
+    # before the lattice is built: a free one's beta has (rank*deg)^2 entries
+    check_size(construction, ring, rank)
     if obj.get("beta") is None:
         return RLattice.free(ring, rank)
     return RLattice(ring, rank, IntMatrix.from_rows(_field(obj, "beta", 2)))
@@ -436,7 +438,8 @@ def _cmd_numring_split(args) -> int:
     from .numring import lattice_split
     obj = _load_json(args.file)
     # lattice_split returns only certificates whose verify() passed
-    cert = lattice_split(_lattice_from_json(obj), _field(obj, "n_gens", 2))
+    cert = lattice_split(_lattice_from_json(obj, "split"),
+                         _field(obj, "n_gens", 2))
     _say("L0 rank %d, L1 rank %d, ambient %d, group order %d"
          % (cert.basis_L0.rows, cert.basis_L1.rows, cert.ambient_dim,
             cert.group_order))
@@ -456,7 +459,7 @@ def _cmd_numring_involution(args) -> int:
     from .exactalg import IntMatrix
     from .numring import Z2Module, involution_split, involution_split_auto
     obj = _load_json(args.file)
-    mod = Z2Module(_lattice_from_json(obj),
+    mod = Z2Module(_lattice_from_json(obj, "involution"),
                    IntMatrix.from_rows(_field(obj, "y", 2)))
     # involution_split returns only decompositions whose verify() passed
     sp = (involution_split_auto(mod) if args.padding is None

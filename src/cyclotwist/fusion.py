@@ -105,10 +105,6 @@ class FusionRing:
             "N": [[list(row) for row in plane] for plane in self.N],
         }
 
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "FusionRing":
-        return cls(obj["labels"], obj["unit"], obj["dual"], obj["N"])
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, FusionRing)
@@ -125,45 +121,6 @@ class FusionRing:
         return "FusionRing(rank=%d, labels=%r)" % (self.rank, list(self.labels))
 
 
-class FusionModule:
-    """Right module over a fusion ring, given by one action matrix per label.
-
-    Matrices act on column coordinate vectors: action[j] applied to the
-    coordinates of x gives the coordinates of x * label_j.
-    """
-
-    __slots__ = ("base", "rank", "action")
-
-    def __init__(self, base: FusionRing, rank: int, action):
-        self.base = base
-        self.rank = index(rank)
-        self.action = tuple(action)
-        if len(self.action) != base.rank:
-            raise ValueError("need one action matrix per base label")
-        for m in self.action:
-            if m.rows != self.rank or m.cols != self.rank:
-                raise ValueError("action matrix has wrong shape")
-        self.validate()
-
-    def validate(self) -> None:
-        base = self.base
-        if self.action[base.unit] != IntMatrix.identity(self.rank):
-            raise ValueError("unit does not act as identity")
-        r = base.rank
-        for a in range(r):
-            for b in range(r):
-                lhs = self.action[a] @ self.action[b]
-                rhs = IntMatrix.zeros(self.rank, self.rank)
-                for t in range(r):
-                    c = base.N[t][a][b]
-                    if c:
-                        rhs = rhs + self.action[t].scale(c)
-                if lhs != rhs:
-                    raise ValueError(
-                        "module compatibility fails at (%d,%d)" % (a, b)
-                    )
-
-
 class DetReport(Record):
     """Z-matrix of a fusion ring with its determinant data."""
 
@@ -177,10 +134,11 @@ class DetReport(Record):
             raise ValueError("|det Z| must be >= 1 for a fusion ring")
 
 
-# `fusion dk --level 47` is the slowest command at this rank, 3.9-4.1 s
-# on a 2-core VM (its module-axiom check grows like rank^5, 10-14 s at
-# rank 64); every other fusion command takes under 0.6 s.  Larger rings
-# are refused before the rank^3 structure tensor is built
+# Every fusion command takes under 0.3 s at this rank on 2 cores, and dk,
+# its module certified through the generator, no longer sets the limit:
+# lifted, `fusion cheb` (Berkowitz) takes 0.5 / 1.9 / 4.1 s at rank 64 /
+# 96 / 121 and dk 0.3 / 0.9 / 1.5 s.  Larger rings are refused before
+# the rank^3 structure tensor is built
 _MAX_RANK = 48
 
 
@@ -299,37 +257,47 @@ class ChebyshevReport(Record):
         return self.powers_match and self.annihilated and self.charpoly_is_u_next
 
 
+def _chebyshev_failures(R: FusionRing) -> tuple:
+    """The relations of tlj(k)'s Chebyshev presentation that R breaks,
+    k = rank - 1, as two lists, with M the regular matrix of label 1
+    (M = 0 at rank 1, where the truncation kills label 1):
+
+    (a) M(label_i) = U_i(M/2) for 0 <= i <= k;
+    (b) U_{k+1}(X/2) annihilates M.
+
+    Both hold exactly when R is Z[X]/(U_{k+1}(X/2)) with label_i =
+    U_i(X/2): by (a) label_0 is the unit and a cyclic vector of M, so
+    I, M, ..., M^k are independent, and (b) then makes U_{k+1}(X/2) the
+    minimal polynomial of M.
+    """
+    k = R.rank - 1
+    M = regular_matrix(R, 1) if k >= 1 else IntMatrix.zeros(1, 1)
+    us = chebyshev_matrices(M, 1, k + 2)
+    powers = ["U_%d(M/2) != M(%s)" % (i, R.labels[i])
+              for i in range(k + 1) if us[i] != regular_matrix(R, i)]
+    annihilator = ([] if us[k + 1].is_zero()
+                   else ["U_%d(M/2) does not annihilate M" % (k + 1)])
+    return powers, annihilator
+
+
 def chebyshev_structure_check(k: int) -> ChebyshevReport:
     """Check that multiplication by pi_1 generates tlj(k) Chebyshev-style.
 
-    (a) M(pi_i) = U_i(M/2) for the regular matrix M of pi_1, 0 <= i <= k;
-    (b) U_{k+1}(X/2) annihilates M;
-    (c) the characteristic polynomial of M equals U_{k+1}(X/2), so the
-        annihilator in (b) is minimal.
-
-    At level 0 the ring is Z and the truncation kills pi_1, so M = 0.
+    (a) and (b) are ``_chebyshev_failures``; (c) the characteristic
+    polynomial of M equals U_{k+1}(X/2), a second route to the
+    minimality of the annihilator in (b).
     """
     R = tlj(k)
+    powers, annihilator = _chebyshev_failures(R)
     M = regular_matrix(R, 1) if k >= 1 else IntMatrix.zeros(1, 1)
-    failures = []
-    powers_match = True
-    us = chebyshev_matrices(M, 1, k + 2)
-    for i in range(k + 1):
-        if us[i] != regular_matrix(R, i):
-            powers_match = False
-            failures.append("U_%d(M/2) != M(pi_%d)" % (i, i))
-    annihilated = us[k + 1].is_zero()
-    if not annihilated:
-        failures.append("U_%d(M/2) does not annihilate M" % (k + 1))
     cp_match = charpoly_exact(M) == chebyshev_u(k + 1)
-    if not cp_match:
-        failures.append("charpoly(M) != U_%d(X/2)" % (k + 1))
+    charpoly = [] if cp_match else ["charpoly(M) != U_%d(X/2)" % (k + 1)]
     return ChebyshevReport(
         k=k,
-        powers_match=powers_match,
-        annihilated=annihilated,
+        powers_match=not powers,
+        annihilated=not annihilator,
         charpoly_is_u_next=cp_match,
-        failures=tuple(failures),
+        failures=tuple(powers + annihilator + charpoly),
     )
 
 
@@ -392,30 +360,60 @@ def parity_sequence(k: int) -> ParityReport:
     )
 
 
+class FusionModule(Record):
+    """Module over a Chebyshev-generated fusion ring such as tlj(k),
+    given by the action G of label 1; label j acts by U_j(G/2).
+
+    Matrices act on column coordinate vectors: action[j] applied to the
+    coordinates of x gives the coordinates of x * label_j.  A base that
+    passes ``_chebyshev_failures`` is Z[X]/(U_{k+1}(X/2)), so label_1 ->
+    G extends to a module exactly when U_{k+1}(G/2) = 0: then every
+    relation label_a * label_b = sum_t N[t][a][b] label_t holds as a
+    polynomial identity mod U_{k+1}(X/2), and the unit acts as I.
+    """
+
+    base: FusionRing
+    generator: IntMatrix
+
+    def __post_init__(self):
+        G = self.generator
+        if G.rows != G.cols:
+            raise ValueError("generator must be a square matrix")
+        powers, annihilator = _chebyshev_failures(self.base)
+        if powers or annihilator:
+            raise ValueError("base ring breaks its Chebyshev presentation: "
+                             "%s" % (powers + annihilator)[0])
+        k = self.base.rank - 1
+        if not chebyshev_matrices(G, 1, k + 2)[k + 1].is_zero():
+            raise ValueError("U_%d(G/2) != 0: the generator does not "
+                             "define a module" % (k + 1))
+
+    @property
+    def rank(self) -> int:
+        return self.generator.rows
+
+    @property
+    def action(self) -> tuple:
+        return tuple(chebyshev_matrices(self.generator, 1, self.base.rank))
+
+
 def dk_module(k: int) -> FusionModule:
     """Right tlj(k)-module on folded labels w_0..w_{floor(k/2)}.
 
-    Fusion with pi_j is computed in tlj(k) and then indices fold through
-    i -> min(i, k-i); the tie index k/2 (k even) appears once in the basis.
+    Fusion with pi_1 is computed in tlj(k) and then indices fold through
+    i -> min(i, k-i); the tie index k/2 (k even) appears once in the
+    basis.  That is the generator, from which FusionModule derives and
+    certifies the action of every label.
     """
     if k < 1:
         raise ValueError("level must be >= 1")
     R = tlj(k)
     rank = k // 2 + 1
-
-    def fold(i):
-        return min(i, k - i)
-
-    action = []
-    for j in range(R.rank):
-        rows = [[0] * rank for _ in range(rank)]
-        for b in range(rank):
-            for h in range(R.rank):
-                c = R.N[h][b][j]
-                if c:
-                    rows[fold(h)][b] += c
-        action.append(IntMatrix.from_rows(rows))
-    return FusionModule(R, rank, action)
+    rows = [[0] * rank for _ in range(rank)]
+    for b in range(rank):
+        for h in range(R.rank):
+            rows[min(h, k - h)][b] += R.N[h][b][1]
+    return FusionModule(R, IntMatrix.from_rows(rows))
 
 
 class GroupRingIsoReport(Record):

@@ -477,6 +477,24 @@ def _project_amp(Q: _Quotient, vec, d: int, nG: int) -> int:
     return bits
 
 
+# The largest Z-dimension each lattice construction runs at: split and
+# involution work in the Galois amplification, R-rank * deg^2 (counting
+# the involution's padding), resolve in R[Z/2Z]^rank, 2 * rank * deg.
+# Set from each one's measured curve (CHANGES.md), slowest at p = 3 or 5
+_MAX_DIM = {"split": 1024, "involution": 162, "resolve": 256}
+
+
+def check_size(construction: str, ring: RealCyclotomic, rank: int) -> None:
+    """Refuse ``construction`` on an R-rank whose Z-dimension passes its
+    limit in ``_MAX_DIM``."""
+    dim = rank * ring.degree * (2 if construction == "resolve"
+                                else ring.degree)
+    if dim > _MAX_DIM[construction]:
+        raise ValueError("numring %s works in Z-dimension %d, over the "
+                         "limit %d" % (construction, dim,
+                                       _MAX_DIM[construction]))
+
+
 class RLattice(Record):
     """Free R-module of the given rank, presented as Z^(rank*degree)
     with the integer matrix of right multiplication by beta."""
@@ -841,6 +859,7 @@ def lattice_split(M: RLattice, n_gens) -> SplitCertificate:
     certificate is returned only after its verify() passes.
     """
     ring = M.ring
+    check_size("split", ring, M.rank)
     deg, d, beta = ring.degree, M.dim, M.beta
 
     # N: beta-saturate the generators, then check 2M <= N <= M
@@ -1054,6 +1073,7 @@ def involution_split(module: Z2Module, padding: int = 0) -> InvolutionSplit:
     ring = module.lattice.ring
     if padding < 0:
         raise ValueError("padding must be nonnegative")
+    check_size("involution", ring, module.lattice.rank + 2 * padding)
     deg = ring.degree
     nG = deg
     fb, fy = _free_z2_blocks(ring)
@@ -1131,7 +1151,8 @@ _MAX_PADDING = 4
 
 
 def involution_split_auto(module: Z2Module) -> InvolutionSplit:
-    """involution_split with the smallest padding that succeeds."""
+    """involution_split with the smallest padding that succeeds; a
+    padding past the involution's size limit is refused, not tried."""
     last = None
     for pad in range(_MAX_PADDING + 1):
         try:
@@ -1233,6 +1254,7 @@ def resolve_z2_module(p: int, rank: int, relations) -> Resolution:
     D0 = rank * 2 * deg
     if rank < 1:
         raise ValueError("rank must be positive")
+    check_size("resolve", ring, rank)
     fb, fy = _free_z2_blocks(ring)
     tgt_beta = _block_diag([fb] * rank)
     tgt_y = _block_diag([fy] * rank)

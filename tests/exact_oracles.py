@@ -3,7 +3,10 @@
 Production code answers every Z-linear question through the one Smith
 elimination; the routes here are the ones it replaced: the Bareiss
 determinant, the per-vector Smith back-substitution, the full re-check
-of a Smith form, and float-friendly polynomial evaluation.
+of a Smith form, and float-friendly polynomial evaluation.  For
+``fusion``: the fold of every label that built the dk module and the
+pairwise check of the module axioms, both replaced by the module's
+generator and its Chebyshev certificate.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from __future__ import annotations
 from operator import mul
 
 from cyclotwist.exactalg import IntMatrix, PolyZ, SNFResult, smith_normal_form
+from cyclotwist.fusion import FusionRing, tlj
 
 # snf_verify checks det(U), det(V) = +-1 only up to this many rows: Bareiss
 # minors of large transforms can be huge
@@ -122,3 +126,37 @@ def contains_all(x, y) -> bool:
     At = IntMatrix.from_rows(x).transpose()
     snf = smith_normal_form(At)
     return all(solve_one(At, v, snf) is not None for v in y)
+
+
+def fold_action(k: int) -> list:
+    """The action of every label of tlj(k) on the dk module: fusion with
+    pi_j in tlj(k), then indices folded through i -> min(i, k-i)."""
+    R = tlj(k)
+    rank = k // 2 + 1
+    action = []
+    for j in range(R.rank):
+        rows = [[0] * rank for _ in range(rank)]
+        for b in range(rank):
+            for h in range(R.rank):
+                rows[min(h, k - h)][b] += R.N[h][b][j]
+        action.append(IntMatrix.from_rows(rows))
+    return action
+
+
+def module_axioms_hold(base: FusionRing, action) -> bool:
+    """The unit acts as the identity and action[a] @ action[b] =
+    sum_t N[t][a][b] action[t] for every pair of labels: rank^2
+    products of the action matrices."""
+    n = action[base.unit].rows
+    if action[base.unit] != IntMatrix.identity(n):
+        return False
+    r = base.rank
+    for a in range(r):
+        for b in range(r):
+            rhs = IntMatrix.zeros(n, n)
+            for t in range(r):
+                if base.N[t][a][b]:
+                    rhs = rhs + action[t].scale(base.N[t][a][b])
+            if action[a] @ action[b] != rhs:
+                return False
+    return True

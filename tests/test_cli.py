@@ -1,5 +1,6 @@
 import argparse
 import json
+import resource
 import subprocess
 import sys
 from collections import Counter
@@ -7,6 +8,7 @@ from collections import Counter
 import pytest
 
 from cyclotwist.cli import _build_parser, main
+from cyclotwist.numring import _MAX_DIM
 
 # exit convention: 0 completed, 1 false verdict under --assert,
 # 2 usage/scope error, 3 invariant violation
@@ -369,6 +371,32 @@ def test_numring_negative_rank_exits_two(capsys, tmp_path, sub, obj):
     code, out, err = run(capsys, ["numring", sub, "--file", str(f)])
     assert code == 2 and out == ""
     assert "rank must be >= 0, got -1" in err
+
+
+def _limit_address_space():
+    # 1 GB: an unguarded rank-100000 lattice needs far more, so a missing
+    # guard ends in a MemoryError here instead of exhausting the machine
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("rank", [2 ** 70, 100000])
+@pytest.mark.parametrize("sub, field", [
+    ("split", {"n_gens": []}),
+    ("involution", {"y": []}),
+    ("resolve", {"relations": []}),
+])
+def test_numring_oversized_rank_exits_two(tmp_path, sub, field, rank):
+    # at p = 5 (degree 2) each R-rank is 4 Z-dimensions in every
+    # construction: deg^2 in the Galois amplification, 2 * deg in R[Z/2Z]
+    f = tmp_path / "in.json"
+    f.write_text(json.dumps(dict({"p": 5, "rank": rank}, **field)))
+    r = subprocess.run(
+        [sys.executable, "-m", "cyclotwist", "numring", sub, "--file", str(f)],
+        capture_output=True, text=True, timeout=60,
+        preexec_fn=_limit_address_space)
+    assert (r.returncode, r.stdout) == (2, "")
+    assert r.stderr == ("error: numring %s works in Z-dimension %d, over "
+                        "the limit %d\n" % (sub, 4 * rank, _MAX_DIM[sub]))
 
 
 def test_numring_resolve_file_input(capsys, tmp_path):

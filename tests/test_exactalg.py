@@ -278,6 +278,14 @@ def test_row_basis_and_kernel_read_the_smith_transforms(kind):
                                    for j in range(r, a.cols)]
 
 
+def _float_generator() -> IntMatrix:
+    """The 1x1 matrix [1.0]: IntMatrix refuses a float when it is built,
+    so the entry is put in afterwards, as a caller could."""
+    g = IntMatrix.identity(1)
+    g.entries = (1.0,)
+    return g
+
+
 @pytest.mark.parametrize("build", [
     lambda: IntMatrix.from_rows([[1.5, 2]]),
     lambda: PolyZ([0.7, 2.2]),
@@ -291,8 +299,7 @@ def test_row_basis_and_kernel_read_the_smith_transforms(kind):
                           [[2.7, 0], [0, 2.2]]),
     lambda: resolve_z2_module(5, 1, [[1.5, 0, 0, 0]]),
     lambda: FusionRing(["1"], 0, [0], [[[1.0]]]),
-    lambda: FusionModule(FusionRing(["1"], 0, [0], [[[1]]]), 1.0,
-                         [IntMatrix.identity(1)]),
+    lambda: FusionModule(tlj(1), _float_generator()),
 ], ids=["IntMatrix", "PolyZ", "PolyF2", "IntMatrix.scale",
         "coordinates", "CorrSpec",
         "Cocycle3", "lattice_split", "resolve_z2_module", "FusionRing",

@@ -1,8 +1,15 @@
 import pytest
 
 import cyclotwist.fusion as fusion
-from cyclotwist.exactalg import IntMatrix, PolyZ, charpoly_exact, chebyshev_u
+from cyclotwist.exactalg import (
+    IntMatrix,
+    PolyZ,
+    charpoly_exact,
+    chebyshev_matrices,
+    chebyshev_u,
+)
 from cyclotwist.fusion import (
+    FusionModule,
     FusionRing,
     chebyshev_structure_check,
     dk_module,
@@ -14,6 +21,7 @@ from cyclotwist.fusion import (
     tlj,
     tlj_even,
 )
+from exact_oracles import fold_action, module_axioms_hold
 
 
 def deligne_product(A: FusionRing, B: FusionRing) -> FusionRing:
@@ -219,9 +227,62 @@ def test_dk_module():
     assert m2.action[1] == IntMatrix.from_rows([[0, 2], [1, 0]])
     assert m2.action[0] == IntMatrix.identity(2)
 
-    # validate() runs in the constructor; re-run explicitly for k up to 8
-    for k in range(1, 9):
-        dk_module(k).validate()
+    # the constructor certifies through the generator; the fold of every
+    # label and the pairwise check of every two labels must agree
+    for k in range(1, 21):
+        mod = dk_module(k)
+        assert list(mod.action) == fold_action(k), k
+        assert module_axioms_hold(mod.base, mod.action), k
+
+
+@pytest.mark.parametrize("k", [2, 5, 8])
+def test_mutated_generator_fails_exactly_when_the_oracle_does(k):
+    # every single-entry +-1 change of G: the Chebyshev certificate and
+    # the pairwise check of [U_j(G'/2)] must give the same verdict
+    R, G = tlj(k), dk_module(k).generator
+    rejected = total = 0
+    for pos in range(len(G.entries)):
+        for delta in (1, -1):
+            entries = list(G.entries)
+            entries[pos] += delta
+            mutant = IntMatrix(G.rows, G.cols, entries)
+            oracle = module_axioms_hold(
+                R, chebyshev_matrices(mutant, 1, R.rank))
+            try:
+                FusionModule(R, mutant)
+                accepted = True
+            except ValueError as exc:
+                assert "U_%d(G/2) != 0" % (k + 1) in str(exc)
+                accepted = False
+            assert accepted == oracle, (pos, delta)
+            rejected += not accepted
+            total += 1
+    assert rejected > total // 2
+
+
+def test_generator_of_one_level_fails_at_the_next():
+    for k in range(1, 21):
+        G = dk_module(k).generator
+        assert not module_axioms_hold(
+            tlj(k + 1), chebyshev_matrices(G, 1, k + 2))
+        with pytest.raises(ValueError, match=r"U_%d\(G/2\) != 0" % (k + 2)):
+            FusionModule(tlj(k + 1), G)
+
+
+@pytest.mark.parametrize("base, relation", [
+    (pointed_cyclic(3), "U_2(M/2) != M(g^2)"),
+    (tlj_even(4), "U_2(M/2) != M(pi_4)"),
+], ids=["pointed_cyclic(3)", "tlj_even(4)"])
+def test_module_refuses_a_base_without_chebyshev_presentation(base, relation):
+    with pytest.raises(ValueError) as exc:
+        FusionModule(base, IntMatrix.zeros(1, 1))
+    assert str(exc.value) == (
+        "base ring breaks its Chebyshev presentation: " + relation)
+
+
+def test_module_refuses_a_non_square_generator():
+    with pytest.raises(ValueError, match="square"):
+        FusionModule(tlj(2), IntMatrix.zeros(1, 2))
 
 
 def test_group_ring_iso_check():
@@ -260,5 +321,5 @@ def test_det_report_radical():
 def test_fusion_json_roundtrip():
     r = tlj_even(5)
     obj = r.to_json_obj()
-    back = FusionRing.from_json_obj(obj)
+    back = FusionRing(obj["labels"], obj["unit"], obj["dual"], obj["N"])
     assert back == r

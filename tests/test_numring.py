@@ -687,6 +687,31 @@ def test_involution_split_auto_reports_padding():
     assert sp.verify()
 
 
+def test_involution_split_auto_refuses_padding_past_the_limit(monkeypatch):
+    # with no Higman endomorphism every padding fails; at p = 7 rank 2 is
+    # Z-dimension 18 and each padding adds 18, so under a limit of 18 the
+    # search stops at padding 1 without building it
+    calls = []
+    monkeypatch.setattr(numring, "_higman_endomorphism",
+                        lambda ring, y_r: calls.append(len(y_r)))
+    monkeypatch.setitem(numring._MAX_DIM, "involution", 18)
+    with pytest.raises(ValueError) as exc:
+        involution_split_auto(free_z2_module(7, 1))
+    assert str(exc.value) == ("numring involution works in Z-dimension 36, "
+                              "over the limit 18")
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("build", [
+    lambda: lattice_split(RLattice.free(real_cyclotomic(67), 1), []),
+    lambda: involution_split(free_z2_module(19, 1), padding=1),
+    lambda: resolve_z2_module(3, 129, []),
+], ids=["split", "involution", "resolve"])
+def test_constructions_refuse_past_their_limit(build):
+    with pytest.raises(ValueError, match="over the limit"):
+        build()
+
+
 def test_higman_check_direct():
     p = 5
     mod = free_z2_module(p, 1)

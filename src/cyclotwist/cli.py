@@ -281,7 +281,7 @@ def _cmd_cocycle_make(args) -> int:
 def _cmd_cocycle_check(args) -> int:
     from .cocycle import NotClassified, cohomology_class, is_cocycle
     c = _load_cocycle(args)
-    # the m^4 scan decides; the class certificate must agree with it
+    # the identity scan decides; the class certificate must agree with it
     chk = is_cocycle(c)
     try:
         cohomology_class(c)

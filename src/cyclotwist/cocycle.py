@@ -14,9 +14,10 @@ Class identification needs no linear solve.  The sum
 sum_j c(1,j,1) is k/m mod 1 for c cohomologous to omega_m^k, because the
 terms of a coboundary telescope away in it; so k = m * sum_j c(1,j,1).
 The certificate is a 2-cochain beta with c - omega_m^k = d(beta), built
-in closed form from the slice i = 1 and substituted back exactly.  This
-also decides whether c is a cocycle: every cocycle passes, and only
-cocycles can, since omega_m^k and d(beta) are cocycles.
+in closed form from the slice i = 1 and checked in one integer pass over
+the table.  This also decides whether c is a cocycle: every cocycle
+passes, and only cocycles can, since omega_m^k and d(beta) are cocycles.
+The identity scan visits only the 2*m^3 quadruples with first index 0, 1.
 """
 
 from __future__ import annotations
@@ -27,9 +28,9 @@ from operator import index
 
 from ._record import Record
 
-# tables have m^3 entries and the identity scan visits m^4 quadruples:
-# about 1.2 s at m = 48 on a 2-core VM
-_MAX_ORDER = 48
+# the m^3-entry table and its JSON bind: at m = 96 (6.6 MB of JSON) each
+# cocycle command takes 0.4-1.4 s and 50-70 MB as a process on 2 cores
+_MAX_ORDER = 96
 
 
 def _check_order(m: int):
@@ -84,9 +85,6 @@ class Cocycle3:
         return Cocycle3(
             self.m, den, [a * x + b * y for x, y in zip(self.nums, other.nums)]
         )
-
-    def sub(self, other: "Cocycle3") -> "Cocycle3":
-        return self.add(Cocycle3(other.m, other.den, [-x for x in other.nums]))
 
     def to_json_obj(self) -> dict:
         return {"m": self.m, "denominator": self.den,
@@ -147,11 +145,13 @@ def _restrict(m: int, n: int, k: int) -> Cocycle3:
 
 
 def is_cocycle(c: Cocycle3) -> CocycleCheck:
-    """Exhaustive check of the cocycle identity over all m^4 quadruples,
-    on the numerators mod den."""
+    """The cocycle identity on the numerators mod den, decided on the
+    slices f = 0, 1: E = dc has dE = 0, and (dE)(1,b,c,e,f) = 0 reads
+    E(b+1,.) = E(b,.) plus terms of the slice E(1,.), so E vanishes iff
+    that slice does.  The witness, the lex-first violation, has f <= 1."""
     m, den = c.m, c.den
     rows = [c.nums[r * m:(r + 1) * m] for r in range(m * m)]
-    for f in range(m):
+    for f in range(min(m, 2)):
         for g in range(m):
             fg = (f + g) % m
             row = rows[f * m + g]
@@ -186,33 +186,42 @@ def cohomology_class(c: Cocycle3) -> CohClass:
 
     k = m * sum_j c(1,j,1) mod m: coboundary terms telescope away in the
     sum and sum_j omega_m^k(1,j,h) = h*k/m.  The witness beta with
-    g = c - omega_m^k = d(beta) is closed form and is substituted back
-    exactly.  Raises NotClassified exactly when c is not a cocycle.
+    g = c - omega_m^k = d(beta) is closed form and is checked in one pass
+    over integer numerators mod D = lcm(den, m).  Raises NotClassified
+    exactly when c is not a cocycle.
     """
-    m = c.m
+    m, v = c.m, c.nums
     # the slice i = 1, with the index 1 wrapped to 0 when m = 1
     one = 1 % m
-    s = m * sum(c.nums[(one * m + j) * m + one] for j in range(m))
+    s = m * sum(v[(one * m + j) * m + one] for j in range(m))
     if s % c.den:
         raise NotClassified(
             "m * sum_j c(1,j,1) = %s is not an integer" % Fraction(s, c.den))
     k = s // c.den % m
-    g = c.sub(omega(m, k))
-    den, v = g.den, g.nums
+    D = lcm(c.den, m)
+    a = D // c.den
     # beta(1,.) = 0 and beta(j,h) - beta(j+1,h) = g(1,j,h) give
     # d(beta) = g on the slice i = 1; at j = m-1 this needs
     # sum_j g(1,j,h) = 0, true for every h when g is a cocycle of class 0.
     # delta = g - d(beta) is then a cocycle vanishing at i = 1, and the
     # cocycle identity at f = 1 reads delta(i+1,.,.) = delta(i,.,.), so
-    # delta = 0 everywhere.
-    beta = [[0] * m for _ in range(m)]
-    beta[0] = list(v[one * m * m:one * m * m + m])
+    # delta = 0 everywhere.  beta reads c alone: g(1,j,.) = c(1,j,.) for
+    # j < m-1, and omega_m^k(i,j,h) over D is h*k*D/m where i + j carries.
+    at = one * m * m
+    beta = [[a * x for x in v[at:at + m]], [0] * m][:m]
     for j in range(1, m - 1):
-        at = (one * m + j) * m
-        beta[j + 1] = [x - y for x, y in zip(beta[j], v[at:at + m])]
-    if g != coboundary(m, [[Fraction(x, den) for x in row] for row in beta]):
-        raise NotClassified(
-            "c - omega_%d^%d is not the coboundary of its witness" % (m, k))
+        row = v[at + j * m:at + j * m + m]
+        beta.append([x - a * y for x, y in zip(beta[j], row)])
+    carry, zero = [h * k * (D // m) for h in range(m)], [0] * m
+    for i, bi in enumerate(beta):
+        for j in range(m):
+            at, t = (i * m + j) * m, bi[j]
+            if any((a * x - w - y + z - u + t) % D for x, w, y, z, u in zip(
+                    v[at:at + m], carry if i + j >= m else zero, beta[j],
+                    beta[(i + j) % m], bi[j:] + bi[:j])):
+                raise NotClassified(
+                    "c - omega_%d^%d is not the coboundary of its witness"
+                    % (m, k))
     return CohClass(m, k)
 
 

@@ -285,14 +285,28 @@ def _canonical_rep(a: int, p: int) -> int:
     return min(a, p - a)
 
 
+# each of the deg columns is one product with sigma_a(beta), of degree up
+# to a, reduced mod mu, so the work grows as deg^2 * a: as processes on 2
+# cores, 1.8 s at p = 401, a = 200 (8.0M), 3.9 s at p = 1009, a = 31
+# (7.9M), 13 s at p = 1009, a = 100 (25M) and 57 s at a = 504 (128M)
+_MAX_GALOIS_WORK = 8_000_000
+
+
 def galois(ring: RealCyclotomic, a: int) -> IntMatrix:
     """Matrix of the automorphism beta -> 2cos(2pi*a/p) on the power basis.
 
     sigma_a(beta) = 2*T_a(beta/2) reduced mod mu; columns are the images
     of the basis powers beta^i.  Valid indices are 1..(p-1)/2, canonical
-    representatives of (Z/pZ)^x / {+-1}.
+    representatives of (Z/pZ)^x / {+-1}; deg^2 * a is limited to
+    ``_MAX_GALOIS_WORK``.
     """
-    image = ring.reduce(chebyshev_t2(_canonical_rep(a, ring.p)))
+    a = _canonical_rep(a, ring.p)
+    work = ring.degree ** 2 * a
+    if work > _MAX_GALOIS_WORK:
+        raise ValueError(
+            "galois work deg^2 * a must be <= %d (deg = (p-1)/2, a reduced "
+            "to 1..deg), got %d" % (_MAX_GALOIS_WORK, work))
+    image = ring.reduce(chebyshev_t2(a))
     cols = []
     acc = PolyZ([1])
     for _ in range(ring.degree):

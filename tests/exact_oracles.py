@@ -6,13 +6,18 @@ determinant, the per-vector Smith back-substitution, the full re-check
 of a Smith form, and float-friendly polynomial evaluation.  For
 ``fusion``: the fold of every label that built the dk module and the
 pairwise check of the module axioms, both replaced by the module's
-generator and its Chebyshev certificate.
+generator and its Chebyshev certificate.  For ``cocycle``: the identity
+scan over all m^4 quadruples, in integers and in Fractions, which the
+two-slice scan replaced, and the class witness substituted back through
+Fraction-built tables, which the one integer pass replaced.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from operator import mul
 
+from cyclotwist.cocycle import Cocycle3, coboundary, omega
 from cyclotwist.exactalg import IntMatrix, PolyZ, SNFResult, smith_normal_form
 from cyclotwist.fusion import FusionRing, tlj
 
@@ -160,3 +165,61 @@ def module_axioms_hold(base: FusionRing, action) -> bool:
             if action[a] @ action[b] != rhs:
                 return False
     return True
+
+
+def sub(c: Cocycle3, d: Cocycle3) -> Cocycle3:
+    """The table c - d, mod 1."""
+    return c.add(Cocycle3(d.m, d.den, [-x for x in d.nums]))
+
+
+def full_scan(c: Cocycle3):
+    """The cocycle identity over all m^4 quadruples on the numerators mod
+    den, in lex order; the first violating quadruple or None."""
+    m, den, v = c.m, c.den, c.nums
+    for f in range(m):
+        for g in range(m):
+            for h in range(m):
+                for k in range(m):
+                    lhs = (v[(f * m + g) * m + h]
+                           + v[(f * m + (g + h) % m) * m + k]
+                           + v[(g * m + h) * m + k])
+                    rhs = (v[(((f + g) % m) * m + h) * m + k]
+                           + v[(f * m + g) * m + (h + k) % m])
+                    if (lhs - rhs) % den:
+                        return (f, g, h, k)
+    return None
+
+
+def fraction_scan(c: Cocycle3):
+    """The cocycle identity over all m^4 quadruples in Fractions mod 1,
+    read through ``value``; the first violating quadruple or None."""
+    m, val = c.m, c.value
+    for f in range(m):
+        for g in range(m):
+            for h in range(m):
+                for k in range(m):
+                    lhs = val(f, g, h) + val(f, g + h, k) + val(g, h, k)
+                    rhs = val(f + g, h, k) + val(f, g, h + k)
+                    if (lhs - rhs) % 1:
+                        return (f, g, h, k)
+    return None
+
+
+def fraction_class(c: Cocycle3):
+    """k = m * sum_j c(1,j,1) mod m when that is an integer, confirmed by
+    substituting the closed-form witness beta back as Fraction tables:
+    g = c - omega_m^k must equal coboundary(m, beta).  k, or None when
+    either step fails."""
+    m = c.m
+    one = 1 % m
+    s = m * sum(c.value(one, j, one) for j in range(m))
+    if s.denominator != 1:
+        return None
+    k = int(s) % m
+    g = sub(c, omega(m, k))
+    beta = [[Fraction(0)] * m for _ in range(m)]
+    beta[0] = [g.value(one, 0, h) for h in range(m)]
+    for j in range(1, m - 1):
+        beta[j + 1] = [b - g.value(one, j, h)
+                       for h, b in enumerate(beta[j])]
+    return k if g == coboundary(m, beta) else None

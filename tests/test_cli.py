@@ -128,19 +128,19 @@ def test_cocycle_embed_and_crt(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["cocycle", "make", "--m", "49", "--k", "1"],
-    ["cocycle", "check", "--m", "49", "--k", "1"],
-    ["cocycle", "class", "--m", "49", "--k", "1"],
+    ["cocycle", "make", "--m", "97", "--k", "1"],
+    ["cocycle", "check", "--m", "97", "--k", "1"],
+    ["cocycle", "class", "--m", "97", "--k", "1"],
     ["cocycle", "class", "--file", "{table}"],
-    ["cocycle", "crt", "--m", "49", "--n", "2", "--k", "1"],
+    ["cocycle", "crt", "--m", "97", "--n", "2", "--k", "1"],
 ])
 def test_cocycle_group_order_limit_exits_two(capsys, tmp_path, argv):
     table = tmp_path / "big.json"
-    table.write_text(json.dumps({"m": 49, "denominator": 1, "values": [0]}))
+    table.write_text(json.dumps({"m": 97, "denominator": 1, "values": [0]}))
     argv = [a.replace("{table}", str(table)) for a in argv]
     code, out, err = run(capsys, argv)
     assert code == 2 and out == ""
-    assert "48" in err
+    assert "96" in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -153,6 +153,14 @@ def test_numring_prime_limit_exits_two(capsys, argv):
     code, out, err = run(capsys, argv)
     assert code == 2 and out == ""
     assert err == "error: p must be an odd prime <= 1009, got 1013\n"
+
+
+def test_numring_galois_work_limit_exits_two(capsys):
+    # 57 s as a process before the limit; refused before any column
+    code, out, err = run(capsys, ["numring", "galois", "--p", "1009",
+                                  "--a", "504"])
+    assert code == 2 and out == ""
+    assert "<= 8000000" in err and "got 128024064" in err
 
 
 # each fusion flag at the largest rank allowed (48) and one above it; the

@@ -175,6 +175,19 @@ def test_galois_action():
                 assert m @ galois(ring, b) == galois(ring, a * b)
 
 
+def test_galois_work_limit(monkeypatch):
+    # at p = 11, deg^2 * a = 25 * a with a reduced to 1..5 (8 -> 3, 9 -> 2)
+    ring = real_cyclotomic(11)
+    monkeypatch.setattr("cyclotwist.numring._MAX_GALOIS_WORK", 50)
+    for a in (1, 2, 9, 10):
+        assert galois(ring, a).rows == 5
+    for a, work in ((3, 75), (5, 125), (8, 75)):
+        with pytest.raises(ValueError, match="<= 50 .*got %d" % work):
+            galois(ring, a)
+    with pytest.raises(ValueError, match="invertible"):
+        galois(ring, 0)
+
+
 def test_galois_is_ring_homomorphism():
     p = 11
     ring = real_cyclotomic(p)

@@ -5,7 +5,8 @@ certificates, resolution exactness) reduces to integer matrix arithmetic.
 All entries are Python ints, so nothing overflows and floats appear nowhere
 in this module.  Each solver exists once, here:
 
-* ``IntMatrix``          dense integer matrix, immutable after construction
+* ``IntMatrix``          dense integer matrix, immutable, with a kept view of
+  its nonzero entries; products dot a dense row, add rows for a sparse one
 * ``smith_normal_form``  S = U*A*V with unimodular U, V and the divisibility
   chain d_1 | d_2 | ...; the exactness oracle for all module computations.
   It runs the one elimination on A with I_m beside it and I_n below.  The
@@ -33,7 +34,7 @@ from ._record import Record
 class IntMatrix:
     """Dense integer matrix, entries stored row-major, immutable."""
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "entries", "_nonzero")
 
     def __init__(self, rows: int, cols: int, entries):
         if rows < 0 or cols < 0:
@@ -46,6 +47,7 @@ class IntMatrix:
         self.rows = rows
         self.cols = cols
         self.entries = data
+        self._nonzero = None
 
     @classmethod
     def from_rows(cls, rows_list) -> "IntMatrix":
@@ -58,7 +60,9 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, [int(i == j) for i in range(n) for j in range(n)])
+        entries = [0] * (n * n)
+        entries[::n + 1] = [1] * n
+        return cls(n, n, entries)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
@@ -82,14 +86,30 @@ class IntMatrix:
         m, n, e = self.rows, self.cols, self.entries
         return IntMatrix(n, m, [e[i * n + j] for j in range(n) for i in range(m)])
 
+    def nonzero_rows(self) -> tuple:
+        """Per row, the (column, entry) pairs of its nonzero entries, built
+        at the first call: the matrix never changes."""
+        if self._nonzero is None:
+            n, e = self.cols, self.entries
+            self._nonzero = tuple(tuple((j, x) for j, x in enumerate(
+                e[i * n:(i + 1) * n]) if x) for i in range(self.rows))
+        return self._nonzero
+
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError("dimension mismatch in product")
         n = other.cols
         b = other.to_rows()
+        cols = None
         out = []
-        # skip zero a_ik: the numring factors are mostly zero
+        # a row at least 3/4 nonzero takes dot products with the columns;
+        # a sparser one sums the rows of other it selects, skipping zero
+        # a_ik (the numring factors are mostly zero)
         for ai in self.to_rows():
+            if ai and 4 * (len(ai) - ai.count(0)) >= 3 * len(ai):
+                cols = cols or list(zip(*b))
+                out += [sum(map(mul, ai, c)) for c in cols]
+                continue
             acc = [0] * n
             for x, bk in zip(ai, b):
                 if x:

@@ -373,23 +373,22 @@ def _factor_permutation(fact: PrimeFactorTwo) -> dict:
 
 
 def _row_act(A: IntMatrix, v) -> list:
-    """v . A for a row vector v."""
+    """v . A for a row vector v, from A's nonzero entries (read once)."""
     out = [0] * A.cols
-    for i, x in enumerate(v):
+    for x, row in zip(v, A.nonzero_rows()):
         if x:
-            row = A.row(i)
-            for j, a in enumerate(row):
-                if a:
-                    out[j] += x * a
+            for j, a in row:
+                out[j] += x * a
     return out
 
 
 def _act(blocks, v) -> list:
-    """v . diag(blocks): each block acts on its own slice of v."""
+    """v . diag(blocks), slice by slice; a zero slice maps to zeros."""
     out = []
     off = 0
     for b in blocks:
-        out.extend(_row_act(b, v[off:off + b.rows]))
+        part = v[off:off + b.rows]
+        out.extend(_row_act(b, part) if any(part) else [0] * b.cols)
         off += b.rows
     return out
 
@@ -416,9 +415,32 @@ def _mat(rows, ncols: int) -> IntMatrix:
 
 def _unimodular(rows, ncols: int) -> bool:
     """The rows extend to a Z-basis of Z^ncols: every elementary divisor
-    is 1, one per row.  With ncols rows they are a Z-basis."""
-    diag = elementary_divisors(_mat(rows, ncols))
-    return len(diag) == len(rows) and all(s == 1 for s in diag)
+    is 1, one per row.  With ncols rows they are a Z-basis.
+
+    From 32 columns on (below, one elimination costs less than grouping
+    the rows), rows sharing no nonzero column are eliminated apart: the
+    matrix, reordered, is block diagonal, and its rows extend to a Z-basis
+    iff each block's rows do on the block's columns (a zero row is a block
+    with none).  A block that covers every column ends the grouping.
+    """
+    blocks = {}                     # column mask -> rows; masks disjoint
+    for r in rows if ncols >= 32 else ():
+        mask, block = sum(1 << j for j, x in enumerate(r) if x), [r]
+        for g in [g for g in blocks if g & mask]:
+            mask |= g
+            block += blocks.pop(g)
+        if mask == (1 << ncols) - 1:
+            blocks = {}
+            break
+        blocks[mask] = blocks.get(mask, []) + block
+    for mask, block in blocks.items() or [((1 << ncols) - 1, rows)]:
+        cols = [j for j in range(ncols) if mask >> j & 1]
+        if len(cols) < ncols:
+            block = [[r[j] for j in cols] for r in block]
+        diag = elementary_divisors(_mat(block, len(cols)))
+        if len(diag) != len(block) or any(s != 1 for s in diag):
+            return False
+    return True
 
 
 def _span_profile(rows, ncols: int) -> tuple:
@@ -495,12 +517,14 @@ def _project_amp(Q: _Quotient, vec, d: int, nG: int) -> int:
 # involution work in the Galois amplification, R-rank * deg^2 (counting
 # the involution's padding), resolve in R[Z/2Z]^rank, 2 * rank * deg.
 # Set from each one's measured curve (CHANGES.md), slowest at p = 3 or 5
-_MAX_DIM = {"split": 1024, "involution": 162, "resolve": 256}
+_MAX_DIM = {"split": 1024, "involution": 240, "resolve": 256}
 
 
 def check_size(construction: str, ring: RealCyclotomic, rank: int) -> None:
-    """Refuse ``construction`` on an R-rank whose Z-dimension passes its
-    limit in ``_MAX_DIM``."""
+    """Refuse ``construction`` on a negative R-rank, or one whose
+    Z-dimension passes its limit in ``_MAX_DIM``."""
+    if rank < 0:
+        raise ValueError("rank must be >= 0, got %d" % rank)
     dim = rank * ring.degree * (2 if construction == "resolve"
                                 else ring.degree)
     if dim > _MAX_DIM[construction]:
@@ -559,16 +583,14 @@ class Z2Module(Record):
 def _block_diag(blocks) -> IntMatrix:
     blocks = list(blocks)
     n = sum(b.rows for b in blocks)
-    rows = []
+    entries = []
     off = 0
     for b in blocks:
-        for i in range(b.rows):
-            row = [0] * n
-            for j, x in enumerate(b.row(i)):
-                row[off + j] = x
-            rows.append(row)
+        left, right = [0] * off, [0] * (n - off - b.cols)
+        for row in b.to_rows():
+            entries += left + row + right
         off += b.cols
-    return _mat(rows, n)
+    return IntMatrix(n, n, entries)
 
 
 def _div2_lattice(rows, dim: int) -> list:
@@ -592,10 +614,10 @@ def _free_r_basis(ring: RealCyclotomic, span_rows, blocks) -> list:
 
     Candidates, in Z-basis coordinates, come in one fixed order: unit
     vectors, then the pairs e_i +- e_j, then shells of growing sup-norm,
-    which reach every vector.  A candidate is accepted when the Smith
-    form of the stacked beta orbits stays unimodular, so the result is a
-    free basis by construction.  Raises RuntimeError if the search
-    stalls.
+    which reach every vector.  One whose orbit is dependent mod 2 on the
+    stack is refused at once; else the Smith form of the stacked orbits
+    must stay unimodular, so the result is a free basis by construction.
+    Raises RuntimeError if the search stalls.
     """
     dim = sum(b.rows for b in blocks)
     V = _row_basis_rows(span_rows)
@@ -626,18 +648,25 @@ def _free_r_basis(ring: RealCyclotomic, span_rows, blocks) -> list:
                 if max(map(abs, v)) == bound:
                     yield list(v)
 
-    chosen = []
-    stacked = []
+    chosen, stacked, mod2 = [], [], F2Echelon()
     tries = 0
     for cand in candidates():
         tries += 1
         if tries > _FREE_BASIS_MAX_TRIES:
             raise RuntimeError("free R-basis search stalled after %d "
                                "candidates" % _FREE_BASIS_MAX_TRIES)
-        trial = stacked + _orbit(cand, [beta_abs], deg)
-        if _unimodular(trial, m):
+        orbit = _orbit(cand, [beta_abs], deg)
+        # rows dependent mod 2 leave an even elementary divisor: in the
+        # reduced echelon of the stack mod 2, normal forms decide that
+        if F2Echelon(mod2.normal_form(pack_mod2(v))
+                     for v in orbit).rank < deg:
+            continue
+        if _unimodular(stacked + orbit, m):
             chosen.append(cand)
-            stacked = trial
+            stacked += orbit
+            for v in orbit:
+                mod2.add(pack_mod2(v))
+            mod2.reduce()
             if len(chosen) == k:
                 break
     out = []
@@ -857,7 +886,8 @@ def _correct_into_n(Q: _Quotient, A, W, replaced, beta_g, d: int):
     return L0, [v for z in L1 for v in _orbit(z, beta_g, nG)]
 
 
-def lattice_split(M: RLattice, n_gens) -> SplitCertificate:
+def lattice_split(M: RLattice, n_gens,
+                  fact: PrimeFactorTwo | None = None) -> SplitCertificate:
     """Split M[G] = L_0 (+) L_1 with N[G] = 2 L_0 (+) L_1, G the Galois
     group of the real subfield whose ring of integers is M.ring, acting
     by twisting the R-structure of the copies of M.
@@ -869,8 +899,8 @@ def lattice_split(M: RLattice, n_gens) -> SplitCertificate:
     is an integer matrix (beta, or the lift d_i(beta) of an idempotent)
     followed by the projection to M/N.  The factorization of 2, its
     idempotents and the Galois permutation of the factors are computed
-    once and passed to the stages.  Everything is exact and the
-    certificate is returned only after its verify() passes.
+    once (the factorization unless given as ``fact``) for all stages.
+    Everything is exact; the certificate is returned once verify() passes.
     """
     ring = M.ring
     check_size("split", ring, M.rank)
@@ -892,7 +922,8 @@ def lattice_split(M: RLattice, n_gens) -> SplitCertificate:
         raise ValueError("2M <= N fails at coordinate %d" % i)
 
     A = _free_r_basis(ring, IntMatrix.identity(d).to_rows(), [beta])
-    fact = factor_two(ring)
+    if fact is None:
+        fact = factor_two(ring)
     # the 0/1 lifts d_i of the idempotents and their matrices d_i(beta)
     d_lift = [PolyZ(e.coeffs()) for e in _idempotents(fact)]
     dbase = [dl.eval_matrix(beta) for dl in d_lift]
@@ -984,38 +1015,36 @@ def _rmat_to_z(ring: RealCyclotomic, rmat, k: int) -> IntMatrix:
     return _mat(rows, 0)
 
 
-def _higman_endomorphism(ring: RealCyclotomic, y_r):
+def _higman_endomorphism(fact: PrimeFactorTwo, y_r):
     """Z-matrix of an R-linear phi with phi + Y phi Y = 1 on R^k, for Y
-    the k x k involution y_r over R, or None if there is none.
+    the k x k involution y_r over R = fact.ring, or None if there is none.
 
-    L(phi) = phi + Y phi Y is 1 + S with S^2 = 1, so L(phi) = 1 is
-    decided mod 2: for phi_0 with L(phi_0) = 1 mod 2, x = (1 - L(phi_0))/2
-    is fixed by S (S(1) = 1), so L(x) = 2x and phi_0 + x solves it
-    exactly.  phi_0 comes from one GF(2) echelon: an element of R/2R is
-    the bitmask of its coefficients on the beta^c, and entry (u, v) of a
-    k x k matrix over R/2R sits at bit offset (u*k + v)*deg, also the
-    index of the unknown beta^c E_uv.
+    Mod 2, Y = 1 + N with N^2 = 0, and phi Y + Y phi = Y reads phi N +
+    N phi = 1 + N: solvable iff ker N = im N (x = (x phi) N on ker N),
+    iff a beta-stable complement C of im N has half the rank, grown by
+    lines of f beta-images in the fields of R/2R; then phi_0 = 1 on C and
+    N^-1 on CN.  phi_0 + Y phi_0 Y = 1 - 2x, x = YxY: phi_0 + x solves it.
     """
-    k, deg = len(y_r), ring.degree
-    mu2 = ring.mu.reduce_mod2()
-    y2 = [[a.reduce_mod2() for a in row] for row in y_r]
-    ech = F2Echelon()
-    for u in range(k):
-        for v in range(k):
-            # the entries of L(E_uv), then of L(beta^c E_uv) = beta^c L(E_uv)
-            ent = [((y2[s][u] * y2[v][t]) % mu2).bits ^ (s == u and t == v)
-                   for s in range(k) for t in range(k)]
-            for _ in range(deg):
-                ech.add(sum(e << (i * deg) for i, e in enumerate(ent)))
-                ent = [(e << 1) ^ (e >> (deg - 1)) * mu2.bits for e in ent]
-    combo = ech.solve(sum(1 << (s * (k + 1) * deg) for s in range(k)))
-    if combo is None:
+    ring, k, d = fact.ring, len(y_r), fact.ring.degree
+    y, b0 = _rmat_to_z(ring, y_r, k), ring.beta_matrix().transpose()
+    C, span = [], F2Echelon(pack_mod2(r) ^ 1 << i   # im N, then C beside
+                            for i, r in enumerate(y.to_rows()))
+    for e in _idempotents(fact):
+        for r in PolyZ(e.coeffs()).eval_matrix(b0).to_rows():
+            for s in range(k):
+                if span.residue(pack_mod2(r) << (s * d)):
+                    for v in _orbit(_embed(s, r, d, k), [b0] * k, fact.f):
+                        span.add(pack_mod2(v))
+                        C.append((pack_mod2(v), pack_mod2(_vec_sub(
+                            _row_act(y, v), v))))
+    if 2 * len(C) != k * d:
         return None
-    phi0 = _rmat_to_z(ring, [[PolyZ([(combo >> ((u * k + v) * deg + c)) & 1
-                                     for c in range(deg)])
-                               for v in range(k)] for u in range(k)], k)
-    y = _rmat_to_z(ring, y_r, k)
-    rest = IntMatrix.identity(k * deg) - phi0 - y @ phi0 @ y
+    # [P | P phi_0] for P = [C; CN], invertible: e_u reduces to e_u phi_0
+    ech = F2Echelon(t << k * d | c for c, cn in C for t in (c, cn))
+    rows = [ech.residue(1 << (u + k) * d) for u in range(k)]
+    phi0 = _rmat_to_z(ring, [[PolyZ([(w >> v * d + c) & 1 for c in range(d)])
+                              for v in range(k)] for w in rows], k)
+    rest = IntMatrix.identity(k * d) - phi0 - y @ phi0 @ y
     return phi0 + IntMatrix.from_rows([[a // 2 for a in row]
                                        for row in rest.to_rows()])
 
@@ -1099,6 +1128,7 @@ def involution_split(module: Z2Module, padding: int = 0) -> InvolutionSplit:
     Damp = Dt * nG
     beta_amp = _amplify(ring, beta_t)
     y_amp = [y_t] * nG
+    fact = factor_two(ring)
 
     halves = {}
     for tau in (1, -1):
@@ -1115,7 +1145,7 @@ def involution_split(module: Z2Module, padding: int = 0) -> InvolutionSplit:
         n2_abs = coordinates(IntMatrix.from_rows(T_rows), N2)
         if None in n2_abs:
             raise AssertionError("2-division lattice escaped M2")
-        cert = lattice_split(RLattice.free(ring, k), n2_abs)
+        cert = lattice_split(RLattice.free(ring, k), n2_abs, fact)
         # back to ambient coordinates, copy by copy: x -> x . T
         back = [IntMatrix.from_rows(T_rows)] * nG
         halves[tau] = tuple([_act(back, v) for v in basis.to_rows()]
@@ -1145,7 +1175,7 @@ def involution_split(module: Z2Module, padding: int = 0) -> InvolutionSplit:
             raise AssertionError("P_0 is not Y-stable")
         y_r = [[PolyZ(c[t * deg:(t + 1) * deg]) for t in range(k0)]
                for c in y_abs]
-        phi_z = _higman_endomorphism(ring, y_r)
+        phi_z = _higman_endomorphism(fact, y_r)
         if phi_z is None:
             raise InvolutionError(
                 "no Higman endomorphism at padding %d" % padding)

@@ -9,7 +9,10 @@ pairwise check of the module axioms, both replaced by the module's
 generator and its Chebyshev certificate.  For ``cocycle``: the identity
 scan over all m^4 quadruples, in integers and in Fractions, which the
 two-slice scan replaced, and the class witness substituted back through
-Fraction-built tables, which the one integer pass replaced.
+Fraction-built tables, which the one integer pass replaced.  For
+``numring``: the k^4 GF(2) echelon that solved Higman's equation before
+the mod-2 normal form of Y replaced it, and the row action that walked
+whole matrix rows.
 """
 
 from __future__ import annotations
@@ -18,8 +21,15 @@ from fractions import Fraction
 from operator import mul
 
 from cyclotwist.cocycle import Cocycle3, coboundary, omega
-from cyclotwist.exactalg import IntMatrix, PolyZ, SNFResult, smith_normal_form
+from cyclotwist.exactalg import (
+    F2Echelon,
+    IntMatrix,
+    PolyZ,
+    SNFResult,
+    smith_normal_form,
+)
 from cyclotwist.fusion import FusionRing, tlj
+from cyclotwist.numring import _rmat_to_z
 
 # snf_verify checks det(U), det(V) = +-1 only up to this many rows: Bareiss
 # minors of large transforms can be huge
@@ -223,3 +233,50 @@ def fraction_class(c: Cocycle3):
         beta[j + 1] = [b - g.value(one, j, h)
                        for h, b in enumerate(beta[j])]
     return k if g == coboundary(m, beta) else None
+
+
+def higman_echelon(ring, y_r):
+    """Z-matrix of an R-linear phi with phi + Y phi Y = 1 on R^k, or None:
+    L(phi) = 1 mod 2 as one GF(2) echelon over the k^2 * deg unknowns
+    beta^c E_uv, each a vector of k^2 * deg bits (entry (s, t) of a
+    matrix over R/2R at bit offset (s * k + t) * deg), then the exact
+    lift x = (1 - L(phi_0)) / 2."""
+    k, deg = len(y_r), ring.degree
+    mu2 = ring.mu.reduce_mod2()
+    y2 = [[a.reduce_mod2() for a in row] for row in y_r]
+    ech = F2Echelon()
+    for u in range(k):
+        for v in range(k):
+            # the entries of L(E_uv), then of L(beta^c E_uv) = beta^c L(E_uv)
+            ent = [((y2[s][u] * y2[v][t]) % mu2).bits ^ (s == u and t == v)
+                   for s in range(k) for t in range(k)]
+            for _ in range(deg):
+                ech.add(sum(e << (i * deg) for i, e in enumerate(ent)))
+                ent = [(e << 1) ^ (e >> (deg - 1)) * mu2.bits for e in ent]
+    combo = ech.solve(sum(1 << (s * (k + 1) * deg) for s in range(k)))
+    if combo is None:
+        return None
+    phi0 = _rmat_to_z(ring, [[PolyZ([(combo >> ((u * k + v) * deg + c)) & 1
+                                     for c in range(deg)])
+                              for v in range(k)] for u in range(k)], k)
+    y = _rmat_to_z(ring, y_r, k)
+    rest = IntMatrix.identity(k * deg) - phi0 - y @ phi0 @ y
+    return phi0 + IntMatrix.from_rows([[a // 2 for a in row]
+                                       for row in rest.to_rows()])
+
+
+def row_act_dense(A: IntMatrix, v) -> list:
+    """v . A for a row vector v, one whole row of A per nonzero entry."""
+    out = [0] * A.cols
+    for i, x in enumerate(v):
+        if x:
+            for j, a in enumerate(A.row(i)):
+                out[j] += x * a
+    return out
+
+
+def matmul_naive(A: IntMatrix, B: IntMatrix) -> IntMatrix:
+    """A @ B by the definition, one dot product per entry."""
+    return IntMatrix(A.rows, B.cols,
+                     [sum(A.at(i, t) * B.at(t, j) for t in range(A.cols))
+                      for i in range(A.rows) for j in range(B.cols)])

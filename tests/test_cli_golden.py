@@ -4,7 +4,10 @@
 the JSON input files, the exit code, stdout, stderr and the raw text of
 the ``--json`` payload.  The test replays every case and compares all of
 it, so a refactor of the library cannot change a verdict, a certificate
-or a CLI byte without failing here.
+or a CLI byte without failing here.  That includes the parser's own
+bytes: help at every level, missing required arguments and unknown
+commands.  Help text is wrapped to the terminal width, so every case
+runs with COLUMNS=80 (the width argparse assumes when COLUMNS is unset).
 
 Regenerate (only when an output change is intended) with
 
@@ -38,8 +41,16 @@ def replay(argv, files, workdir):
     run_argv = [a.format(out=out_path, **paths) if a.startswith("{") else a
                 for a in argv]
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        rc = main(run_argv)
+    columns = os.environ.get("COLUMNS")
+    os.environ["COLUMNS"] = "80"
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(run_argv)
+    finally:
+        if columns is None:
+            del os.environ["COLUMNS"]
+        else:
+            os.environ["COLUMNS"] = columns
     payload = None
     if os.path.exists(out_path):
         with open(out_path, "r", encoding="utf-8") as fh:
@@ -228,6 +239,28 @@ def _cases():
     add(["sweep", "agreement", "--max", "0"])
     add(["sweep", "det", "--max-k", "3"] + J)
     add(["sweep", "fibonacci", "--max-n", "50"] + J)
+
+    # the parser: help at each level, each leaf's missing required
+    # arguments (cocycle check/class and the sweeps have none), unknown
+    # commands
+    add(["-h"])
+    for group, leaf in (("fusion", "det"), ("cocycle", "class"),
+                        ("obstruction", "cuntz"), ("numring", "involution"),
+                        ("pimsner", "check"), ("sweep", "fibonacci")):
+        add([group, "-h"])
+        add([group, leaf, "-h"])
+    for group, leaves in (
+            ("fusion", ("build", "det", "cheb", "parity", "dk", "iso")),
+            ("cocycle", ("make", "embed", "crt")),
+            ("obstruction", ("cuntz", "tensor", "intro", "fibonacci",
+                             "ev1")),
+            ("numring", ("minpoly", "factor2", "idem", "galois", "split",
+                         "involution", "resolve")),
+            ("pimsner", ("check",))):
+        for leaf in leaves:
+            add([group, leaf])
+    add(["frobnicate"])
+    add(["numring", "frobnicate"])
     return cases
 
 

@@ -38,6 +38,7 @@ from cyclotwist.pimsner import CorrSpec
 from exact_oracles import (
     apply,
     det_bareiss,
+    matmul_naive,
     poly_eval,
     snf_verify,
     solve_one,
@@ -64,6 +65,37 @@ def test_intmatrix_zero_dimensions():
     assert z.rows == 0 and z.cols == 3
     assert (z @ IntMatrix.zeros(3, 2)).rows == 0
     assert IntMatrix.identity(0) @ IntMatrix.zeros(0, 4) == IntMatrix.zeros(0, 4)
+
+
+def test_product_forms_agree_at_every_density():
+    # rows at least 3/4 nonzero take dot products with the columns, the
+    # sparser ones sum selected rows: both must give the product, so
+    # each left operand mixes rows of densities 0 to 1 in random order
+    rng = random.Random(0x3A7)
+    dots = combos = 0
+    for _ in range(60):
+        m, n, q = rng.randint(1, 9), rng.randint(1, 9), rng.randint(0, 9)
+        rows = []
+        for _ in range(m):
+            density = rng.choice([0, 0.1, 0.25, 0.5, 0.74, 0.75, 0.9, 1])
+            rows.append([rng.randint(-9, 9) or 1 if rng.random() < density
+                         else 0 for _ in range(n)])
+            nz = n - rows[-1].count(0)
+            dots += 4 * nz >= 3 * n
+            combos += 4 * nz < 3 * n
+        a = IntMatrix.from_rows(rows)
+        b = IntMatrix.from_rows([[rng.choice([0, 0, rng.randint(-99, 99)])
+                                  for _ in range(q)] for _ in range(n)])
+        assert a @ b == matmul_naive(a, b)
+    assert dots > 100 and combos > 100
+
+
+def test_nonzero_rows_view():
+    a = IntMatrix.from_rows([[0, 3, 0], [0, 0, 0], [-1, 0, 2]])
+    assert a.nonzero_rows() == (((1, 3),), (), ((0, -1), (2, 2)))
+    assert a.nonzero_rows() is a.nonzero_rows()
+    assert IntMatrix.identity(3) == IntMatrix.from_rows(
+        [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
 
 
 def test_snf_identity():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cyclotwist.exactalg import (
+    F2Echelon,
     IntMatrix,
     PolyF2,
     PolyZ,
@@ -37,6 +38,7 @@ from cyclotwist.numring import (
 )
 from cyclotwist.numring import (
     _Quotient,
+    _act,
     _amplify,
     _free_z2_blocks,
     _galois_images,
@@ -47,8 +49,17 @@ from cyclotwist.numring import (
     _row_basis_rows,
     _same_span,
     _span_profile,
+    _unimodular,
 )
-from exact_oracles import X, apply, contains_all, det_bareiss, solve_one
+from exact_oracles import (
+    X,
+    apply,
+    contains_all,
+    det_bareiss,
+    higman_echelon,
+    row_act_dense,
+    solve_one,
+)
 
 
 def from_vector(v) -> PolyZ:
@@ -820,7 +831,7 @@ def test_higman_solve_matches_dense_oracle():
     for ring, y_r in cases:
         k = len(y_r)
         module = Z2Module(RLattice.free(ring, k), _rmat_to_z(ring, y_r, k))
-        phi = _higman_endomorphism(ring, y_r)
+        phi = _higman_endomorphism(factor_two(ring), y_r)
         oracle = dense_higman(ring, y_r)
         assert (phi is None) == (oracle is None)
         if phi is not None:
@@ -828,6 +839,183 @@ def test_higman_solve_matches_dense_oracle():
             assert higman_check(module, oracle)
             solvable += 1
     assert (len(cases), solvable) == (16, 6)
+
+
+def _random_y(ring, rng, k):
+    """A y_r A^-1 over R^k for y_r block diagonal: 1 x 1 blocks +-1 and
+    2 x 2 blocks [[1, r], [0, -1]], r a random ring element.  Higman's
+    equation is solvable iff there is no 1 x 1 block and every r is a
+    unit in each field of R/2R."""
+    one, zero = PolyZ([1]), PolyZ([0])
+    y = [[zero] * k for _ in range(k)]
+    i = 0
+    while i < k:
+        if i + 1 < k and rng.random() < 0.8:
+            r = PolyZ([rng.randint(-3, 3) for _ in range(ring.degree)])
+            y[i][i], y[i][i + 1], y[i + 1][i + 1] = one, r, -one
+            i += 2
+        else:
+            y[i][i] = PolyZ([rng.choice((1, -1))])
+            i += 1
+    return _r_conjugate(ring, y, rng) if k > 1 else y
+
+
+def test_higman_normal_form_matches_echelon_oracle():
+    # the echelon over all k^2 * deg unknowns decides solvability; the
+    # normal form must agree, and each phi it returns must pass Higman's
+    # check.  p = 17 and 31 have two and three fields in R/2R, so an r
+    # can be a unit in some and zero in others
+    rng = random.Random(0x4197)
+    verdicts = Counter()
+    for p, ks in ((3, (1, 2, 4, 6)), (5, (1, 2, 3, 4)), (7, (2, 3)),
+                  (17, (2, 3)), (31, (2,))):
+        ring = real_cyclotomic(p)
+        fact = factor_two(ring)
+        for _ in range(12):
+            k = rng.choice(ks)
+            y_r = _random_y(ring, rng, k)
+            module = Z2Module(RLattice.free(ring, k),
+                              _rmat_to_z(ring, y_r, k))
+            phi = _higman_endomorphism(fact, y_r)
+            oracle = higman_echelon(ring, y_r)
+            assert (phi is None) == (oracle is None), (p, y_r)
+            if phi is not None:
+                assert higman_check(module, phi)
+                assert higman_check(module, oracle)
+            verdicts[p, phi is None] += 1
+    for p in (3, 5, 7, 17, 31):
+        assert verdicts[p, True] and verdicts[p, False], verdicts
+
+
+def test_higman_verdicts_in_padded_involutions(monkeypatch):
+    # every Higman solve of the involution flow, on the trivial and sign
+    # modules and the two eigenlines padded by regular summands, and on
+    # free modules, gives the echelon oracle's verdict
+    calls = []
+    solve = numring._higman_endomorphism
+
+    def checked(fact, y_r):
+        phi = solve(fact, y_r)
+        assert (phi is None) == (higman_echelon(fact.ring, y_r) is None)
+        calls.append(phi is None)
+        return phi
+
+    monkeypatch.setattr(numring, "_higman_endomorphism", checked)
+    for p in (3, 5, 7):
+        ring = real_cyclotomic(p)
+        deg = ring.degree
+        line = RLattice.free(ring, 1)
+        eigen = [[int(i == j) + 2 * (j == i + deg) for j in range(2 * deg)]
+                 for i in range(deg)]
+        eigen += [[-int(i == j) for j in range(2 * deg)]
+                  for i in range(deg, 2 * deg)]
+        modules = [Z2Module(line, IntMatrix.identity(deg)),
+                   Z2Module(line, IntMatrix.identity(deg).scale(-1)),
+                   Z2Module(RLattice.free(ring, 2),
+                            IntMatrix.from_rows(eigen)),
+                   free_z2_module(p, 1)]
+        for mod in modules:
+            for padding in (0, 1, 2):
+                assert involution_split(mod, padding).verify()
+    assert len(calls) == 27 and not any(calls)
+
+
+def test_unimodular_by_blocks_matches_one_elimination():
+    # rows in disjoint column groups, each block unimodular or not, tall
+    # or not, with zero rows and a row meeting every column mixed in;
+    # one block at fault must make the whole stack fail.  Grouping starts
+    # at 32 columns, so most stacks are that wide
+    rng = random.Random(0xB10C)
+    seen = Counter()
+    for trial in range(400):
+        ncols = rng.choice((rng.randint(1, 14), rng.randint(32, 48),
+                            rng.randint(32, 48)))
+        cols = list(range(ncols))
+        rng.shuffle(cols)
+        rows, bad_block = [], rng.randrange(4)
+        for b in range(rng.randint(1, 4)):
+            width = min(rng.randint(1, 4 if ncols < 32 else 12), len(cols))
+            if not width:
+                break
+            own, cols = cols[:width], cols[width:]
+            t, _ = _random_unimodular(rng, width) if width > 1 else (
+                IntMatrix.identity(1), None)
+            block = t.to_rows()[:rng.randint(1, width)]
+            if b == bad_block:
+                kind = rng.choice(("double", "tall", "random"))
+                if kind == "double":
+                    block[0] = [2 * x for x in block[0]]
+                elif kind == "tall":
+                    block.append([rng.randint(-2, 2) for _ in range(width)])
+                else:
+                    block = [[rng.randint(-3, 3) for _ in range(width)]
+                             for _ in range(rng.randint(1, width))]
+            for r in block:
+                row = [0] * ncols
+                for j, x in zip(own, r):
+                    row[j] = x
+                rows.append(row)
+        if rng.random() < 0.1:
+            rows.append([0] * ncols)
+        if rng.random() < 0.1:
+            rows.append([rng.choice((-1, 1)) for _ in range(ncols)])
+        rng.shuffle(rows)
+        diag = numring.elementary_divisors(numring._mat(rows, ncols))
+        want = len(diag) == len(rows) and all(s == 1 for s in diag)
+        assert _unimodular(rows, ncols) == want, rows
+        seen[want] += 1
+    assert seen[True] > 100 and seen[False] > 100
+
+
+def test_row_act_reads_only_nonzero_entries():
+    rng = random.Random(0x50A)
+    for _ in range(200):
+        n, m = rng.randint(0, 7), rng.randint(0, 7)
+        density = rng.random()
+        A = IntMatrix.from_rows([[rng.randint(-5, 5)
+                                  if rng.random() < density else 0
+                                  for _ in range(m)] for _ in range(n)]) \
+            if n else IntMatrix.zeros(0, m)
+        v = [rng.choice((0, 0, rng.randint(-4, 4))) for _ in range(n)]
+        assert _row_act(A, v) == row_act_dense(A, v)
+        blocks = [A, IntMatrix.identity(3), A]
+        w = v + [0, 0, 0] + [rng.randint(-1, 1) for _ in range(n)]
+        assert _act(blocks, w) == (row_act_dense(A, v) + [0, 0, 0]
+                                   + row_act_dense(A, w[n + 3:]))
+
+
+def test_free_basis_prefilter_skips_only_failing_smith_forms(monkeypatch):
+    # every Smith form of the free involution at p = 13 sees rows that are
+    # independent mod 2; each free-basis search, rerun with the mod-2 test
+    # switched off, picks the same basis in more Smith forms
+    smith, search = numring._unimodular, numring._free_r_basis
+    tests, searches = [], []
+
+    def counted(rows, ncols):
+        tests.append(F2Echelon(pack_mod2(r) for r in rows).rank == len(rows))
+        return smith(rows, ncols)
+
+    def recorded(*args):
+        before = len(tests)
+        chosen = search(*args)
+        searches.append((args, chosen, len(tests) - before))
+        return chosen
+
+    monkeypatch.setattr(numring, "_unimodular", counted)
+    monkeypatch.setattr(numring, "_free_r_basis", recorded)
+    involution_split(free_z2_module(13, 1))
+    assert all(tests)
+
+    class Unfiltered(F2Echelon):
+        rank = 10 ** 9              # every candidate passes the mod-2 test
+
+    monkeypatch.setattr(numring, "F2Echelon", Unfiltered)
+    filtered = unfiltered = 0
+    for args, chosen, n_smith in searches:
+        del tests[:]
+        assert search(*args) == chosen
+        filtered, unfiltered = filtered + n_smith, unfiltered + len(tests)
+    assert not all(tests) and unfiltered > 2 * filtered
 
 
 def test_z2_module_validation():

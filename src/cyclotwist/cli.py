@@ -50,13 +50,46 @@ def _verdict(args, label: str, value: bool, citation: str) -> int:
     return 1 if (args.do_assert and not value) else 0
 
 
+def _json_parts(obj, nl: str = "\n"):
+    """The text of json.dumps(obj, indent=2, sort_keys=True), in pieces of
+    one row or at most 1,024 integers; nl is the line break and indent of
+    obj's own lines.  Non-str keys and floats are a TypeError."""
+    t, inner = type(obj), nl + "  "
+    if t is dict and obj:
+        if set(map(type, obj)) != {str}:
+            raise TypeError("JSON object keys must be str")
+        sep = "{" + inner
+        for key in sorted(obj):
+            yield sep + "".join(_json_parts(key)) + ": "
+            yield from _json_parts(obj[key], inner)
+            sep = "," + inner
+        yield nl + "}"
+    elif (t is list or t is tuple) and obj:
+        sep = "[" + inner
+        for i in range(0, len(obj), 1024):
+            chunk = obj[i:i + 1024]
+            if set(map(type, chunk)) == {int}:  # not bools: one join, in C
+                yield sep + ("," + inner).join(map(int.__repr__, chunk))
+                sep = "," + inner
+                continue
+            for x in chunk:
+                yield sep
+                yield from _json_parts(x, inner)
+                sep = "," + inner
+        yield nl + "]"
+    elif obj is None or t in (str, int, bool, dict, list, tuple):
+        import json  # a scalar, [] or {}
+        yield json.dumps(obj)
+    else:
+        raise TypeError("%s is not a JSON payload value" % t.__name__)
+
+
 def _emit_json(args, payload: dict) -> None:
+    """Write payload and "seed" to the --json path, if given, in the bytes
+    of json.dumps(payload, indent=2, sort_keys=True) + "\\n"."""
     if getattr(args, "json_path", None):
-        import json
-        payload = dict(payload)
-        payload["seed"] = args.seed
         with open(args.json_path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
+            fh.writelines(_json_parts(dict(payload, seed=args.seed)))
             fh.write("\n")
 
 

@@ -413,6 +413,22 @@ def _mat(rows, ncols: int) -> IntMatrix:
     return IntMatrix.from_rows(rows) if rows else IntMatrix.zeros(0, ncols)
 
 
+def _meeting_classes(masks, n: int) -> dict:
+    """Joins the n-bit masks that share a bit, transitively: {union of a
+    class: indices of its masks}, the unions disjoint (zero masks make
+    one class of their own), or {} once a union covers all n bits."""
+    classes = {}
+    for i, mask in enumerate(masks):
+        members = [i]
+        for g in [g for g in classes if g & mask]:
+            mask |= g
+            members += classes.pop(g)
+        if mask == (1 << n) - 1:
+            return {}
+        classes[mask] = classes.get(mask, []) + members
+    return classes
+
+
 def _unimodular(rows, ncols: int) -> bool:
     """The rows extend to a Z-basis of Z^ncols: every elementary divisor
     is 1, one per row.  With ncols rows they are a Z-basis.
@@ -423,18 +439,11 @@ def _unimodular(rows, ncols: int) -> bool:
     iff each block's rows do on the block's columns (a zero row is a block
     with none).  A block that covers every column ends the grouping.
     """
-    blocks = {}                     # column mask -> rows; masks disjoint
-    for r in rows if ncols >= 32 else ():
-        mask, block = sum(1 << j for j, x in enumerate(r) if x), [r]
-        for g in [g for g in blocks if g & mask]:
-            mask |= g
-            block += blocks.pop(g)
-        if mask == (1 << ncols) - 1:
-            blocks = {}
-            break
-        blocks[mask] = blocks.get(mask, []) + block
-    for mask, block in blocks.items() or [((1 << ncols) - 1, rows)]:
+    classes = _meeting_classes((sum(1 << j for j, x in enumerate(r) if x)
+                                for r in rows), ncols) if ncols >= 32 else {}
+    for mask, idx in classes.items() or [((1 << ncols) - 1, None)]:
         cols = [j for j in range(ncols) if mask >> j & 1]
+        block = rows if idx is None else [rows[i] for i in idx]
         if len(cols) < ncols:
             block = [[r[j] for j in cols] for r in block]
         diag = elementary_divisors(_mat(block, len(cols)))
@@ -547,7 +556,14 @@ class RLattice(Record):
         d = self.rank * self.ring.degree
         if self.beta.rows != d or self.beta.cols != d:
             raise ValueError("beta matrix has wrong shape")
-        if not self.ring.mu.eval_matrix(self.beta).is_zero():
+        # mu(beta) is block diagonal on the classes of indices that beta's
+        # nonzero entries join, so it is evaluated on each distinct block
+        rows = self.beta.to_rows()
+        classes = _meeting_classes((sum(1 << j for j, x in enumerate(r) if x)
+                                    | 1 << i for i, r in enumerate(rows)), d)
+        blocks = {IntMatrix.from_rows([[rows[i][j] for j in c] for i in c])
+                  for c in map(sorted, classes.values())} or {self.beta}
+        if not all(self.ring.mu.eval_matrix(b).is_zero() for b in blocks):
             raise ValueError("mu(beta) != 0: not an R-module structure")
 
     @property

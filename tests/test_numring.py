@@ -920,6 +920,75 @@ def test_higman_verdicts_in_padded_involutions(monkeypatch):
     assert len(calls) == 27 and not any(calls)
 
 
+_NOT_A_MODULE = "mu(beta) != 0: not an R-module structure"
+
+
+def _mu_verdict(ring, rank, beta):
+    """RLattice's verdict on mu(beta) = 0: True, or its refusal message."""
+    try:
+        RLattice(ring, rank, beta)
+    except ValueError as exc:
+        return str(exc)
+    return True
+
+
+def _permuted(m: IntMatrix, perm) -> IntMatrix:
+    rows = m.to_rows()
+    return IntMatrix.from_rows([[rows[i][j] for j in perm] for i in perm])
+
+
+@pytest.mark.parametrize("p", [5, 7, 13])
+def test_mu_check_by_blocks_matches_whole_matrix(p):
+    # RLattice evaluates mu on each block of indices that beta's nonzero
+    # entries join; the oracle evaluates it on the whole matrix.  Free
+    # lattices (rank copies of one block), their conjugates (one dense
+    # block), blocks interleaved by a permutation, a free block beside a
+    # conjugated one, and each of these with one entry changed
+    ring = real_cyclotomic(p)
+    rng = random.Random(p)
+    refused = Counter()
+    for rank in (1, 2, 3):
+        free = RLattice.free(ring, rank).beta
+        d = free.rows
+        T, Tinv = _random_unimodular(rng, d, shears=rng.randint(1, 2 * d))
+        perm = list(range(d))
+        rng.shuffle(perm)
+        h = ring.degree
+        T1, T1inv = _random_unimodular(rng, h, shears=h) if h > 1 else (
+            IntMatrix.identity(1), IntMatrix.identity(1))
+        mixed = numring._block_diag(
+            [T1 @ RLattice.free(ring, 1).beta @ T1inv]
+            + [RLattice.free(ring, 1).beta] * (rank - 1))
+        for kind, beta in (("free", free), ("conjugated", T @ free @ Tinv),
+                           ("interleaved", _permuted(free, perm)),
+                           ("mixed", mixed)):
+            assert ring.mu.eval_matrix(beta).is_zero()
+            assert _mu_verdict(ring, rank, beta) is True
+            for _ in range(4):
+                rows = beta.to_rows()
+                i, j = rng.randrange(d), rng.randrange(d)
+                rows[i][j] += rng.choice((-1, 1, 2))
+                bad = IntMatrix.from_rows(rows)
+                whole = ring.mu.eval_matrix(bad).is_zero() or _NOT_A_MODULE
+                assert _mu_verdict(ring, rank, bad) == whole
+                refused[kind] += whole == _NOT_A_MODULE
+    assert refused == {"free": 12, "conjugated": 12, "interleaved": 12,
+                       "mixed": 12}
+
+
+def test_mu_check_of_a_free_lattice_takes_one_block(monkeypatch):
+    # the Higman module of the free involution at p = 19 is 18 copies of
+    # one 9 x 9 block: mu is evaluated once, on that block, not on the
+    # 162 x 162 matrix
+    ring = real_cyclotomic(19)
+    sizes = []
+    evaluate = PolyZ.eval_matrix
+    monkeypatch.setattr(PolyZ, "eval_matrix",
+                        lambda f, m: sizes.append(m.rows) or evaluate(f, m))
+    RLattice.free(ring, 18)
+    assert sizes == [9]
+
+
 def test_unimodular_by_blocks_matches_one_elimination():
     # rows in disjoint column groups, each block unimodular or not, tall
     # or not, with zero rows and a row meeting every column mixed in;

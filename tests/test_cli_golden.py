@@ -250,6 +250,15 @@ def _cases():
         add([group, "-h"])
         add([group, leaf, "-h"])
     for group, leaves in (
+            ("fusion", ("build", "cheb", "parity", "dk", "iso")),
+            ("cocycle", ("make", "check", "embed", "crt")),
+            ("obstruction", ("tensor", "intro", "fibonacci", "ev1")),
+            ("numring", ("minpoly", "factor2", "idem", "galois", "split",
+                         "resolve")),
+            ("sweep", ("agreement", "det"))):
+        for leaf in leaves:
+            add([group, leaf, "-h"])
+    for group, leaves in (
             ("fusion", ("build", "det", "cheb", "parity", "dk", "iso")),
             ("cocycle", ("make", "embed", "crt")),
             ("obstruction", ("cuntz", "tensor", "intro", "fibonacci",

@@ -145,16 +145,6 @@ def _select_ring(args):
     return pointed_cyclic(args.pointed), "pointed(%d)" % args.pointed
 
 
-def _add_ring_flags(p):
-    g = p.add_mutually_exclusive_group(required=True)
-    g.add_argument("--tlj", type=int, metavar="K",
-                   help="level-K fusion rules on pi_0..pi_K")
-    g.add_argument("--tlj-even", type=int, metavar="K",
-                   help="even-label subring at level K")
-    g.add_argument("--pointed", type=int, metavar="M",
-                   help="group ring of Z/M with basis Z/M")
-
-
 def _cmd_fusion_build(args) -> int:
     ring, name = _select_ring(args)
     _say("%s: rank %d" % (name, ring.rank))
@@ -293,13 +283,6 @@ def _load_cocycle(args):
     if args.m is None or args.k is None:
         raise ValueError("need either --file or both --m and --k")
     return omega(args.m, args.k)
-
-
-def _add_cocycle_source(p):
-    p.add_argument("--file", metavar="PATH",
-                   help="JSON cocycle table produced by 'cocycle make'")
-    p.add_argument("--m", type=int, help="group order")
-    p.add_argument("--k", type=int, help="standard class representative")
 
 
 def _cmd_cocycle_make(args) -> int:
@@ -649,6 +632,105 @@ def _cmd_sweep_fibonacci(args) -> int:
 
 # ----------------------------------------------------------------- wiring
 
+# An argument is a (flag, add_argument keywords) pair, or a (tuple of such
+# pairs, add_mutually_exclusive_group keywords) pair.
+_INT = {"type": int, "required": True}
+_P = (("--p", _INT),)
+_M_N_K = (("--m", _INT), ("--n", _INT), ("--k", _INT))
+_RING_FLAGS = (((
+    ("--tlj", {"type": int, "metavar": "K",
+               "help": "level-K fusion rules on pi_0..pi_K"}),
+    ("--tlj-even", {"type": int, "metavar": "K",
+                    "help": "even-label subring at level K"}),
+    ("--pointed", {"type": int, "metavar": "M",
+                   "help": "group ring of Z/M with basis Z/M"}),
+), {"required": True}),)
+_COCYCLE_SOURCE = (
+    ("--file", {"metavar": "PATH",
+                "help": "JSON cocycle table produced by 'cocycle make'"}),
+    ("--m", {"type": int, "help": "group order"}),
+    ("--k", {"type": int, "help": "standard class representative"}),
+)
+
+# group -> (help, {leaf -> (handler, help, arguments)}), in help order
+_COMMANDS = {
+    "fusion": ("fusion rings and invariants", {
+        "build": (_cmd_fusion_build, "construct a fusion ring", _RING_FLAGS),
+        "det": (_cmd_fusion_det, "determinant invariant |det Z|",
+                _RING_FLAGS),
+        "cheb": (_cmd_fusion_cheb, "Chebyshev structure check",
+                 (("--level", _INT),)),
+        "parity": (_cmd_fusion_parity, "even-part index-parity exactness",
+                   (("--half-level", _INT),)),
+        "dk": (_cmd_fusion_dk, "folded-label module", (("--level", _INT),)),
+        "iso": (_cmd_fusion_iso, "group-ring shape at level p - 2", _P),
+    }),
+    "cocycle": ("3-cocycles on cyclic groups", {
+        "make": (_cmd_cocycle_make, "build a standard cocycle",
+                 (("--m", _INT), ("--k", _INT))),
+        "check": (_cmd_cocycle_check, "verify the cocycle identity",
+                  _COCYCLE_SOURCE),
+        "class": (_cmd_cocycle_class, "cohomology class of a table",
+                  _COCYCLE_SOURCE),
+        "embed": (_cmd_cocycle_embed, "restriction identity into Z/(m*n)",
+                  _M_N_K),
+        "crt": (_cmd_cocycle_crt, "coprime splitting of classes", _M_N_K),
+    }),
+    "obstruction": ("existence criteria for twisted actions", {
+        "cuntz": (_cmd_obstruction_cuntz,
+                  "stabilized action on the Cuntz algebra O_{n+1}", _M_N_K),
+        "tensor": (_cmd_obstruction_tensor, "tensor-stabilized criterion",
+                   _M_N_K),
+        "intro": (_cmd_obstruction_intro, "divisibility formulation",
+                  _M_N_K),
+        "fibonacci": (_cmd_obstruction_fibonacci,
+                      "x^2 = x + 1 solvability mod n, dual-certified",
+                      (("--n", _INT),)),
+        "ev1": (_cmd_obstruction_ev1, "image of evaluation at the unit",
+                (("--m", _INT), ("--n", _INT))),
+    }),
+    "numring": ("real cyclotomic rings and module certificates", {
+        "minpoly": (_cmd_numring_minpoly,
+                    "minimal polynomial of 2cos(2pi/p)", _P),
+        "factor2": (_cmd_numring_factor2, "factor mu modulo 2", _P),
+        "idem": (_cmd_numring_idem, "CRT idempotents of R/2R", _P),
+        "galois": (_cmd_numring_galois,
+                   "matrix of the automorphism beta -> 2cos(2pi a/p)",
+                   _P + (("--a", _INT),)),
+        "split": (_cmd_numring_split,
+                  "certified splitting for a sublattice pair",
+                  (("--file", {"required": True,
+                               "help": "JSON {p, rank, beta?, n_gens}"}),)),
+        "involution": (
+            _cmd_numring_involution,
+            "eigenpart decomposition of a module with involution",
+            (("--file", {"required": True,
+                         "help": "JSON {p, rank, beta?, y}"}),
+             ("--padding", {"type": int, "help": "regular summands to add "
+                            "(default: smallest that works)"}))),
+        "resolve": (_cmd_numring_resolve,
+                    "four-term resolution of a presented module",
+                    (("--file", {"required": True,
+                                 "help": "JSON {p, rank, relations}"}),)),
+    }),
+    "pimsner": ("Pimsner algebra simplicity", {
+        "check": (_cmd_pimsner_check,
+                  "Toeplitz and Cuntz-Pimsner verdicts for a correspondence",
+                  (("--file", {"required": True, "help": "JSON {n, mult} "
+                               "with entries >= 0 or 'inf'"}),)),
+    }),
+    "sweep": ("consistency sweeps", {
+        "agreement": (_cmd_sweep_agreement,
+                      "tensor criterion vs divisibility form",
+                      (("--max", {"type": int, "default": 48}),)),
+        "det": (_cmd_sweep_det, "determinant table vs closed form",
+                (("--max-k", {"type": int, "default": 8}),)),
+        "fibonacci": (_cmd_sweep_fibonacci, "dual fibonacci certificates",
+                      (("--max-n", {"type": int, "default": 10000}),)),
+    }),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="cyclotwist",
@@ -659,121 +741,24 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="seed echoed into JSON output (default 0); "
                           "all computations here are deterministic")
     sub = top.add_subparsers(dest="command", required=True)
-
-    def leaf(parent, name, fn, help_text):
-        p = parent.add_parser(name, help=help_text)
-        p.set_defaults(func=fn)
-        p.add_argument("--json", dest="json_path", metavar="PATH",
-                       help="write a machine-readable result object")
-        p.add_argument("--assert", dest="do_assert", action="store_true",
-                       help="exit 1 when a computed boolean verdict "
-                            "is false")
-        return p
-
-    fusion = sub.add_parser("fusion", help="fusion rings and invariants")
-    fsub = fusion.add_subparsers(dest="subcommand", required=True)
-    p = leaf(fsub, "build", _cmd_fusion_build, "construct a fusion ring")
-    _add_ring_flags(p)
-    p = leaf(fsub, "det", _cmd_fusion_det, "determinant invariant |det Z|")
-    _add_ring_flags(p)
-    p = leaf(fsub, "cheb", _cmd_fusion_cheb, "Chebyshev structure check")
-    p.add_argument("--level", type=int, required=True)
-    p = leaf(fsub, "parity", _cmd_fusion_parity,
-             "even-part index-parity exactness")
-    p.add_argument("--half-level", dest="half_level", type=int,
-                   required=True)
-    p = leaf(fsub, "dk", _cmd_fusion_dk, "folded-label module")
-    p.add_argument("--level", type=int, required=True)
-    p = leaf(fsub, "iso", _cmd_fusion_iso,
-             "group-ring shape at level p - 2")
-    p.add_argument("--p", type=int, required=True)
-
-    coc = sub.add_parser("cocycle", help="3-cocycles on cyclic groups")
-    csub = coc.add_subparsers(dest="subcommand", required=True)
-    p = leaf(csub, "make", _cmd_cocycle_make, "build a standard cocycle")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p = leaf(csub, "check", _cmd_cocycle_check, "verify the cocycle identity")
-    _add_cocycle_source(p)
-    p = leaf(csub, "class", _cmd_cocycle_class, "cohomology class of a table")
-    _add_cocycle_source(p)
-    p = leaf(csub, "embed", _cmd_cocycle_embed,
-             "restriction identity into Z/(m*n)")
-    for flag in ("--m", "--n", "--k"):
-        p.add_argument(flag, type=int, required=True)
-    p = leaf(csub, "crt", _cmd_cocycle_crt, "coprime splitting of classes")
-    for flag in ("--m", "--n", "--k"):
-        p.add_argument(flag, type=int, required=True)
-
-    obs = sub.add_parser("obstruction", help="existence criteria for "
-                                             "twisted actions")
-    osub = obs.add_subparsers(dest="subcommand", required=True)
-    for name, fn, help_text in (
-        ("cuntz", _cmd_obstruction_cuntz,
-         "stabilized action on the Cuntz algebra O_{n+1}"),
-        ("tensor", _cmd_obstruction_tensor, "tensor-stabilized criterion"),
-        ("intro", _cmd_obstruction_intro, "divisibility formulation"),
-    ):
-        p = leaf(osub, name, fn, help_text)
-        for flag in ("--m", "--n", "--k"):
-            p.add_argument(flag, type=int, required=True)
-    p = leaf(osub, "fibonacci", _cmd_obstruction_fibonacci,
-             "x^2 = x + 1 solvability mod n, dual-certified")
-    p.add_argument("--n", type=int, required=True)
-    p = leaf(osub, "ev1", _cmd_obstruction_ev1,
-             "image of evaluation at the unit")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-
-    num = sub.add_parser("numring", help="real cyclotomic rings and "
-                                         "module certificates")
-    nsub = num.add_subparsers(dest="subcommand", required=True)
-    for name, fn, help_text in (
-        ("minpoly", _cmd_numring_minpoly,
-         "minimal polynomial of 2cos(2pi/p)"),
-        ("factor2", _cmd_numring_factor2, "factor mu modulo 2"),
-        ("idem", _cmd_numring_idem, "CRT idempotents of R/2R"),
-    ):
-        p = leaf(nsub, name, fn, help_text)
-        p.add_argument("--p", type=int, required=True)
-    p = leaf(nsub, "galois", _cmd_numring_galois,
-             "matrix of the automorphism beta -> 2cos(2pi a/p)")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--a", type=int, required=True)
-    p = leaf(nsub, "split", _cmd_numring_split,
-             "certified splitting for a sublattice pair")
-    p.add_argument("--file", required=True,
-                   help="JSON {p, rank, beta?, n_gens}")
-    p = leaf(nsub, "involution", _cmd_numring_involution,
-             "eigenpart decomposition of a module with involution")
-    p.add_argument("--file", required=True,
-                   help="JSON {p, rank, beta?, y}")
-    p.add_argument("--padding", type=int, default=None,
-                   help="regular summands to add (default: smallest "
-                        "that works)")
-    p = leaf(nsub, "resolve", _cmd_numring_resolve,
-             "four-term resolution of a presented module")
-    p.add_argument("--file", required=True,
-                   help="JSON {p, rank, relations}")
-
-    pim = sub.add_parser("pimsner", help="Pimsner algebra simplicity")
-    psub = pim.add_subparsers(dest="subcommand", required=True)
-    p = leaf(psub, "check", _cmd_pimsner_check,
-             "Toeplitz and Cuntz-Pimsner verdicts for a correspondence")
-    p.add_argument("--file", required=True,
-                   help="JSON {n, mult} with entries >= 0 or 'inf'")
-
-    sw = sub.add_parser("sweep", help="consistency sweeps")
-    ssub = sw.add_subparsers(dest="subcommand", required=True)
-    p = leaf(ssub, "agreement", _cmd_sweep_agreement,
-             "tensor criterion vs divisibility form")
-    p.add_argument("--max", type=int, default=48)
-    p = leaf(ssub, "det", _cmd_sweep_det, "determinant table vs closed form")
-    p.add_argument("--max-k", dest="max_k", type=int, default=8)
-    p = leaf(ssub, "fibonacci", _cmd_sweep_fibonacci,
-             "dual fibonacci certificates")
-    p.add_argument("--max-n", dest="max_n", type=int, default=10000)
-
+    for group, (group_help, leaves) in _COMMANDS.items():
+        gsub = sub.add_parser(group, help=group_help).add_subparsers(
+            dest="subcommand", required=True)
+        for name, (fn, help_text, arguments) in leaves.items():
+            p = gsub.add_parser(name, help=help_text)
+            p.set_defaults(func=fn)
+            p.add_argument("--json", dest="json_path", metavar="PATH",
+                           help="write a machine-readable result object")
+            p.add_argument("--assert", dest="do_assert", action="store_true",
+                           help="exit 1 when a computed boolean verdict "
+                                "is false")
+            for flag, kw in arguments:
+                if isinstance(flag, str):
+                    p.add_argument(flag, **kw)
+                else:
+                    g = p.add_mutually_exclusive_group(**kw)
+                    for f, k in flag:
+                        g.add_argument(f, **k)
     return top
 
 

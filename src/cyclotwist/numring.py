@@ -298,7 +298,8 @@ def galois(ring: RealCyclotomic, a: int) -> IntMatrix:
     sigma_a(beta) = 2*T_a(beta/2) reduced mod mu; columns are the images
     of the basis powers beta^i.  Valid indices are 1..(p-1)/2, canonical
     representatives of (Z/pZ)^x / {+-1}; deg^2 * a is limited to
-    ``_MAX_GALOIS_WORK``.
+    ``_MAX_GALOIS_WORK``.  Raises AssertionError unless mu(sigma_a(beta))
+    = 0, which makes beta -> sigma_a(beta) a ring endomorphism of R.
     """
     a = _canonical_rep(a, ring.p)
     work = ring.degree ** 2 * a
@@ -313,6 +314,11 @@ def galois(ring: RealCyclotomic, a: int) -> IntMatrix:
         # image of beta^i is sigma_a(beta)^i
         cols.append(ring.coeff_vector(acc))
         acc = ring.mul(acc, image)
+    # mu(y) = G c + y^deg for y = sigma_a(beta), with c the coefficients of
+    # the monic mu below its leading 1 (zip drops that 1), and acc = y^deg
+    if any(t + sum(ci * col[r] for ci, col in zip(ring.mu.coeffs, cols))
+           for r, t in enumerate(ring.coeff_vector(acc))):
+        raise AssertionError("sigma_%d(beta) is not a root of mu" % a)
     return IntMatrix.from_rows(cols).transpose()
 
 
@@ -644,13 +650,13 @@ def _free_r_basis(ring: RealCyclotomic, span_rows, blocks) -> list:
     k = m // deg
     if k == 0:
         return []
+    if deg == 1:  # p = 3: mu(beta) = 0 makes beta = -I, so V is stable
+        return V
     beta_abs = coordinates(IntMatrix.from_rows(V),
                            [_act(blocks, v) for v in V])
     if None in beta_abs:
         raise ValueError("lattice is not stable under beta")
     beta_abs = IntMatrix.from_rows(beta_abs)
-    if deg == 1:
-        return V
 
     def candidates():
         for i in range(m):
@@ -1217,7 +1223,7 @@ def involution_split_auto(module: Z2Module) -> InvolutionSplit:
     for pad in range(_MAX_PADDING + 1):
         try:
             return involution_split(module, pad)
-        except (InvolutionError, RuntimeError) as exc:
+        except RuntimeError as exc:  # InvolutionError among them
             last = exc
     raise InvolutionError(
         "no padding up to %d admits the decomposition: %s"
@@ -1319,10 +1325,7 @@ def resolve_z2_module(p: int, rank: int, relations) -> Resolution:
     tgt_beta = _block_diag([fb] * rank)
     tgt_y = _block_diag([fy] * rank)
 
-    if isinstance(relations, IntMatrix):
-        rel_rows = relations.to_rows()
-    else:
-        rel_rows = [list(map(index, rw)) for rw in relations]
+    rel_rows = [list(map(index, rw)) for rw in relations]
     for rw in rel_rows:
         if len(rw) != D0:
             raise ValueError("relation row has length %d, want %d"

@@ -4,9 +4,11 @@ import resource
 import subprocess
 import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+from cyclotwist import cli
 from cyclotwist.cli import _build_parser, main
 from cyclotwist.numring import _MAX_DIM
 
@@ -215,6 +217,18 @@ def test_wrong_fibonacci_root_exits_three(capsys, monkeypatch):
     monkeypatch.setattr("cyclotwist.obstruction._local_roots",
                         lambda p, e: [1])
     code, out, err = run(capsys, ["obstruction", "fibonacci", "--n", "11"])
+    assert code == 3 and out == ""
+    assert "invariant violation" in err
+
+
+def test_galois_non_root_exits_three(capsys, monkeypatch):
+    # an image of beta that is not a root of mu fails the mu(y) = 0 check
+    from cyclotwist import numring
+    from cyclotwist.exactalg import PolyZ
+    t2 = numring.chebyshev_t2
+    monkeypatch.setattr(numring, "chebyshev_t2", lambda a: t2(a) + PolyZ([1]))
+    code, out, err = run(capsys, ["numring", "galois", "--p", "7",
+                                  "--a", "2"])
     assert code == 3 and out == ""
     assert "invariant violation" in err
 
@@ -635,6 +649,18 @@ _LEAF_FILES = {
 
 def test_every_leaf_takes_json_and_has_arguments():
     assert sorted(_json_leaves()) == sorted(_LEAF_ARGS)
+
+
+def test_readme_subcommand_table_matches_the_parser():
+    readme = (Path(__file__).parents[1] / "README.md").read_text("utf-8")
+    table = readme.split("\nSubcommands:\n\n", 1)[1].split("\n\n", 1)[0]
+    listed = []
+    for row in table.splitlines()[2:]:  # after the header and rule
+        group, leaves = row.strip("|").split("|")
+        listed.append((group.strip(" `"),
+                       [leaf.strip(" `") for leaf in leaves.split(",")]))
+    assert listed == [(group, list(leaves))
+                      for group, (_, leaves) in cli._COMMANDS.items()]
 
 
 @pytest.mark.parametrize("group, leaf", _json_leaves())

@@ -156,6 +156,11 @@ def _cmd_fusion_build(args) -> int:
     return 0
 
 
+def _tlj_det_formula(k: int) -> int:
+    # |det Z| of the level-k fusion ring, for k >= 1
+    return 2 ** (k + 1) * (k + 2) ** (k - 1)
+
+
 def _even_det_formula(k: int) -> int:
     # (k+2)^floor(k/2) 2^(k-1-2 floor(k/2)); the two-exponent is 0 for
     # odd k and -1 for even k, where (k+2)^(k/2) is even, so the value
@@ -172,7 +177,7 @@ def _cmd_fusion_det(args) -> int:
     payload = {"name": name, "det_abs": rep.det_abs, "radical": rep.radical}
     if args.tlj is not None:
         k = args.tlj
-        formula = 2 ** (k + 1) * (k + 2) ** (k - 1) if k >= 1 else 1
+        formula = _tlj_det_formula(k) if k >= 1 else 1
         _say("|det Z| = %d  [%s]" % (rep.det_abs, CIT_DET_TLJ))
         if k >= 1 and rep.det_abs != formula:
             raise AssertionError(
@@ -524,7 +529,7 @@ def _cmd_numring_resolve(args) -> int:
 # --------------------------------------------------------------- pimsner
 
 def _cmd_pimsner_check(args) -> int:
-    from .pimsner import CorrSpec, simplicity_reports, validate
+    from .pimsner import CorrSpec, simplicity, validate
     obj = _load_json(args.file)
     # entries are checked by CorrSpec itself: integers or "inf"
     spec = CorrSpec.from_json_obj({
@@ -534,30 +539,21 @@ def _cmd_pimsner_check(args) -> int:
     flags = validate(spec)
     _say("flags: faithful=%s full=%s proper=%s" %
          (flags.faithful, flags.full, flags.proper))
-    trep, crep = simplicity_reports(spec, flags)
-    code = _verdict(args, "Toeplitz algebra simple", trep.toeplitz_simple,
+    rep = simplicity(spec)
+    code = _verdict(args, "Toeplitz algebra simple", rep.toeplitz_simple,
                     CIT_PIM_T)
-    payload = {
-        "spec": spec.to_json_obj(),
-        "flags": {"faithful": flags.faithful, "full": flags.full,
-                  "proper": flags.proper},
-        "toeplitz_simple": trep.toeplitz_simple,
-        "toeplitz_witnesses": trep.witnesses,  # tuples dump as lists
-    }
-    if crep is None:
+    if rep.cuntz_pimsner_simple is None:
         _say("Cuntz-Pimsner criterion not applicable: correspondence "
              "is proper")
-        payload["cuntz_pimsner_simple"] = None
-        payload["cuntz_pimsner_witnesses"] = None
     else:
         code = max(code, _verdict(args, "Cuntz-Pimsner algebra simple",
-                                  crep.cuntz_pimsner_simple, CIT_PIM_CP))
-        if crep.witnesses:
-            _say("witnesses: %s" % "; ".join(str(list(w))
-                                             for w in crep.witnesses))
-        payload["cuntz_pimsner_simple"] = crep.cuntz_pimsner_simple
-        payload["cuntz_pimsner_witnesses"] = crep.witnesses
-    _emit_json(args, payload)
+                                  rep.cuntz_pimsner_simple, CIT_PIM_CP))
+        if rep.cuntz_pimsner_witnesses:
+            _say("witnesses: %s" % "; ".join(
+                str(list(w)) for w in rep.cuntz_pimsner_witnesses))
+    # the records' fields are the payload keys; tuples dump as lists
+    _emit_json(args, dict(vars(rep), spec=spec.to_json_obj(),
+                          flags=vars(flags)))
     return code
 
 
@@ -601,7 +597,7 @@ def _cmd_sweep_det(args) -> int:
     rows = []
     for k in range(1, kmax + 1):
         exact = global_det(tlj(k)).det_abs
-        formula = 2 ** (k + 1) * (k + 2) ** (k - 1)
+        formula = _tlj_det_formula(k)
         match = exact == formula
         _say("k=%d |det Z| = %d formula = %d %s"
              % (k, exact, formula, "match" if match else "MISMATCH"))

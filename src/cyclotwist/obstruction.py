@@ -44,11 +44,6 @@ class FibonacciReport(Record):
     n: int
     acts: bool
     witness: int | None  # a root of x^2 = x + 1 mod n when one exists
-    constructed: bool
-    classification: bool
-
-    def __bool__(self) -> bool:
-        return self.acts
 
 
 def ev1_image(m: int, n: int) -> int:
@@ -191,5 +186,4 @@ def fibonacci_acts(n: int) -> FibonacciReport:
             "fibonacci criteria disagree at n=%d: constructed=%s "
             "classified=%s" % (n, constructed, classification)
         )
-    return FibonacciReport(n, constructed, witness, constructed,
-                           classification)
+    return FibonacciReport(n, constructed, witness)

@@ -29,9 +29,9 @@ intersection, and the least one containing S is everything reachable
 from S, so they are listed below by a closure walk (Ganter's
 NextClosure) rather than by testing every subset.
 
-Both verdicts come from one such listing (simplicity_reports): the
-Toeplitz witnesses are the forward-closed subsets, the Cuntz-Pimsner
-witnesses the invariant ones among them.  Each witness is then
+Both verdicts come from one such listing (simplicity): the Toeplitz
+witnesses are the forward-closed subsets, the Cuntz-Pimsner witnesses
+the invariant ones among them.  Each witness is then
 rechecked once against the raw table, by set membership in each row's
 nonzero columns, without the listing's masks.
 
@@ -114,7 +114,6 @@ class Flags(Record):
     faithful: bool
     full: bool
     proper: bool
-    nondegenerate: bool  # automatic in the block model
 
 
 class IdealReport(Record):
@@ -125,10 +124,12 @@ class IdealReport(Record):
 
 
 class SimplicityReport(Record):
-    toeplitz_simple: bool | None
+    # violating subsets are 1-based and sorted; the Cuntz-Pimsner pair
+    # is None for a proper correspondence, outside that criterion
+    toeplitz_simple: bool
+    toeplitz_witnesses: tuple
     cuntz_pimsner_simple: bool | None
-    witnesses: tuple  # violating subsets, 1-based, sorted
-    flags: Flags
+    cuntz_pimsner_witnesses: tuple | None
 
 
 def _finite(row) -> bool:
@@ -143,16 +144,7 @@ def validate(spec: CorrSpec) -> Flags:
         any(spec.mult[i][j] != 0 for i in range(spec.n)) for j in range(spec.n)
     )
     proper = all(_finite(row) for row in spec.mult)
-    return Flags(faithful=faithful, full=full, proper=proper, nondegenerate=True)
-
-
-def _require_faithful(spec: CorrSpec, faithful: bool) -> None:
-    if not faithful:
-        raise ValueError("left action is not faithful (a row is zero)")
-    if spec.n > _ENUM_CAP:
-        raise ValueError(
-            "subset enumeration capped at n = %d" % _ENUM_CAP
-        )
+    return Flags(faithful=faithful, full=full, proper=proper)
 
 
 def invariant_ideals(spec: CorrSpec) -> IdealReport:
@@ -170,7 +162,10 @@ def invariant_ideals(spec: CorrSpec) -> IdealReport:
     no bit above i.  A step costs at most n closures, so the work
     follows the number of witnesses, not 2^n.
     """
-    _require_faithful(spec, all(map(any, spec.mult)))  # INF is truthy
+    if not all(map(any, spec.mult)):  # INF is truthy
+        raise ValueError("left action is not faithful (a row is zero)")
+    if spec.n > _ENUM_CAP:
+        raise ValueError("subset enumeration capped at n = %d" % _ENUM_CAP)
     n = spec.n
     supp = [sum(1 << j for j, v in enumerate(row) if v != 0)
             for row in spec.mult]
@@ -241,20 +236,20 @@ def _recheck(rows, labelled: tuple, need_compact: bool) -> None:
         )
 
 
-def simplicity_reports(
-    spec: CorrSpec, flags: Flags | None = None
-) -> tuple[SimplicityReport, SimplicityReport | None]:
-    """Both verdicts from one listing of invariant_ideals and one
-    recheck pass: the Toeplitz report, and the Cuntz-Pimsner report or
-    None when the correspondence is proper (outside that criterion).
+def simplicity(spec: CorrSpec) -> SimplicityReport:
+    """Both verdicts and their witnesses from one listing of
+    invariant_ideals and one recheck pass.  The Toeplitz algebra is
+    simple iff no part of A acts compactly (every row has infinite mass)
+    and no nontrivial subset is forward-closed; those subsets are its
+    witnesses.  For a non-proper correspondence the Cuntz-Pimsner
+    algebra is simple iff no nontrivial subset is invariant (both ideal
+    inclusions); a proper one (every row finite) is outside that
+    criterion, and its pair is None.
 
     Every forward-closed witness is rechecked against the raw table for
     the forward inclusion, and each invariant one also for the
-    compact-preimage inclusion.  ``flags`` is validate(spec), for a
-    caller that has it already.
+    compact-preimage inclusion.
     """
-    if flags is None:
-        flags = validate(spec)
     ideals = invariant_ideals(spec)
     rows = _raw_rows(spec)
     # the invariant sets come in listing order among the forward-closed
@@ -269,42 +264,11 @@ def simplicity_reports(
     if nxt is not None:
         for w in (nxt, *invariant):
             _recheck(rows, w, True)
-    rows_infinite = all(not _finite(row) for row in spec.mult)
-    toeplitz = SimplicityReport(
-        toeplitz_simple=rows_infinite and not ideals.forward_closed,
-        cuntz_pimsner_simple=None,
-        witnesses=ideals.forward_closed,
-        flags=flags,
+    finite_rows = len(rows[1])
+    proper = finite_rows == spec.n
+    return SimplicityReport(
+        toeplitz_simple=not finite_rows and not ideals.forward_closed,
+        toeplitz_witnesses=ideals.forward_closed,
+        cuntz_pimsner_simple=None if proper else not ideals.invariant,
+        cuntz_pimsner_witnesses=None if proper else ideals.invariant,
     )
-    if flags.proper:
-        return toeplitz, None
-    return toeplitz, SimplicityReport(
-        toeplitz_simple=None,
-        cuntz_pimsner_simple=not ideals.invariant,
-        witnesses=ideals.invariant,
-        flags=flags,
-    )
-
-
-def toeplitz_simple(spec: CorrSpec) -> SimplicityReport:
-    """Toeplitz algebra simplicity: no part of A acts compactly (every
-    row has infinite mass) and no nontrivial forward-closed subset.
-
-    The Toeplitz half of simplicity_reports; its witnesses are the
-    forward-closed subsets."""
-    return simplicity_reports(spec)[0]
-
-
-def cuntz_pimsner_simple(spec: CorrSpec) -> SimplicityReport:
-    """Cuntz-Pimsner algebra simplicity for non-proper correspondences:
-    no nontrivial subset satisfies both ideal inclusions.
-
-    Proper input is outside the criterion and rejected before anything
-    is listed, not guessed.  Otherwise this is the Cuntz-Pimsner half
-    of simplicity_reports; its witnesses are the invariant subsets.
-    """
-    flags = validate(spec)
-    _require_faithful(spec, flags.faithful)
-    if flags.proper:
-        raise ValueError("criterion not applicable: correspondence is proper")
-    return simplicity_reports(spec, flags)[1]

@@ -41,7 +41,7 @@ from cyclotwist.obstruction import (
     fibonacci_acts,
     intro_formulation,
 )
-from cyclotwist.pimsner import CorrSpec, cuntz_pimsner_simple, toeplitz_simple
+from cyclotwist.pimsner import CorrSpec, simplicity
 from exact_oracles import det_bareiss
 
 
@@ -295,14 +295,14 @@ def test_criterion_11_pimsner_checker():
     t0 = time.monotonic()
 
     oinf = CorrSpec(1, [["inf"]])
-    assert toeplitz_simple(oinf).toeplitz_simple
-    assert cuntz_pimsner_simple(oinf).cuntz_pimsner_simple
+    rep = simplicity(oinf)
+    assert rep.toeplitz_simple and rep.cuntz_pimsner_simple
 
-    rep = cuntz_pimsner_simple(CorrSpec(2, [["inf", 1], [0, 1]]))
+    rep = simplicity(CorrSpec(2, [["inf", 1], [0, 1]]))
     assert not rep.cuntz_pimsner_simple
-    assert rep.witnesses == ((2,),)
-    rep = cuntz_pimsner_simple(CorrSpec(2, [["inf", 1], [1, 0]]))
-    assert rep.cuntz_pimsner_simple and rep.witnesses == ()
+    assert rep.cuntz_pimsner_witnesses == ((2,),)
+    rep = simplicity(CorrSpec(2, [["inf", 1], [1, 0]]))
+    assert rep.cuntz_pimsner_simple and rep.cuntz_pimsner_witnesses == ()
 
     rng = random.Random(0xC0DE)
     for _ in range(100):
@@ -316,20 +316,12 @@ def test_criterion_11_pimsner_checker():
                   for row in mult]
         perm = CorrSpec(n, packed)
 
-        rep = toeplitz_simple(spec)
-        rep_p = toeplitz_simple(perm)
+        rep = simplicity(spec)
+        rep_p = simplicity(perm)
         assert rep.toeplitz_simple == rep_p.toeplitz_simple
         back = sorted(tuple(sorted(sigma[t - 1] + 1 for t in w))
-                      for w in rep_p.witnesses)
-        assert sorted(rep.witnesses) == back
-
-        try:
-            cp = cuntz_pimsner_simple(spec).cuntz_pimsner_simple
-        except ValueError:
-            cp = "proper"
-        try:
-            cp_p = cuntz_pimsner_simple(perm).cuntz_pimsner_simple
-        except ValueError:
-            cp_p = "proper"
-        assert cp == cp_p
+                      for w in rep_p.toeplitz_witnesses)
+        assert sorted(rep.toeplitz_witnesses) == back
+        # None on both sides when proper
+        assert rep.cuntz_pimsner_simple == rep_p.cuntz_pimsner_simple
     assert time.monotonic() - t0 < 10.0

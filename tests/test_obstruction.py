@@ -134,7 +134,7 @@ def test_fibonacci_dual_route():
     assert not fibonacci_acts(4).acts
     assert not fibonacci_acts(25).acts  # 5^2 kills the root
     assert fibonacci_acts(5).witness == 3
-    assert bool(fibonacci_acts(1))
+    assert fibonacci_acts(1).acts
     # every even order is rejected
     assert all(not fibonacci_acts(n).acts for n in range(2, 600, 2))
     with pytest.raises(ValueError):

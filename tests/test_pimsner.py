@@ -10,9 +10,8 @@ from cyclotwist.pimsner import (
     IdealReport,
     _raw_rows,
     _recheck,
-    cuntz_pimsner_simple,
     invariant_ideals,
-    toeplitz_simple,
+    simplicity,
     validate,
 )
 
@@ -91,7 +90,7 @@ def _recheck_witness(spec: CorrSpec, labelled: tuple, need_compact: bool):
 
 def test_validate_flags():
     f = validate(CorrSpec(1, [["inf"]]))
-    assert f.faithful and f.full and not f.proper and f.nondegenerate
+    assert f.faithful and f.full and not f.proper
     f = validate(CorrSpec(2, [[0, 0], [1, 1]]))
     assert not f.faithful
     f = validate(CorrSpec(2, [[1, 1], [1, 0]]))
@@ -108,10 +107,8 @@ def test_corr_spec_rejects_bad_entries():
 
 
 def test_o_infinity_is_simple():
-    spec = CorrSpec(1, [["inf"]])
-    rep = toeplitz_simple(spec)
-    assert rep.toeplitz_simple and rep.witnesses == ()
-    rep = cuntz_pimsner_simple(spec)
+    rep = simplicity(CorrSpec(1, [["inf"]]))
+    assert rep.toeplitz_simple and rep.toeplitz_witnesses == ()
     assert rep.cuntz_pimsner_simple
 
 
@@ -127,39 +124,34 @@ def test_invariant_ideals_examples():
 def test_two_by_two_cuntz_pimsner_examples():
     # row 2 is finite with support {2}, and {2} is forward-closed:
     # a genuine nontrivial invariant ideal
-    rep = cuntz_pimsner_simple(CorrSpec(2, [["inf", 1], [0, 1]]))
+    rep = simplicity(CorrSpec(2, [["inf", 1], [0, 1]]))
     assert rep.cuntz_pimsner_simple is False
-    assert rep.witnesses == ((2,),)
+    assert rep.cuntz_pimsner_witnesses == ((2,),)
     # feeding block 2 back into block 1 removes every candidate
-    rep = cuntz_pimsner_simple(CorrSpec(2, [["inf", 1], [1, 0]]))
+    rep = simplicity(CorrSpec(2, [["inf", 1], [1, 0]]))
     assert rep.cuntz_pimsner_simple is True
-    assert rep.witnesses == ()
+    assert rep.cuntz_pimsner_witnesses == ()
 
 
 def test_toeplitz_examples():
-    rep = toeplitz_simple(CorrSpec(2, [["inf", 1], ["inf", 0]]))
+    rep = simplicity(CorrSpec(2, [["inf", 1], ["inf", 0]]))
     assert rep.toeplitz_simple is True
-    rep = toeplitz_simple(CorrSpec(2, [["inf", 0], [0, "inf"]]))
+    rep = simplicity(CorrSpec(2, [["inf", 0], [0, "inf"]]))
     assert rep.toeplitz_simple is False
-    assert (1,) in rep.witnesses
+    assert (1,) in rep.toeplitz_witnesses
     # a finite-mass row kills Toeplitz simplicity even without ideals
-    rep = toeplitz_simple(CorrSpec(2, [["inf", 1], [1, 0]]))
+    rep = simplicity(CorrSpec(2, [["inf", 1], [1, 0]]))
     assert rep.toeplitz_simple is False
 
 
-def test_proper_input_rejected(monkeypatch):
-    import cyclotwist.pimsner as pimsner
-
-    with pytest.raises(ValueError):
-        toeplitz_simple(CorrSpec(2, [[0, 0], [1, 1]]))
-
-    def no_listing(spec):
-        raise AssertionError("listed a proper spec")
-
-    # refused before anything is listed
-    monkeypatch.setattr(pimsner, "invariant_ideals", no_listing)
-    with pytest.raises(ValueError, match="criterion not applicable"):
-        cuntz_pimsner_simple(CorrSpec(1, [[1]]))
+def test_proper_input_not_applicable():
+    with pytest.raises(ValueError, match="not faithful"):
+        simplicity(CorrSpec(2, [[0, 0], [1, 1]]))
+    # outside the Cuntz-Pimsner criterion: that pair is None, not guessed
+    rep = simplicity(CorrSpec(1, [[1]]))
+    assert rep.cuntz_pimsner_simple is None
+    assert rep.cuntz_pimsner_witnesses is None
+    assert rep.toeplitz_simple is False and rep.toeplitz_witnesses == ()
 
 
 def test_enumeration_cap():
@@ -279,23 +271,16 @@ def test_permutation_equivariance_random():
         rng.shuffle(sigma)
         perm = _permute(spec, sigma)
 
-        rep = toeplitz_simple(spec)
-        rep_p = toeplitz_simple(perm)
+        rep = simplicity(spec)
+        rep_p = simplicity(perm)
         assert rep.toeplitz_simple == rep_p.toeplitz_simple
         relabel = lambda ws: sorted(
             tuple(sorted(sigma[t - 1] + 1 for t in w)) for w in ws
         )
-        assert sorted(rep.witnesses) == relabel(rep_p.witnesses)
-
-        try:
-            cp = cuntz_pimsner_simple(spec).cuntz_pimsner_simple
-        except ValueError:
-            cp = "proper"
-        try:
-            cp_p = cuntz_pimsner_simple(perm).cuntz_pimsner_simple
-        except ValueError:
-            cp_p = "proper"
-        assert cp == cp_p
+        assert sorted(rep.toeplitz_witnesses) == relabel(
+            rep_p.toeplitz_witnesses)
+        # None on both sides when proper
+        assert rep.cuntz_pimsner_simple == rep_p.cuntz_pimsner_simple
 
 
 def test_toeplitz_simple_implies_cuntz_pimsner_simple():
@@ -305,11 +290,45 @@ def test_toeplitz_simple_implies_cuntz_pimsner_simple():
     seen = 0
     while seen < 40:
         spec = _random_spec(rng, rng.randint(1, 4))
-        rep = toeplitz_simple(spec)
+        rep = simplicity(spec)
         if not rep.toeplitz_simple:
             continue
         seen += 1
-        assert cuntz_pimsner_simple(spec).cuntz_pimsner_simple
+        assert rep.cuntz_pimsner_simple
+
+
+def test_simplicity_matches_validate_and_list_scan():
+    # mixed tables, finite ones (proper) and ones whose every nonzero
+    # entry is infinite (every row infinite, the Toeplitz case)
+    rng = random.Random(0x51AB)
+    kinds = Counter()
+    for alphabet in ([0, 0, 1, 2, "inf"], [0, 1, 2], [0, 0, "inf"]):
+        for _ in range(120):
+            n = rng.randint(1, 6)
+            while True:
+                mult = [[rng.choice(alphabet) for _ in range(n)]
+                        for _ in range(n)]
+                if all(any(v != 0 for v in row) for row in mult):
+                    break
+            spec = CorrSpec(n, mult)
+            flags, ideals = validate(spec), list_scan(spec)
+            rows_infinite = all(INF in row for row in spec.mult)
+            rep = simplicity(spec)
+            assert rep.toeplitz_simple is (
+                rows_infinite and not ideals.forward_closed), spec
+            assert rep.toeplitz_witnesses == ideals.forward_closed
+            if flags.proper:
+                assert rep.cuntz_pimsner_simple is None, spec
+                assert rep.cuntz_pimsner_witnesses is None
+            else:
+                assert rep.cuntz_pimsner_simple is not ideals.invariant
+                assert rep.cuntz_pimsner_witnesses == ideals.invariant
+            kinds["proper" if flags.proper else "all infinite"
+                  if rows_infinite else "mixed"] += 1
+            kinds["T", rep.toeplitz_simple] += 1
+            kinds["CP", rep.cuntz_pimsner_simple] += 1
+    # every kind of spec and every verdict occurs often
+    assert len(kinds) == 8 and min(kinds.values()) > 20, kinds
 
 
 def test_no_invariant_subset_implies_full():

@@ -354,9 +354,9 @@ def _query(args):
 
 
 def _cmd_obstruction_cuntz(args) -> int:
-    from .obstruction import exists_automorphism_action, exists_tensor_action
+    from .obstruction import exists_automorphism_action, tensor_action
     q = _query(args)
-    tensor = exists_tensor_action(q)
+    tensor = tensor_action(q)
     aut = exists_automorphism_action(q)
     _say("automorphism action exists: %s  [%s]"
          % ("true" if aut else "false", CIT_AUT))
@@ -367,17 +367,17 @@ def _cmd_obstruction_cuntz(args) -> int:
 
 
 def _cmd_obstruction_tensor(args) -> int:
-    from .obstruction import exists_tensor_action
+    from .obstruction import tensor_action
     q = _query(args)
-    ok = exists_tensor_action(q)
+    ok = tensor_action(q)
     _emit_json(args, {"m": q.m, "n": q.n, "k": q.k, "tensor": ok})
     return _verdict(args, "tensor-stabilized action", ok, CIT_TENSOR)
 
 
 def _cmd_obstruction_intro(args) -> int:
-    from .obstruction import intro_formulation
+    from .obstruction import tensor_action
     q = _query(args)
-    ok = intro_formulation(q)
+    ok = tensor_action(q)
     _emit_json(args, {"m": q.m, "n": q.n, "k": q.k, "intro": ok})
     return _verdict(args, "divisibility-form action", ok, CIT_INTRO)
 
@@ -550,7 +550,7 @@ def _cmd_pimsner_check(args) -> int:
                                   rep.cuntz_pimsner_simple, CIT_PIM_CP))
         if rep.cuntz_pimsner_witnesses:
             _say("witnesses: %s" % "; ".join(
-                str(list(w)) for w in rep.cuntz_pimsner_witnesses))
+                map(str, map(list, rep.cuntz_pimsner_witnesses))))
     # the records' fields are the payload keys; tuples dump as lists
     _emit_json(args, dict(vars(rep), spec=spec.to_json_obj(),
                           flags=vars(flags)))
@@ -560,24 +560,11 @@ def _cmd_pimsner_check(args) -> int:
 # ----------------------------------------------------------------- sweep
 
 def _cmd_sweep_agreement(args) -> int:
-    from .obstruction import (ActionQuery, exists_automorphism_action,
-                              exists_tensor_action, intro_formulation)
+    from .obstruction import agreement_sweep
     mmax = args.max
     if mmax < 1 or mmax > 200:
         raise ValueError("--max must be between 1 and 200")
-    checked = 0
-    disagreements = 0
-    implication_failures = 0
-    for m in range(1, mmax + 1):
-        for n in range(1, mmax + 1):
-            for k in range(m):
-                q = ActionQuery(m, n, k)
-                t = exists_tensor_action(q)
-                if t != intro_formulation(q):
-                    disagreements += 1
-                if exists_automorphism_action(q) and not t:
-                    implication_failures += 1
-                checked += 1
+    checked, disagreements, implication_failures = agreement_sweep(mmax)
     _say("checked %d triples up to m,n = %d" % (checked, mmax))
     _say("tensor/divisibility disagreements: %d" % disagreements)
     _say("automorphism-implies-tensor failures: %d" % implication_failures)

@@ -1,9 +1,15 @@
 """Arithmetic criteria for twisted cyclic-group actions on Cuntz algebras.
 
 Everything here reduces existence questions for (Z/mZ, omega_m^k)-actions
-on O_{n+1} to divisibility conditions on the twist residue k.  Where two
-independent formulations of the same criterion exist they are evaluated
-separately and compared; a disagreement raises instead of guessing.
+on O_{n+1} to divisibility conditions on the twist residue k: each
+criterion holds iff a modulus computed from m and n divides k.  The
+tensor criterion has two independent moduli, the product T of the local
+prime-by-prime conditions (tensor_modulus) and gcd(n, a, m) of the
+divisibility form (intro_modulus), read from one factorization of m.
+tensor_action evaluates both and compares them; a disagreement raises
+instead of guessing.  agreement_sweep factors each m once, takes the
+three moduli once per (m, n), and compares the three verdicts on every
+k < m as rows of bits.
 The Fibonacci test builds its root from the factorization of n and checks
 the verdict against the classification of the primes of n mod 5.
 
@@ -14,11 +20,11 @@ evaluation map multiplies a rational circle point by n.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd
+from functools import cached_property
+from math import gcd, prod
 
 from ._record import Record
-from .exactalg import factorize, radical
+from .exactalg import factorize
 
 # Largest m or n factored here.  Trial division grows as sqrt(n): a prime
 # near this limit takes about 1 s, and a 19-digit one minutes.
@@ -38,6 +44,11 @@ class ActionQuery(Record):
         if max(self.m, self.n) > MAX_MODULUS:
             raise ValueError("orders must be <= %d" % MAX_MODULUS)
         object.__setattr__(self, "k", self.k % self.m)
+
+    @cached_property
+    def primes(self) -> dict:
+        """factorize(m), computed once and shared by both routes."""
+        return factorize(self.m)
 
 
 class FibonacciReport(Record):
@@ -60,54 +71,99 @@ def exists_automorphism_action(q: ActionQuery) -> bool:
     return q.k % ev1_image(q.m, q.n) == 0
 
 
-def _ppart_divides(k: int, p: int, e: int) -> bool:
-    """Whether k lies in p^e Z, with p^e Z read as all of Z for e <= 0."""
-    if e <= 0:
-        return True
-    return k % p**e == 0
-
-
-def exists_tensor_action(q: ActionQuery) -> bool:
-    """Existence of a twisted action on O_{n+1} tensored with a UHF-type
-    stabilization, decided prime by prime.
+def tensor_modulus(m: int, n: int, primes: dict) -> int:
+    """The modulus T of exists_tensor_action, which holds iff T divides
+    k, given primes = factorize(m).
 
     For p^r || m and p^s || n the local condition at p holds iff
 
         k in p^min(r,s) Z,  or
         k in p^(r-s+1) Z and p odd,  or
-        k in p^(r-s+2) Z and p = 2.
+        k in p^(r-s+2) Z and p = 2,
 
-    Primes dividing n but not m impose nothing (r = 0 makes min(r,s) = 0),
-    so n is never factored: only its valuation at each p | m is read.
+    with p^e Z read as all of Z for e <= 0.  The union of these nested
+    subgroups is p^e Z with e = min(r, s, max(r - s + delta, 0)), delta
+    1 for odd p and 2 for p = 2, and T is the product of those p^e.
+    Primes dividing n but not m impose nothing (r = 0 makes e = 0), so
+    n is never factored: only its valuation at each p | m is read.
     """
-    for p, r in factorize(q.m).items():
-        s, n = 0, q.n
+    t = 1
+    for p, r in primes.items():
+        s = 0
         while n % p == 0:
             s, n = s + 1, n // p
-        if _ppart_divides(q.k, p, min(r, s)):
-            continue
-        if p != 2 and _ppart_divides(q.k, p, r - s + 1):
-            continue
-        if p == 2 and _ppart_divides(q.k, p, r - s + 2):
-            continue
-        return False
-    return True
+        t *= p ** min(r, s, max(r - s + (2 if p == 2 else 1), 0))
+    return t
+
+
+def intro_modulus(m: int, n: int, primes: dict) -> int:
+    """The modulus gcd(n, a, m) of intro_formulation, given primes =
+    factorize(m); radical(m) is the product of those primes."""
+    num = 2 * prod(primes) * m
+    return gcd(n, num // gcd(num, n), m)
+
+
+def exists_tensor_action(q: ActionQuery) -> bool:
+    """Existence of a twisted action on O_{n+1} tensored with a UHF-type
+    stabilization, decided prime by prime: T divides k (tensor_modulus).
+    """
+    return q.k % tensor_modulus(q.m, q.n, q.primes) == 0
 
 
 def intro_formulation(q: ActionQuery) -> bool:
     """Divisibility form of the tensor criterion: with l = radical(m)
     and a/b the lowest-terms form of 2*l*m/n, the action exists iff
-    gcd(n, a, m) divides k.
+    gcd(n, a, m) divides k (intro_modulus).
 
     >>> intro_formulation(ActionQuery(2, 2, 1))
     False
     >>> intro_formulation(ActionQuery(4, 2, 2))
     True
     """
-    l = radical(q.m)
-    frac = Fraction(2 * l * q.m, q.n)
-    a = frac.numerator
-    return q.k % gcd(gcd(q.n, a), q.m) == 0
+    return q.k % intro_modulus(q.m, q.n, q.primes) == 0
+
+
+def tensor_action(q: ActionQuery) -> bool:
+    """The tensor criterion by both routes, exists_tensor_action and
+    intro_formulation, which share the query's one factorization of m;
+    a disagreement raises."""
+    t = exists_tensor_action(q)
+    if t != intro_formulation(q):
+        raise AssertionError(
+            "tensor and divisibility criteria disagree at m=%d n=%d k=%d"
+            % (q.m, q.n, q.k))
+    return t
+
+
+def _multiples(d: int, m: int) -> int:
+    """The bits k < m with d | k, as one integer: a repunit in base 2^d,
+    cut to m bits."""
+    span = -(-m // d) * d
+    return ((1 << span) - 1) // ((1 << d) - 1) & ((1 << m) - 1)
+
+
+def agreement_sweep(mmax: int) -> tuple:
+    """(checked, disagreements, implication_failures) over the triples
+    1 <= m, n <= mmax, 0 <= k < m: the tensor route against the
+    divisibility form, and automorphism existence against the tensor
+    route.
+
+    Each m is factored once, and each (m, n) gives the three moduli
+    (tensor, divisibility form, gcd(m, n)).  The verdicts of one route
+    on all k < m are the bits of one integer, so every triple's three
+    verdicts are compared at once.
+    """
+    checked = disagreements = implication_failures = 0
+    for m in range(1, mmax + 1):
+        primes = factorize(m)
+        for n in range(1, mmax + 1):
+            t = _multiples(tensor_modulus(m, n, primes), m)
+            i = _multiples(intro_modulus(m, n, primes), m)
+            a = _multiples(ev1_image(m, n), m)
+            disagreements += (t ^ i).bit_count()
+            implication_failures += (a & ~t).bit_count()
+            checked += m
+    return checked, disagreements, implication_failures
 
 
 def _sqrt_mod(a: int, p: int) -> int:

@@ -27,7 +27,11 @@ giving (b), (d).  The gauge-invariant-ideal criteria then become finite
 subset conditions on bitmasks.  Forward-closed subsets are closed under
 intersection, and the least one containing S is everything reachable
 from S, so they are listed below by a closure walk (Ganter's
-NextClosure) rather than by testing every subset.
+NextClosure) rather than by testing every subset.  Once the listing
+is long (_TABLES_AFTER sets), each closure and each label tuple comes
+from memoized per-byte tables: one dict per byte of the mask, with an
+entry made on its first lookup as one join on a smaller entry.  A spec
+with few witnesses builds no table.
 
 Both verdicts come from one such listing (simplicity): the Toeplitz
 witnesses are the forward-closed subsets, the Cuntz-Pimsner witnesses
@@ -43,7 +47,7 @@ it reproduces the known simplicity of O_infty from the 1x1 table
 
 from __future__ import annotations
 
-from operator import index
+from operator import add, index, or_
 
 from ._record import Record
 
@@ -61,6 +65,8 @@ class _Infinite:
 INF = _Infinite()
 
 _ENUM_CAP = 20  # witnesses are listed in full: at most 2^20 - 2 of them
+# sets listed bit by bit before invariant_ideals switches to byte tables
+_TABLES_AFTER = 64
 
 
 def _as_entry(v):
@@ -137,6 +143,42 @@ def _finite(row) -> bool:
     return INF not in row
 
 
+class _ByteTable(dict):
+    """The values of one byte of a mask, each made on its first lookup:
+    the value of v joins bits[j] over the set bits j of v, lowest first,
+    so an entry costs one join on top of a smaller entry."""
+
+    __slots__ = ("bits", "join")
+
+    def __init__(self, bits, join, empty):
+        super().__init__(((0, empty),))
+        self.bits = bits
+        self.join = join
+
+    def __missing__(self, v):
+        low = v & -v
+        out = self[v] = self.join(self.bits[low.bit_length() - 1],
+                                  self[v ^ low])
+        return out
+
+
+def _byte_tables(reach, n):
+    """The closure and the 1-based label tuple of a mask, from lazily
+    filled tables for bits 0-7, 8-15 and 16 up."""
+    spans = ((0, 8), (8, 16), (16, n))
+    c0, c1, c2 = (_ByteTable(reach[a:b], or_, 0) for a, b in spans)
+    l0, l1, l2 = (_ByteTable([(i + 1,) for i in range(a, min(b, n))],
+                             add, ()) for a, b in spans)
+
+    def closure(x):
+        return c0[x & 255] | c1[x >> 8 & 255] | c2[x >> 16]
+
+    def label(x):
+        return l0[x & 255] + l1[x >> 8 & 255] + l2[x >> 16]
+
+    return closure, label
+
+
 def validate(spec: CorrSpec) -> Flags:
     """Row/column flags of the block model; non-degeneracy is automatic."""
     faithful = all(any(v != 0 for v in row) for row in spec.mult)
@@ -160,7 +202,10 @@ def invariant_ideals(spec: CorrSpec) -> IdealReport:
     Order 8, 1991): after a closed mask comes the closure of (mask
     above i) + i for the smallest bit i outside mask whose closure adds
     no bit above i.  A step costs at most n closures, so the work
-    follows the number of witnesses, not 2^n.
+    follows the number of witnesses, not 2^n.  Closures and labels are
+    built bit by bit until the listing reaches _TABLES_AFTER sets; from
+    there they come from per-byte tables (_ByteTable), one lookup per
+    byte of the mask, so a spec with few witnesses builds no table.
     """
     if not all(map(any, spec.mult)):  # INF is truthy
         raise ValueError("left action is not faithful (a row is zero)")
@@ -169,13 +214,12 @@ def invariant_ideals(spec: CorrSpec) -> IdealReport:
     n = spec.n
     supp = [sum(1 << j for j, v in enumerate(row) if v != 0)
             for row in spec.mult]
-    finite = [i for i in range(n) if _finite(spec.mult[i])]
+    finite = sum(1 << i for i in range(n) if _finite(spec.mult[i]))
     # reach[i]: the rows reachable from row i, i included (Warshall)
     reach = [1 << i | supp[i] for i in range(n)]
     for k in range(n):
-        for i in range(n):
-            if reach[i] >> k & 1:
-                reach[i] |= reach[k]
+        bit, rk = 1 << k, reach[k]
+        reach = [r | rk if r & bit else r for r in reach]
 
     def closure(x):
         out = x
@@ -185,37 +229,52 @@ def invariant_ideals(spec: CorrSpec) -> IdealReport:
             x ^= low
         return out
 
+    def label(x):
+        return tuple(i + 1 for i in range(n) if x >> i & 1)
+
     full = (1 << n) - 1
     fwd = []
     inv = []
     mask = 0  # the empty set is forward-closed
     while True:
-        for i in range(n):
-            if mask >> i & 1:
-                continue
-            nxt = closure(mask >> i << i | 1 << i)
-            if nxt >> i + 1 == mask >> i + 1:
+        # candidates i: the bits outside mask, lowest first
+        free = full ^ mask
+        while True:
+            low = free & -free
+            nxt = closure(mask & -low | low)
+            if nxt ^ mask < low << 1:  # no bit above i was added
                 break
-        mask = nxt
-        if mask == full:
+            free ^= low
+        if nxt == full:
             break
+        mask = nxt
         out = full ^ mask
-        labelled = tuple(i + 1 for i in range(n) if mask >> i & 1)
+        labelled = label(mask)
         fwd.append(labelled)
-        if all(supp[i] & out for i in finite if out >> i & 1):
+        # a finite row outside mask must have support meeting out
+        rows = out & finite
+        while rows:
+            low = rows & -rows
+            if not supp[low.bit_length() - 1] & out:
+                break
+            rows ^= low
+        else:
             inv.append(labelled)
-    return IdealReport(forward_closed=tuple(fwd), invariant=tuple(inv))
+        if len(fwd) == _TABLES_AFTER:
+            closure, label = _byte_tables(reach, n)
+    # by position, which skips Record's keyword binding (about 2 us)
+    return IdealReport(tuple(fwd), tuple(inv))
 
 
 def _raw_rows(spec: CorrSpec):
-    """Each row's nonzero columns, and the rows of finite mass with
-    theirs, in 1-based labels, read straight from the table: the
+    """Each row's nonzero columns, by 1-based label, and the labels of
+    the rows of finite mass, read straight from the table: the
     recheck's own view of the spec, built once per spec and independent
     of the masks of invariant_ideals."""
     cols = {i + 1: frozenset(j + 1 for j, v in enumerate(row) if v != 0)
             for i, row in enumerate(spec.mult)}
-    finite = [(i + 1, cols[i + 1]) for i, row in enumerate(spec.mult)
-              if all(v is not INF for v in row)]
+    finite = frozenset(i + 1 for i, row in enumerate(spec.mult)
+                       if all(v is not INF for v in row))
     return cols, finite
 
 
@@ -228,9 +287,17 @@ def _recheck(rows, labelled: tuple, need_compact: bool) -> None:
     nonzero columns in S."""
     cols, finite = rows
     inside = set(labelled)
-    forward_ok = all(cols[lab] <= inside for lab in labelled)
-    if not forward_ok or (need_compact and any(
-            lab not in inside and c <= inside for lab, c in finite)):
+    ok = True
+    for lab in labelled:
+        if not cols[lab] <= inside:
+            ok = False
+            break
+    if ok and need_compact:
+        for lab in finite - inside:
+            if cols[lab] <= inside:
+                ok = False
+                break
+    if not ok:
         raise AssertionError(
             "witness %r fails independent re-verification" % (labelled,)
         )
@@ -266,9 +333,10 @@ def simplicity(spec: CorrSpec) -> SimplicityReport:
             _recheck(rows, w, True)
     finite_rows = len(rows[1])
     proper = finite_rows == spec.n
+    # the four fields in order, by position as in invariant_ideals
     return SimplicityReport(
-        toeplitz_simple=not finite_rows and not ideals.forward_closed,
-        toeplitz_witnesses=ideals.forward_closed,
-        cuntz_pimsner_simple=None if proper else not ideals.invariant,
-        cuntz_pimsner_witnesses=None if proper else ideals.invariant,
+        not finite_rows and not ideals.forward_closed,
+        ideals.forward_closed,
+        None if proper else not ideals.invariant,
+        None if proper else ideals.invariant,
     )

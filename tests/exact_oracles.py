@@ -12,12 +12,16 @@ two-slice scan replaced, and the class witness substituted back through
 Fraction-built tables, which the one integer pass replaced.  For
 ``numring``: the k^4 GF(2) echelon that solved Higman's equation before
 the mod-2 normal form of Y replaced it, and the row action that walked
-whole matrix rows.
+whole matrix rows.  For ``obstruction``: the prime-by-prime local test
+and the Fraction-built divisibility form that the two moduli replaced,
+and the criterion sweep that asked both, and the automorphism
+criterion, once per triple.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from operator import mul
 
 from cyclotwist.cocycle import Cocycle3, coboundary, omega
@@ -26,10 +30,18 @@ from cyclotwist.exactalg import (
     IntMatrix,
     PolyZ,
     SNFResult,
+    factorize,
+    radical,
     smith_normal_form,
 )
 from cyclotwist.fusion import FusionRing, tlj
 from cyclotwist.numring import _rmat_to_z
+from cyclotwist.obstruction import (
+    ActionQuery,
+    exists_automorphism_action,
+    exists_tensor_action,
+    intro_formulation,
+)
 
 # snf_verify checks det(U), det(V) = +-1 only up to this many rows: Bareiss
 # minors of large transforms can be huge
@@ -280,3 +292,44 @@ def matmul_naive(A: IntMatrix, B: IntMatrix) -> IntMatrix:
     return IntMatrix(A.rows, B.cols,
                      [sum(A.at(i, t) * B.at(t, j) for t in range(A.cols))
                       for i in range(A.rows) for j in range(B.cols)])
+
+
+def tensor_local(m: int, n: int, k: int) -> bool:
+    """The tensor criterion decided prime by prime: for p^r || m and
+    p^s || n, k in p^min(r,s) Z, or in p^(r-s+1) Z for odd p, or in
+    p^(r-s+2) Z for p = 2, with p^e Z read as Z for e <= 0."""
+    def divides(p, e):
+        return e <= 0 or k % p**e == 0
+
+    for p, r in factorize(m).items():
+        s, rest = 0, n
+        while rest % p == 0:
+            s, rest = s + 1, rest // p
+        if not (divides(p, min(r, s))
+                or divides(p, r - s + (2 if p == 2 else 1))):
+            return False
+    return True
+
+
+def intro_fraction(m: int, n: int, k: int) -> bool:
+    """The divisibility form through Fraction: a is the numerator of
+    2 radical(m) m / n, and the action exists iff gcd(n, a, m) | k."""
+    a = Fraction(2 * radical(m) * m, n).numerator
+    return k % gcd(gcd(n, a), m) == 0
+
+
+def agreement_scan(mmax: int) -> tuple:
+    """(checked, disagreements, implication_failures) of the criterion
+    sweep, asking the three criteria once per triple (m, n, k)."""
+    checked = disagreements = implication_failures = 0
+    for m in range(1, mmax + 1):
+        for n in range(1, mmax + 1):
+            for k in range(m):
+                q = ActionQuery(m, n, k)
+                t = exists_tensor_action(q)
+                if t != intro_formulation(q):
+                    disagreements += 1
+                if exists_automorphism_action(q) and not t:
+                    implication_failures += 1
+                checked += 1
+    return checked, disagreements, implication_failures

@@ -212,6 +212,31 @@ def test_invariant_violation_exits_three(capsys, monkeypatch):
     assert "invariant violation" in err
 
 
+@pytest.mark.parametrize("route", ["tensor_modulus", "intro_modulus"])
+@pytest.mark.parametrize("leaf", ["cuntz", "tensor", "intro"])
+def test_obstruction_route_disagreement_exits_three(capsys, monkeypatch,
+                                                     leaf, route):
+    # each leaf asks both routes; (2, 8, 1) acts, so modulus m refuses k
+    monkeypatch.setattr("cyclotwist.obstruction." + route,
+                        lambda m, n, primes: m)
+    code, out, err = run(capsys, ["obstruction", leaf,
+                                  "--m", "2", "--n", "8", "--k", "1"])
+    assert code == 3 and out == ""
+    assert "invariant violation" in err and "disagree at m=2 n=8 k=1" in err
+
+
+@pytest.mark.parametrize("route", ["tensor_modulus", "intro_modulus"])
+def test_agreement_sweep_disagreement_exits_three(capsys, monkeypatch,
+                                                  route):
+    monkeypatch.setattr("cyclotwist.obstruction." + route,
+                        lambda m, n, primes: m)
+    code, out, err = run(capsys, ["sweep", "agreement", "--max", "6"])
+    assert code == 3
+    assert "tensor/divisibility disagreements: 0" not in out
+    assert err == "invariant violation: criterion sweep found " \
+        "inconsistencies\n"
+
+
 def test_wrong_fibonacci_root_exits_three(capsys, monkeypatch):
     # a local root that is not a root fails the substitution check
     monkeypatch.setattr("cyclotwist.obstruction._local_roots",

@@ -5,17 +5,20 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cyclotwist.exactalg import factorize, is_prime
+import cyclotwist.obstruction as obstruction
+from cyclotwist.exactalg import factorize, is_prime, radical
 from cyclotwist.obstruction import (
     ActionQuery,
     FibonacciReport,
+    agreement_sweep,
     ev1_image,
     exists_automorphism_action,
     exists_tensor_action,
     fibonacci_acts,
     intro_formulation,
-    radical,
+    tensor_action,
 )
+from exact_oracles import agreement_scan, intro_fraction, tensor_local
 
 
 @dataclass(frozen=True)
@@ -58,8 +61,8 @@ def test_formulations_agree_everywhere():
 
 def test_tensor_action_never_factors_n(monkeypatch):
     # only the valuations of n at the primes of m are read, so a prime n
-    # near the modulus limit costs no trial division
-    import cyclotwist.obstruction as obstruction
+    # near the modulus limit costs no trial division; both routes share
+    # one factorization of m per query, and the sweep one per m
     seen = []
 
     def recording(x):
@@ -68,8 +71,51 @@ def test_tensor_action_never_factors_n(monkeypatch):
 
     monkeypatch.setattr(obstruction, "factorize", recording)
     q = ActionQuery(3, 99999999999971, 1)
-    assert exists_tensor_action(q) == intro_formulation(q)
+    assert tensor_action(q) == exists_tensor_action(q) == \
+        intro_formulation(q)
     assert seen == [3]
+    seen.clear()
+    agreement_sweep(12)
+    assert seen == list(range(1, 13))
+
+
+def test_moduli_match_the_local_and_fraction_oracles():
+    rng = random.Random(0x7E45)
+    for _ in range(3000):
+        m, n = rng.randint(1, 10**6), rng.randint(1, 10**6)
+        if rng.random() < 0.5:
+            # share prime powers between m and n, as random draws rarely do
+            g = rng.choice([2, 3, 4, 8, 9, 16, 25, 27, 32, 49, 64, 243])
+            m, n = m // g * g or g, n // g * g or g
+        primes = factorize(m)
+        t = obstruction.tensor_modulus(m, n, primes)
+        i = obstruction.intro_modulus(m, n, primes)
+        assert m % t == 0 and m % i == 0, (m, n)
+        for k in {0, 1, t, i, m // 2, rng.randrange(m), rng.randrange(m)}:
+            q = ActionQuery(m, n, k)
+            assert (exists_tensor_action(q), intro_formulation(q)) == \
+                (tensor_local(m, n, q.k), intro_fraction(m, n, q.k)), q
+
+
+def test_agreement_sweep_matches_per_triple_oracle():
+    for mmax in range(1, 31):
+        assert agreement_sweep(mmax) == agreement_scan(mmax), mmax
+    assert agreement_sweep(30) == (13950, 0, 0)
+
+
+@pytest.mark.parametrize("route, wrong", [
+    ("tensor_modulus", lambda m, n, primes: m),
+    ("intro_modulus", lambda m, n, primes: n),
+])
+def test_agreement_sweep_counts_a_wrong_route(monkeypatch, route, wrong):
+    # a modulus that is wrong (and, for n, need not divide m) makes the
+    # sweep count what the per-triple loop counts, and not zero
+    monkeypatch.setattr(obstruction, route, wrong)
+    for mmax in (1, 2, 7, 16):
+        assert agreement_sweep(mmax) == agreement_scan(mmax), mmax
+    checked, disagreements, failures = agreement_sweep(16)
+    assert disagreements > 0
+    assert failures > 0 if route == "tensor_modulus" else failures == 0
 
 
 def test_automorphism_implies_tensor():

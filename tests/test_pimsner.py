@@ -4,6 +4,7 @@ from collections import Counter
 
 import pytest
 
+from cyclotwist import pimsner
 from cyclotwist.pimsner import (
     INF,
     CorrSpec,
@@ -215,8 +216,52 @@ def test_closure_walk_matches_list_scan():
     specs.append(CorrSpec(n, cyclic))
     specs.append(CorrSpec(n, [[[1, 2, "inf"][i % 3] if i == j else 0
                                for j in range(n)] for i in range(n)]))
+    # n = 15, 16 and 17 cross the byte boundaries of the tables; the
+    # sparse specs list up to a few hundred sets
+    listed = []
+    for n in (15, 16, 17):
+        for density in (0.05, 0.08):
+            specs.append(_sparse_spec(rng, n, density))
+            listed.append(len(invariant_ideals(specs[-1]).forward_closed))
+    assert max(listed) > pimsner._TABLES_AFTER, listed
     for spec in specs:
         assert invariant_ideals(spec) == list_scan(spec)
+    # a diagonal spec has every subset closed and invariant, in mask
+    # order: 2^n - 2 sets, too many for the scan at these n
+    for n in (15, 16, 17):
+        diagonal = CorrSpec(n, [[[1, 2, "inf"][i % 3] if i == j else 0
+                                 for j in range(n)] for i in range(n)])
+        every = tuple(tuple(i + 1 for i in range(n) if mask >> i & 1)
+                      for mask in range(1, (1 << n) - 1))
+        assert invariant_ideals(diagonal) == IdealReport(
+            forward_closed=every, invariant=every)
+
+
+def test_byte_tables_match_list_scan(monkeypatch):
+    # from the second listed set on every closure and label comes from
+    # the byte tables, which the default threshold leaves to large
+    # listings only
+    monkeypatch.setattr(pimsner, "_TABLES_AFTER", 1)
+    rng = random.Random(0xB17E)
+    specs = [_random_spec(rng, rng.randint(1, 6)) for _ in range(100)]
+    for density in (0.1, 0.2, 0.4):
+        specs += [_sparse_spec(rng, rng.randint(1, 10), density)
+                  for _ in range(40)]
+    tabled = 0
+    for spec in specs:
+        rep = invariant_ideals(spec)
+        assert rep == list_scan(spec)
+        tabled += len(rep.forward_closed) > 1
+    assert tabled > 50, tabled
+    # paths on n = 18 and 20 rows reach the top table's bits 16 and up;
+    # their closed sets are the n - 1 proper suffixes, in mask order
+    for n in (18, 20):
+        suffixes = tuple(tuple(range(k, n + 1)) for k in range(n, 1, -1))
+        for label, invariant in ((1, ()), ("inf", suffixes)):
+            path = [[label if j == min(i + 1, n - 1) else 0
+                     for j in range(n)] for i in range(n)]
+            assert invariant_ideals(CorrSpec(n, path)) == IdealReport(
+                forward_closed=suffixes, invariant=invariant)
 
 
 def _accepts(check, *args):

@@ -6,6 +6,14 @@ and generating code per class was about a seventh of the start-up time
 of a CLI process.  A subclass's fields are its own annotations, in order,
 with no defaults; ``__post_init__`` runs when defined; equality, hash
 and repr go field by field, as the dataclass's did.
+
+Every library value is a Record: the reports, the validated inputs
+(``CorrSpec``, ``Cocycle3``, ``FusionRing``, ``RealCyclotomic``, the
+lattices) and the certificates, so none changes after its verify().
+``__post_init__`` normalises input by writing through ``self.__dict__``,
+and a value that other fields determine is a property.  ``IntMatrix``,
+``PolyZ`` and ``PolyF2`` are not Records: they are the slotted numeric
+types built in inner loops, and ``IntMatrix`` caches its nonzero view.
 """
 
 

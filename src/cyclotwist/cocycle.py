@@ -38,24 +38,25 @@ def _check_order(m: int):
         raise ValueError("group order must be >= 1 and <= %d" % _MAX_ORDER)
 
 
-class Cocycle3:
+class Cocycle3(Record):
     """Dense table c(i,j,h) = nums[(i*m + j)*m + h] / den mod 1 on
     {0..m-1}^3, with 0 <= nums < den and den as small as possible."""
 
-    __slots__ = ("m", "den", "nums")
+    m: int
+    den: int
+    nums: tuple
 
-    def __init__(self, m: int, den: int, nums):
-        m, den = index(m), index(den)
+    def __post_init__(self):
+        m, den = index(self.m), index(self.den)
         if den < 1:
             raise ValueError("denominator must be >= 1")
         _check_order(m)
-        nums = [index(n) % den for n in nums]
+        nums = [index(n) % den for n in self.nums]
         if len(nums) != m**3:
             raise ValueError("need exactly m^3 values")
         g = gcd(den, *nums)
-        self.m = m
-        self.den = den // g
-        self.nums = tuple(n // g for n in nums)
+        self.__dict__.update(m=m, den=den // g,
+                             nums=tuple(n // g for n in nums))
 
     @classmethod
     def from_function(cls, m: int, den: int, fn) -> "Cocycle3":
@@ -93,17 +94,6 @@ class Cocycle3:
     @classmethod
     def from_json_obj(cls, obj: dict) -> "Cocycle3":
         return cls(obj["m"], obj["denominator"], obj["values"])
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Cocycle3)
-            and self.m == other.m
-            and self.den == other.den
-            and self.nums == other.nums
-        )
-
-    def __hash__(self):
-        return hash((self.m, self.den, self.nums))
 
     def __repr__(self):
         return "Cocycle3(m=%d)" % self.m
@@ -162,8 +152,8 @@ def is_cocycle(c: Cocycle3) -> CocycleCheck:
                         rows[f * m + (g + h) % m], rows[g * m + h],
                         rows[fg * m + h], twice[h:h + m])):
                     if (left + a + b - x - y) % den:
-                        return CocycleCheck(ok=False, witness=(f, g, h, k))
-    return CocycleCheck(ok=True, witness=None)
+                        return CocycleCheck(False, (f, g, h, k))
+    return CocycleCheck(True, None)
 
 
 def coboundary(m: int, beta) -> Cocycle3:

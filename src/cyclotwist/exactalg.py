@@ -129,9 +129,6 @@ class IntMatrix:
             self.rows, self.cols, [x - y for x, y in zip(self.entries, other.entries)]
         )
 
-    def __neg__(self) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols, [-x for x in self.entries])
-
     def scale(self, c: int) -> "IntMatrix":
         c = index(c)
         return IntMatrix(self.rows, self.cols, [c * x for x in self.entries])
@@ -514,9 +511,6 @@ class PolyF2:
 
     def __hash__(self):
         return hash(("PolyF2", self.bits))
-
-    def __lt__(self, other: "PolyF2") -> bool:
-        return self.bits < other.bits
 
     def __repr__(self):
         if self.bits == 0:

@@ -30,18 +30,21 @@ from .exactalg import (
 )
 
 
-class FusionRing:
+class FusionRing(Record):
     """Based ring with non-negative structure constants and duality."""
 
-    __slots__ = ("labels", "unit", "dual", "N")
+    labels: tuple
+    unit: int
+    dual: tuple
+    N: tuple
 
-    def __init__(self, labels, unit, dual, N):
-        self.labels = tuple(str(x) for x in labels)
-        self.unit = index(unit)
-        self.dual = tuple(map(index, dual))
-        self.N = tuple(
-            tuple(tuple(map(index, row)) for row in plane) for plane in N
-        )
+    def __post_init__(self):
+        self.__dict__.update(
+            labels=tuple(str(x) for x in self.labels),
+            unit=index(self.unit),
+            dual=tuple(map(index, self.dual)),
+            N=tuple(tuple(tuple(map(index, row)) for row in plane)
+                    for plane in self.N))
         self._check_basic()
         if self.rank <= 12:
             self._check_associative()
@@ -104,18 +107,6 @@ class FusionRing:
             "dual": list(self.dual),
             "N": [[list(row) for row in plane] for plane in self.N],
         }
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FusionRing)
-            and self.labels == other.labels
-            and self.unit == other.unit
-            and self.dual == other.dual
-            and self.N == other.N
-        )
-
-    def __hash__(self):
-        return hash((self.labels, self.unit, self.dual, self.N))
 
     def __repr__(self):
         return "FusionRing(rank=%d, labels=%r)" % (self.rank, list(self.labels))
@@ -242,7 +233,7 @@ def global_det(R: FusionRing) -> DetReport:
     Z = IntMatrix(r, r, entries)
     # the product of the Smith diagonal: |det Z|, or 0 if Z is singular
     d = prod(elementary_divisors(Z))
-    return DetReport(ring=R, Z=Z, det_abs=d, radical=radical(d))
+    return DetReport(R, Z, d, radical(d))
 
 
 class ChebyshevReport(Record):

@@ -70,19 +70,19 @@ from .exactalg import (
 )
 
 
-class RealCyclotomic:
+class RealCyclotomic(Record):
     """The ring Z[beta], beta = 2cos(2pi/p), in the power basis of beta.
 
     Elements are PolyZ of degree < (p-1)/2; reduction is exact division
     by the monic mu.
     """
 
-    __slots__ = ("p", "mu", "degree")
+    p: int
+    mu: PolyZ
 
-    def __init__(self, p: int, mu: PolyZ):
-        self.p = p
-        self.mu = mu
-        self.degree = mu.degree()
+    def __post_init__(self):
+        # read in the inner loops of reduce, so stored, not a property
+        self.__dict__["degree"] = self.mu.degree()
 
     def reduce(self, a: PolyZ) -> PolyZ:
         if a.degree() < self.degree:
@@ -108,9 +108,6 @@ class RealCyclotomic:
 
     def beta_matrix(self) -> IntMatrix:
         return self.mult_matrix(PolyZ([0, 1]))
-
-    def __repr__(self):
-        return "RealCyclotomic(p=%d, mu=%r)" % (self.p, self.mu)
 
 
 # `numring idem` takes 0.22 / 0.47 / 2.7 / 5.3 s at p = 401 / 601 / 1009 /
@@ -701,7 +698,7 @@ def _free_r_basis(ring: RealCyclotomic, span_rows, blocks) -> list:
     return out
 
 
-class SplitCertificate:
+class SplitCertificate(Record):
     """Certified splitting M[G] = L_0 (+) L_1 with N[G] = 2 L_0 (+) L_1.
 
     Row bases of L_0 and L_1 live in Z^(dim(M) * |G|), the copies of M
@@ -711,16 +708,15 @@ class SplitCertificate:
     returns a certificate only after it passes.
     """
 
-    def __init__(self, lattice: RLattice, basis_L0: IntMatrix,
-                 basis_L1: IntMatrix, n_basis: IntMatrix):
-        self.lattice = lattice
-        self.p = lattice.ring.p
-        self.base_dim = lattice.dim
-        self.group_order = lattice.ring.degree
-        self.basis_L0 = basis_L0
-        self.basis_L1 = basis_L1
-        self.n_basis = n_basis
-        self.ambient_dim = self.base_dim * self.group_order
+    lattice: RLattice
+    basis_L0: IntMatrix
+    basis_L1: IntMatrix
+    n_basis: IntMatrix
+
+    p = property(lambda self: self.lattice.ring.p)
+    base_dim = property(lambda self: self.lattice.dim)
+    group_order = property(lambda self: self.lattice.ring.degree)
+    ambient_dim = property(lambda self: self.base_dim * self.group_order)
 
     def verify(self) -> bool:
         D, d = self.ambient_dim, self.base_dim
@@ -1000,17 +996,8 @@ def _free_z2_blocks(ring: RealCyclotomic):
     """(beta, Y) for the regular module R[Z/2Z]: Z-basis beta^c, beta^c Y."""
     deg = ring.degree
     b0 = ring.beta_matrix().transpose()
-    beta = _block_diag([b0, b0])
-    rows = []
-    for c in range(deg):
-        row = [0] * (2 * deg)
-        row[deg + c] = 1
-        rows.append(row)
-    for c in range(deg):
-        row = [0] * (2 * deg)
-        row[c] = 1
-        rows.append(row)
-    return beta, IntMatrix.from_rows(rows)
+    rows = IntMatrix.identity(2 * deg).to_rows()
+    return _block_diag([b0, b0]), IntMatrix.from_rows(rows[deg:] + rows[:deg])
 
 
 def free_z2_module(p: int, copies: int = 1) -> Z2Module:
@@ -1071,24 +1058,23 @@ def _higman_endomorphism(fact: PrimeFactorTwo, y_r):
                                        for row in rest.to_rows()])
 
 
-class InvolutionSplit:
+class InvolutionSplit(Record):
     """Decomposition (L (+) R[Z/2Z]^padding)[G] = P_+ (+) P_- (+) P_0
     where Y acts by +1 on P_+, by -1 on P_-, and P_0 carries a Higman
     certificate.  Bases are rows in the amplified padded coordinates;
     ``zero_orbit_basis`` T_0 is the Z-basis of P_0 in which the Higman
     certificate's module is written."""
 
-    def __init__(self, padding, ambient, basis_plus, basis_minus,
-                 basis_zero, higman, zero_orbit_basis):
-        self.padding = padding
-        self.ambient = ambient          # padded Z2Module, one copy
-        self.p = ambient.lattice.ring.p
-        self.group_order = ambient.lattice.ring.degree
-        self.basis_plus = basis_plus
-        self.basis_minus = basis_minus
-        self.basis_zero = basis_zero
-        self.higman = higman            # HigmanCertificate or None
-        self.zero_orbit_basis = zero_orbit_basis
+    padding: int
+    ambient: Z2Module               # padded, one copy
+    basis_plus: IntMatrix
+    basis_minus: IntMatrix
+    basis_zero: IntMatrix
+    higman: HigmanCertificate | None
+    zero_orbit_basis: IntMatrix
+
+    p = property(lambda self: self.ambient.lattice.ring.p)
+    group_order = property(lambda self: self.ambient.lattice.ring.degree)
 
     def verify(self) -> bool:
         D = self.ambient.dim * self.group_order
@@ -1234,7 +1220,7 @@ class ResolutionError(RuntimeError):
     """The four-term resolution construction is not available."""
 
 
-class Resolution:
+class Resolution(Record):
     """Exact four-term resolution of M = R[Z/2Z]^rank / relations:
 
         0 -> R_+^b --f3,f2--> R_+^a (+) R[Z/2Z]^b --f1--> R[Z/2Z]^rank -> M -> 0
@@ -1244,16 +1230,16 @@ class Resolution:
     equivariance check from the stored matrices.
     """
 
-    def __init__(self, ring, rank, relations, a, b, f1, f2, f3):
-        self.ring = ring
-        self.p = ring.p
-        self.rank = rank
-        self.relations = relations
-        self.a = a
-        self.b = b
-        self.f1 = f1
-        self.f2 = f2
-        self.f3 = f3
+    ring: RealCyclotomic
+    rank: int
+    relations: IntMatrix
+    a: int
+    b: int
+    f1: IntMatrix
+    f2: IntMatrix
+
+    p = property(lambda self: self.ring.p)
+    f3 = property(lambda self: IntMatrix.zeros(0, self.b * self.ring.degree))
 
     def describe(self) -> str:
         return ("0 -> R_+^0 -> R_+^%d -> R_+^%d (+) R[Z/2Z]^%d "
@@ -1381,10 +1367,7 @@ def resolve_z2_module(p: int, rank: int, relations) -> Resolution:
             row[a * deg + j * 2 * deg + c] = 1
             row[a * deg + j * 2 * deg + deg + c] = 1
             f2_rows.append(row)
-    f2 = _mat(f2_rows, mid)
-    f3 = IntMatrix.zeros(0, b * deg)
-
-    res = Resolution(ring, rank, rel_mat, a, b, f1, f2, f3)
+    res = Resolution(ring, rank, rel_mat, a, b, f1, _mat(f2_rows, mid))
     if not res.verify():
         raise AssertionError("constructed resolution failed verification")
     return res

@@ -43,7 +43,7 @@ class ActionQuery(Record):
             raise ValueError("orders must be >= 1")
         if max(self.m, self.n) > MAX_MODULUS:
             raise ValueError("orders must be <= %d" % MAX_MODULUS)
-        object.__setattr__(self, "k", self.k % self.m)
+        self.__dict__["k"] = self.k % self.m
 
     @cached_property
     def primes(self) -> dict:

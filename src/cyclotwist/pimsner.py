@@ -79,19 +79,19 @@ def _as_entry(v):
     return v
 
 
-class CorrSpec:
+class CorrSpec(Record):
     """Multiplicity table of a correspondence over A = C^n."""
 
-    __slots__ = ("n", "mult")
+    n: int
+    mult: tuple
 
-    def __init__(self, n: int, mult):
-        if n < 1:
+    def __post_init__(self):
+        if self.n < 1:
             raise ValueError("need at least one minimal ideal")
-        rows = tuple(tuple(_as_entry(v) for v in row) for row in mult)
-        if len(rows) != n or any(len(r) != n for r in rows):
+        rows = tuple(tuple(_as_entry(v) for v in row) for row in self.mult)
+        if len(rows) != self.n or any(len(r) != self.n for r in rows):
             raise ValueError("multiplicity table must be n x n")
-        self.n = n
-        self.mult = rows
+        self.__dict__["mult"] = rows
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "CorrSpec":
@@ -104,16 +104,6 @@ class CorrSpec:
                 ["inf" if v is INF else v for v in row] for row in self.mult
             ],
         }
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, CorrSpec)
-            and self.n == other.n
-            and self.mult == other.mult
-        )
-
-    def __repr__(self):
-        return "CorrSpec(n=%d, mult=%r)" % (self.n, self.mult)
 
 
 class Flags(Record):
@@ -181,12 +171,9 @@ def _byte_tables(reach, n):
 
 def validate(spec: CorrSpec) -> Flags:
     """Row/column flags of the block model; non-degeneracy is automatic."""
-    faithful = all(any(v != 0 for v in row) for row in spec.mult)
-    full = all(
-        any(spec.mult[i][j] != 0 for i in range(spec.n)) for j in range(spec.n)
-    )
-    proper = all(_finite(row) for row in spec.mult)
-    return Flags(faithful=faithful, full=full, proper=proper)
+    # INF is truthy, so a row or column is nonzero iff any entry is
+    return Flags(all(map(any, spec.mult)), all(map(any, zip(*spec.mult))),
+                 all(map(_finite, spec.mult)))
 
 
 def invariant_ideals(spec: CorrSpec) -> IdealReport:

@@ -688,6 +688,20 @@ def test_readme_subcommand_table_matches_the_parser():
                       for group, (_, leaves) in cli._COMMANDS.items()]
 
 
+def test_readme_certificate_table_covers_every_leaf():
+    readme = (Path(__file__).parents[1] / "README.md").read_text("utf-8")
+    table = readme.split("\nCertificates:\n\n", 1)[1].split("\n\n", 1)[0]
+    listed = []
+    for row in table.splitlines()[2:]:  # after the header and rule
+        leaf, kind, checked = (c.strip() for c in row.strip("|").split("|"))
+        assert kind in ("certificate", "two routes", "checks",
+                        "construction only") and checked, row
+        listed.append(tuple(leaf.strip("`").split()))
+    assert listed == [(group, leaf)
+                      for group, (_, leaves) in cli._COMMANDS.items()
+                      for leaf in leaves]
+
+
 @pytest.mark.parametrize("group, leaf", _json_leaves())
 def test_every_json_leaf_writes_its_payload(capsys, tmp_path, group, leaf):
     paths = {}

@@ -1,4 +1,3 @@
-import copy
 import functools
 import random
 from collections import Counter
@@ -21,8 +20,10 @@ import cyclotwist.numring as numring
 from cyclotwist.numring import (
     HigmanCertificate,
     InvolutionError,
+    InvolutionSplit,
     RLattice,
     ResolutionError,
+    SplitCertificate,
     Z2Module,
     factor_two,
     free_z2_module,
@@ -379,9 +380,8 @@ def test_split_verify_rejects_basis_that_is_not_a_submodule():
             [[0] * (g * d) + row + [0] * (D - (g + 1) * d)
              for g in range(cert.group_order) for row in rows])
 
-    forged = copy.copy(cert)
-    forged.basis_L0 = amplified(parts[2])
-    forged.basis_L1 = amplified(parts[1])
+    forged = SplitCertificate(cert.lattice, amplified(parts[2]),
+                              amplified(parts[1]), cert.n_basis)
     assert cert.verify()
     assert not forged.verify()
 
@@ -697,8 +697,9 @@ def test_involution_verify_ties_higman_certificate_to_p0():
         # projection onto the 1-component of each regular summand
         phi = IntMatrix.from_rows([[int(i == j and i % (2 * deg) < deg)
                                     for j in range(n)] for i in range(n)])
-        forged = copy.copy(sp)
-        forged.higman = HigmanCertificate(other, phi)
+        forged = InvolutionSplit(
+            sp.padding, sp.ambient, sp.basis_plus, sp.basis_minus,
+            sp.basis_zero, HigmanCertificate(other, phi), sp.zero_orbit_basis)
         assert forged.higman.verify() and sp.verify()
         assert not forged.verify()
 

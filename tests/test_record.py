@@ -6,6 +6,8 @@ from pathlib import Path
 import pytest
 
 import cyclotwist
+from cyclotwist import cocycle, fusion, numring, pimsner
+from cyclotwist._record import Record
 from cyclotwist.exactalg import IntMatrix, SNFResult
 from cyclotwist.obstruction import MAX_MODULUS, ActionQuery
 
@@ -133,3 +135,37 @@ def test_action_query_post_init_runs():
                  (1, MAX_MODULUS + 1)):
         with pytest.raises(ValueError):
             ActionQuery(m, n, 0)
+
+
+_RING = numring.real_cyclotomic(5)
+LIBRARY_VALUES = {
+    "FusionRing": lambda: fusion.tlj(2),
+    "CorrSpec": lambda: pimsner.CorrSpec(2, [["inf", 1], [0, 1]]),
+    "Cocycle3": lambda: cocycle.omega(3, 1),
+    "RealCyclotomic": lambda: _RING,
+    "SplitCertificate": lambda: numring.lattice_split(
+        numring.RLattice.free(_RING, 1), [[2, 0]]),
+    "InvolutionSplit": lambda: numring.involution_split(
+        numring.free_z2_module(5)),
+    "Resolution": lambda: numring.resolve_z2_module(
+        5, 1, [[1, 0, 1, 0], [0, 1, 0, 1]]),
+}
+
+
+@pytest.mark.parametrize("build", LIBRARY_VALUES.values(),
+                         ids=LIBRARY_VALUES)
+def test_library_values_are_frozen_records(build):
+    # the certificates come from the constructions, after their verify()
+    a = build()
+    cls = type(a)
+    assert isinstance(a, Record) and cls._fields
+    values = {f: getattr(a, f) for f in cls._fields}
+    for name, value in values.items():
+        with pytest.raises(AttributeError):
+            setattr(a, name, value)
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+        assert getattr(a, name) is value
+    b = cls(**values)
+    assert a == b and hash(a) == hash(b)
+    assert getattr(a, "verify", lambda: True)()

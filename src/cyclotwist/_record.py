@@ -11,7 +11,11 @@ Every library value is a Record: the reports, the validated inputs
 (``CorrSpec``, ``Cocycle3``, ``FusionRing``, ``RealCyclotomic``, the
 lattices) and the certificates, so none changes after its verify().
 ``__post_init__`` normalises input by writing through ``self.__dict__``,
-and a value that other fields determine is a property.  ``IntMatrix``,
+and a value that other fields determine is a property, or a
+``functools.cached_property`` when it is costly and read more than once
+(``RealCyclotomic.two_factorization``, ``ActionQuery.primes``): it is
+stored in the instance ``__dict__`` on first read, outside the fields,
+so equality and hash do not see it.  ``IntMatrix``,
 ``PolyZ`` and ``PolyF2`` are not Records: they are the slotted numeric
 types built in inner loops, and ``IntMatrix`` caches its nonzero view.
 """

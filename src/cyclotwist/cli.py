@@ -161,15 +161,6 @@ def _tlj_det_formula(k: int) -> int:
     return 2 ** (k + 1) * (k + 2) ** (k - 1)
 
 
-def _even_det_formula(k: int) -> int:
-    # (k+2)^floor(k/2) 2^(k-1-2 floor(k/2)); the two-exponent is 0 for
-    # odd k and -1 for even k, where (k+2)^(k/2) is even, so the value
-    # is an integer either way
-    e = k - 1 - 2 * (k // 2)
-    base = (k + 2) ** (k // 2)
-    return base * 2 ** e if e >= 0 else base // 2 ** (-e)
-
-
 def _cmd_fusion_det(args) -> int:
     from .fusion import global_det
     ring, name = _select_ring(args)
@@ -186,22 +177,18 @@ def _cmd_fusion_det(args) -> int:
         payload["formula"] = formula
     elif args.tlj_even is not None:
         k = args.tlj_even
-        formula = _even_det_formula(k) if k >= 1 else 1
+        # |det Z| = (k+2)^floor(k/2) at every level; the cited expression
+        # is half of it at even k >= 2, which the note says
+        exact = (k + 2) ** (k // 2)
+        half = k >= 2 and k % 2 == 0
+        formula = exact // 2 if half else exact
         _say("|det Z| = %d  [%s]" % (rep.det_abs, CIT_DET_EVEN))
-        if k >= 1:
-            if k % 2 == 1 and rep.det_abs != formula:
-                raise AssertionError(
-                    "odd-level even-part det %d != closed form %d"
-                    % (rep.det_abs, formula))
-            if k % 2 == 0:
-                # at even levels the exact value is twice the odd-level
-                # expression; say so instead of silently diverging
-                _say("note: exact value is %d = 2 x %d (even level)"
-                     % (rep.det_abs, formula))
-                if rep.det_abs != 2 * formula:
-                    raise AssertionError(
-                        "even-level det %d != 2 x %d"
-                        % (rep.det_abs, formula))
+        if half:
+            _say("note: exact value is %d = 2 x %d (even level)"
+                 % (rep.det_abs, formula))
+        if rep.det_abs != exact:
+            raise AssertionError("even-part det %d != closed form %d"
+                                 % (rep.det_abs, exact))
         payload["formula"] = formula
     else:
         m = args.pointed

@@ -394,7 +394,8 @@ def dk_module(k: int) -> FusionModule:
     Fusion with pi_1 is computed in tlj(k) and then indices fold through
     i -> min(i, k-i); the tie index k/2 (k even) appears once in the
     basis.  That is the generator, from which FusionModule derives and
-    certifies the action of every label.
+    certifies the action of every label; a refusal of this generator is
+    a failed certificate, so it raises AssertionError.
     """
     if k < 1:
         raise ValueError("level must be >= 1")
@@ -404,7 +405,10 @@ def dk_module(k: int) -> FusionModule:
     for b in range(rank):
         for h in range(R.rank):
             rows[min(h, k - h)][b] += R.N[h][b][1]
-    return FusionModule(R, IntMatrix.from_rows(rows))
+    try:
+        return FusionModule(R, IntMatrix.from_rows(rows))
+    except ValueError as exc:
+        raise AssertionError(str(exc)) from None
 
 
 class GroupRingIsoReport(Record):

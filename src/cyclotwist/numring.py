@@ -16,7 +16,10 @@ Contents:
 
 * ``real_cyclotomic``  construct R from p; mu is extracted from the
   identity mu(X^2 - 2) = U_{p-1}(X/2), an exact integer change of basis
-* ``factor_two``       factor mu mod 2 (distinct/equal-degree splitting)
+* ``factor_two``       factor mu mod 2 (distinct/equal-degree splitting);
+  the ring holds its own as the cached property ``two_factorization``,
+  a value derived from its fields, so every construction over one ring
+  factors 2 once
 * ``idempotents_mod2`` CRT idempotents of R/2R
 * ``galois``           matrices of the Galois group on the power basis
 * ``galois_factor_permutation`` the Galois action on the factors of 2
@@ -49,6 +52,7 @@ What each verify() proves from the stored matrices alone:
 from __future__ import annotations
 
 import itertools
+from functools import cached_property
 from math import prod
 from operator import index
 
@@ -83,6 +87,12 @@ class RealCyclotomic(Record):
     def __post_init__(self):
         # read in the inner loops of reduce, so stored, not a property
         self.__dict__["degree"] = self.mu.degree()
+
+    @cached_property
+    def two_factorization(self) -> "PrimeFactorTwo":
+        """factor_two(self), computed once and shared by every
+        construction over this ring."""
+        return factor_two(self)
 
     def reduce(self, a: PolyZ) -> PolyZ:
         if a.degree() < self.degree:
@@ -158,19 +168,23 @@ def real_cyclotomic(p: int) -> RealCyclotomic:
 
 
 class PrimeFactorTwo(Record):
-    """Factorization of mu modulo 2: distinct irreducibles, equal degree."""
+    """Factorization of mu modulo 2: distinct irreducibles, each of
+    degree f."""
 
     ring: RealCyclotomic
     factors: tuple
     f: int
-    count: int
+
+    count = property(lambda self: len(self.factors))
 
     def __post_init__(self):
-        if len(set(f.bits for f in self.factors)) != len(self.factors):
-            raise ValueError("repeated factor: 2 would ramify")
+        if len(set(g.bits for g in self.factors)) != self.count:
+            raise ArithmeticError("repeated factor: 2 would ramify")
         degs = {g.degree() for g in self.factors}
         if degs != {self.f}:
-            raise ValueError("unequal residue degrees %r" % (degs,))
+            raise ArithmeticError(
+                "residue degrees %r, want the order of 2 in (Z/%dZ)^x/{+-1}"
+                " = %d" % (sorted(degs), self.ring.p, self.f))
 
 
 def _order_of_two_mod_p_up_to_sign(p: int) -> int:
@@ -189,13 +203,14 @@ def factor_two(ring: RealCyclotomic) -> PrimeFactorTwo:
     splitting with the characteristic-2 trace map (Cantor-Zassenhaus; see
     von zur Gathen & Gerhard, Modern Computer Algebra, 14.3), tried on
     the powers of X in turn, so no randomness enters; the factors are
-    returned sorted by their bitmasks.
+    returned sorted by their bitmasks, and each must have degree the
+    order of 2 mod p up to sign.
     """
     f2 = ring.mu.reduce_mod2()
     # squarefree guard: 2 is unramified, so gcd(f, f') must be 1
     der = f2.derivative()
     if der.is_zero() or not f2.gcd(der).is_one():
-        raise ValueError("mu mod 2 is not squarefree: 2 ramifies?")
+        raise ArithmeticError("mu mod 2 is not squarefree: 2 ramifies?")
     x = PolyF2(0b10)
     factors = []
     rest = f2
@@ -210,17 +225,8 @@ def factor_two(ring: RealCyclotomic) -> PrimeFactorTwo:
             rest = rest // g
         d += 1
     factors.sort(key=lambda q: q.bits)
-    degs = {g.degree() for g in factors}
-    if len(degs) != 1:
-        raise ArithmeticError("factors of unequal degree: %r" % (degs,))
-    f = degs.pop()
-    expected_f = _order_of_two_mod_p_up_to_sign(ring.p)
-    if f != expected_f:
-        raise ArithmeticError(
-            "residue degree %d != order of 2 in (Z/%dZ)^x/{+-1} = %d"
-            % (f, ring.p, expected_f)
-        )
-    return PrimeFactorTwo(ring, tuple(factors), f, len(factors))
+    return PrimeFactorTwo(ring, tuple(factors),
+                          _order_of_two_mod_p_up_to_sign(ring.p))
 
 
 def _equal_degree_split(g: PolyF2, d: int) -> list:
@@ -247,22 +253,20 @@ def _equal_degree_split(g: PolyF2, d: int) -> list:
 
 
 def idempotents_mod2(ring: RealCyclotomic) -> list:
-    """CRT idempotents e_1..e_n of R/2R, one per prime factor of 2."""
-    return _idempotents(factor_two(ring))
+    """CRT idempotents e_1..e_n of R/2R, one per prime factor of 2.
 
-
-def _idempotents(fact: PrimeFactorTwo) -> list:
-    """e_i = m * (m^-1 mod g) for the factor g of degree f and its cofactor
+    e_i = m * (m^-1 mod g) for the factor g of degree f and its cofactor
     m = (mu mod 2)/g: 1 mod g and 0 mod the others.  The inverse is
     Fermat's m^(2^f - 2) in the field F2[X]/g = F_(2^f) (von zur Gathen &
     Gerhard, Modern Computer Algebra, ch. 4).  Pairwise orthogonality
     and the sum 1 are checked before returning.
     """
-    f2 = fact.ring.mu.reduce_mod2()
+    two = ring.two_factorization
+    f2 = ring.mu.reduce_mod2()
     out = []
-    for g in fact.factors:
+    for g in two.factors:
         m = f2 // g
-        out.append((m.powmod(2**fact.f - 2, g) * m) % f2)
+        out.append((m.powmod(2**two.f - 2, g) * m) % f2)
     total = PolyF2(0)
     for e in out:
         total = total + e
@@ -333,34 +337,32 @@ def _amplify(ring: RealCyclotomic, beta: IntMatrix) -> list:
 
 
 def galois_factor_permutation(ring: RealCyclotomic) -> dict:
-    """Permutation action of each sigma_a on the mod-2 prime factors."""
-    return _factor_permutation(factor_two(ring))
+    """Permutation action of each sigma_a on the mod-2 prime factors.
 
-
-def _factor_permutation(fact: PrimeFactorTwo) -> dict:
-    """{a: mapping} where mapping[i] = j means sigma_a carries the i-th
+    {a: mapping} where mapping[i] = j means sigma_a carries the i-th
     factor to the j-th: f_i(sigma_a(beta)) vanishes mod (2, f_j).  The
     value is computed in F2[X]/(mu mod 2), by Horner at sigma_a(beta)
     mod 2, reducing after every step (von zur Gathen & Gerhard, Modern
     Computer Algebra, 5.2).
     """
-    f2 = fact.ring.mu.reduce_mod2()
+    factors = ring.two_factorization.factors
+    f2 = ring.mu.reduce_mod2()
     perms = {}
-    for a, image in enumerate(_galois_images(fact.ring), 1):
+    for a, image in enumerate(_galois_images(ring), 1):
         x = image.reduce_mod2()
         mapping = []
-        for fi in fact.factors:
+        for fi in factors:
             val = PolyF2(0)
             for c in reversed(fi.coeffs()):
                 val = (val * x) % f2 + PolyF2(c)
-            hits = [j for j, fj in enumerate(fact.factors)
+            hits = [j for j, fj in enumerate(factors)
                     if (val % fj).is_zero()]
             if len(hits) != 1:
                 raise ArithmeticError(
                     "factor image not carried to a unique factor: %r" % hits
                 )
             mapping.append(hits[0])
-        if sorted(mapping) != list(range(fact.count)):
+        if sorted(mapping) != list(range(len(factors))):
             raise ArithmeticError("Galois image is not a permutation")
         perms[a] = tuple(mapping)
     return perms
@@ -784,17 +786,19 @@ def _component_bases(Q: _Quotient, A, dbase, beta: IntMatrix, f: int):
 
 
 def _correct_complements(ring: RealCyclotomic, Q: _Quotient, A, B_sets,
-                         spans, d_lift, dbase, beta: IntMatrix,
-                         f: int) -> list:
+                         spans, idem, dbase, beta: IntMatrix) -> list:
     """Stage 2: correct the complement of each B_j to kill its component,
     returning the corrected rows of A.
 
     Stage 1's echelon of component j is the solver: its rows, the beta
     orbits of A[idx] d_j(beta) mod N for idx in B_j, still hold, because
     an earlier correction of A[idx] is a multiple of the lift of another
-    idempotent d_i, and d_j d_i = 0 kills it mod N.
+    idempotent d_i, and d_j d_i = 0 kills it mod N.  A correction is the
+    0/1 lift of e_j c mod (2, mu) applied to an orbit: only its parity
+    is read, so it is computed in F2[X].
     """
     A = list(A)
+    f, mu2 = ring.two_factorization.f, ring.mu.reduce_mod2()
     for j, (Bj, solver) in enumerate(zip(B_sets, spans)):
         orb_amb = [_orbit(A[idx], [beta], ring.degree) for idx in Bj]
         for idx in range(len(A)):
@@ -811,13 +815,12 @@ def _correct_complements(ring: RealCyclotomic, Q: _Quotient, A, B_sets,
                 bits = (coords >> (pos * f)) & ((1 << f) - 1)
                 if not bits:
                     continue
-                cpoly = PolyZ([(bits >> c) & 1 for c in range(f)])
-                elem = ring.coeff_vector(ring.reduce(d_lift[j] * cpoly))
                 # any lift of the class mod 2R works; take the 0/1 one
                 # to keep the corrected basis entries small
-                for c, co in enumerate(elem):
-                    if co % 2:
-                        corr = [a + b for a, b in zip(corr, orb_amb[pos][c])]
+                elem = (idem[j] * PolyF2(bits) % mu2).bits
+                for c, v in enumerate(orb_amb[pos]):
+                    if elem >> c & 1:
+                        corr = [a + b for a, b in zip(corr, v)]
             A[idx] = _vec_sub(A[idx], corr)
     return A
 
@@ -904,8 +907,7 @@ def _correct_into_n(Q: _Quotient, A, W, replaced, beta_g, d: int):
     return L0, [v for z in L1 for v in _orbit(z, beta_g, nG)]
 
 
-def lattice_split(M: RLattice, n_gens,
-                  fact: PrimeFactorTwo | None = None) -> SplitCertificate:
+def lattice_split(M: RLattice, n_gens) -> SplitCertificate:
     """Split M[G] = L_0 (+) L_1 with N[G] = 2 L_0 (+) L_1, G the Galois
     group of the real subfield whose ring of integers is M.ring, acting
     by twisting the R-structure of the copies of M.
@@ -915,10 +917,10 @@ def lattice_split(M: RLattice, n_gens,
     whose classes form a free R/2R-basis of (M/N)[G]; L_1 is spanned by
     the corrected complements, which land in N[G].  Every mod-2 action
     is an integer matrix (beta, or the lift d_i(beta) of an idempotent)
-    followed by the projection to M/N.  The factorization of 2, its
-    idempotents and the Galois permutation of the factors are computed
-    once (the factorization unless given as ``fact``) for all stages.
-    Everything is exact; the certificate is returned once verify() passes.
+    followed by the projection to M/N.  The idempotents and the Galois
+    permutation of the factors are computed once for all stages, from
+    the factorization of 2 that the ring holds.  Everything is exact;
+    the certificate is returned once verify() passes.
     """
     ring = M.ring
     check_size("split", ring, M.rank)
@@ -940,20 +942,18 @@ def lattice_split(M: RLattice, n_gens,
         raise ValueError("2M <= N fails at coordinate %d" % i)
 
     A = _free_r_basis(ring, IntMatrix.identity(d).to_rows(), [beta])
-    if fact is None:
-        fact = factor_two(ring)
-    # the 0/1 lifts d_i of the idempotents and their matrices d_i(beta)
-    d_lift = [PolyZ(e.coeffs()) for e in _idempotents(fact)]
-    dbase = [dl.eval_matrix(beta) for dl in d_lift]
+    f = ring.two_factorization.f
+    # the idempotents e_i and the matrices d_i(beta) of their 0/1 lifts
+    idem = idempotents_mod2(ring)
+    dbase = [PolyZ(e.coeffs()).eval_matrix(beta) for e in idem]
     Q = _Quotient(d, H)
-    perm_g = list(_factor_permutation(fact).values())  # a = 1..deg
+    perm_g = list(galois_factor_permutation(ring).values())  # a = 1..deg
     beta_g = _amplify(ring, beta)
 
-    B_sets, spans = _component_bases(Q, A, dbase, beta, fact.f)
-    A = _correct_complements(ring, Q, A, B_sets, spans, d_lift, dbase,
-                             beta, fact.f)
-    supports = _amplified_supports(Q, A, B_sets, dbase, perm_g, fact.f)
-    W, replaced = _equalize(A, supports, dbase, perm_g, fact.f, d)
+    B_sets, spans = _component_bases(Q, A, dbase, beta, f)
+    A = _correct_complements(ring, Q, A, B_sets, spans, idem, dbase, beta)
+    supports = _amplified_supports(Q, A, B_sets, dbase, perm_g, f)
+    W, replaced = _equalize(A, supports, dbase, perm_g, f, d)
     L0_rows, L1_rows = _correct_into_n(Q, A, W, replaced, beta_g, d)
 
     cert = SplitCertificate(M, _mat(L0_rows, d * deg), _mat(L1_rows, d * deg),
@@ -992,41 +992,34 @@ class HigmanCertificate(Record):
         return higman_check(self.module, self.phi)
 
 
-def _free_z2_blocks(ring: RealCyclotomic):
-    """(beta, Y) for the regular module R[Z/2Z]: Z-basis beta^c, beta^c Y."""
+def _free_z2_blocks(ring: RealCyclotomic, copies: int):
+    """(beta, Y) of the regular module R[Z/2Z]^copies, each copy with the
+    Z-basis beta^c, beta^c Y."""
     deg = ring.degree
-    b0 = ring.beta_matrix().transpose()
     rows = IntMatrix.identity(2 * deg).to_rows()
-    return _block_diag([b0, b0]), IntMatrix.from_rows(rows[deg:] + rows[:deg])
+    return (_block_diag([ring.beta_matrix().transpose()] * (2 * copies)),
+            _block_diag([IntMatrix.from_rows(rows[deg:] + rows[:deg])]
+                        * copies))
 
 
 def free_z2_module(p: int, copies: int = 1) -> Z2Module:
     """The free module R[Z/2Z]^copies."""
     ring = real_cyclotomic(p)
-    beta, Y = _free_z2_blocks(ring)
-    return Z2Module(
-        RLattice(ring, 2 * copies, _block_diag([beta] * copies)),
-        _block_diag([Y] * copies))
+    beta, Y = _free_z2_blocks(ring, copies)
+    return Z2Module(RLattice(ring, 2 * copies, beta), Y)
 
 
-def _rmat_to_z(ring: RealCyclotomic, rmat, k: int) -> IntMatrix:
-    """Z-matrix (row action, power-basis layout) of a k x k matrix of
-    ring elements acting on the right of R^k."""
-    deg = ring.degree
-    rows = []
-    for s in range(k):
-        for c in range(deg):
-            row = []
-            shift = PolyZ([0] * c + [1]) if c else PolyZ([1])
-            for t in range(k):
-                row.extend(ring.coeff_vector(ring.reduce(rmat[s][t] * shift)))
-            rows.append(row)
-    return _mat(rows, 0)
+def _r_linear(free: RLattice, images) -> IntMatrix:
+    """Z-matrix (row action) of the R-linear map of the free R^k that
+    sends e_s to images[s]: the rows of e_s beta^c are the beta-orbit of
+    images[s]."""
+    return _mat([v for w in images
+                 for v in _orbit(w, [free.beta], free.ring.degree)], free.dim)
 
 
-def _higman_endomorphism(fact: PrimeFactorTwo, y_r):
-    """Z-matrix of an R-linear phi with phi + Y phi Y = 1 on R^k, for Y
-    the k x k involution y_r over R = fact.ring, or None if there is none.
+def _higman_endomorphism(module: Z2Module):
+    """Z-matrix of an R-linear phi with phi + Y phi Y = 1, for ``module``
+    an involution Y of the free R^k, or None if there is none.
 
     Mod 2, Y = 1 + N with N^2 = 0, and phi Y + Y phi = Y reads phi N +
     N phi = 1 + N: solvable iff ker N = im N (x = (x phi) N on ker N),
@@ -1034,15 +1027,17 @@ def _higman_endomorphism(fact: PrimeFactorTwo, y_r):
     lines of f beta-images in the fields of R/2R; then phi_0 = 1 on C and
     N^-1 on CN.  phi_0 + Y phi_0 Y = 1 - 2x, x = YxY: phi_0 + x solves it.
     """
-    ring, k, d = fact.ring, len(y_r), fact.ring.degree
-    y, b0 = _rmat_to_z(ring, y_r, k), ring.beta_matrix().transpose()
+    free, y = module.lattice, module.Y
+    ring, k = free.ring, free.rank
+    d, f, b0 = (ring.degree, ring.two_factorization.f,
+                ring.beta_matrix().transpose())
     C, span = [], F2Echelon(pack_mod2(r) ^ 1 << i   # im N, then C beside
                             for i, r in enumerate(y.to_rows()))
-    for e in _idempotents(fact):
+    for e in idempotents_mod2(ring):
         for r in PolyZ(e.coeffs()).eval_matrix(b0).to_rows():
             for s in range(k):
                 if span.residue(pack_mod2(r) << (s * d)):
-                    for v in _orbit(_embed(s, r, d, k), [b0] * k, fact.f):
+                    for v in _orbit(_embed(s, r, d, k), [b0] * k, f):
                         span.add(pack_mod2(v))
                         C.append((pack_mod2(v), pack_mod2(_vec_sub(
                             _row_act(y, v), v))))
@@ -1050,9 +1045,8 @@ def _higman_endomorphism(fact: PrimeFactorTwo, y_r):
         return None
     # [P | P phi_0] for P = [C; CN], invertible: e_u reduces to e_u phi_0
     ech = F2Echelon(t << k * d | c for c, cn in C for t in (c, cn))
-    rows = [ech.residue(1 << (u + k) * d) for u in range(k)]
-    phi0 = _rmat_to_z(ring, [[PolyZ([(w >> v * d + c) & 1 for c in range(d)])
-                              for v in range(k)] for w in rows], k)
+    phi0 = _r_linear(free, [[w >> j & 1 for j in range(k * d)] for w in (
+        ech.residue(1 << (u + k) * d) for u in range(k))])
     rest = IntMatrix.identity(k * d) - phi0 - y @ phi0 @ y
     return phi0 + IntMatrix.from_rows([[a // 2 for a in row]
                                        for row in rest.to_rows()])
@@ -1127,16 +1121,15 @@ def involution_split(module: Z2Module, padding: int = 0) -> InvolutionSplit:
     check_size("involution", ring, module.lattice.rank + 2 * padding)
     deg = ring.degree
     nG = deg
-    fb, fy = _free_z2_blocks(ring)
-    beta_t = _block_diag([module.lattice.beta] + [fb] * padding)
-    y_t = _block_diag([module.Y] + [fy] * padding)
+    fb, fy = _free_z2_blocks(ring, padding)
+    beta_t = _block_diag([module.lattice.beta, fb])
+    y_t = _block_diag([module.Y, fy])
     ambient = Z2Module(
         RLattice(ring, module.lattice.rank + 2 * padding, beta_t), y_t)
     Dt = ambient.dim
     Damp = Dt * nG
     beta_amp = _amplify(ring, beta_t)
     y_amp = [y_t] * nG
-    fact = factor_two(ring)
 
     halves = {}
     for tau in (1, -1):
@@ -1153,7 +1146,7 @@ def involution_split(module: Z2Module, padding: int = 0) -> InvolutionSplit:
         n2_abs = coordinates(IntMatrix.from_rows(T_rows), N2)
         if None in n2_abs:
             raise AssertionError("2-division lattice escaped M2")
-        cert = lattice_split(RLattice.free(ring, k), n2_abs, fact)
+        cert = lattice_split(RLattice.free(ring, k), n2_abs)
         # back to ambient coordinates, copy by copy: x -> x . T
         back = [IntMatrix.from_rows(T_rows)] * nG
         halves[tau] = tuple([_act(back, v) for v in basis.to_rows()]
@@ -1175,20 +1168,19 @@ def involution_split(module: Z2Module, padding: int = 0) -> InvolutionSplit:
     T0_rows = []
     if P0:
         basis0 = _free_r_basis(ring, P0, beta_amp)
-        k0 = len(basis0)
         T0_rows = [v for b in basis0 for v in _orbit(b, beta_amp, deg)]
         y_abs = coordinates(IntMatrix.from_rows(T0_rows),
                             [_act(y_amp, b) for b in basis0])
         if None in y_abs:
             raise AssertionError("P_0 is not Y-stable")
-        y_r = [[PolyZ(c[t * deg:(t + 1) * deg]) for t in range(k0)]
-               for c in y_abs]
-        phi_z = _higman_endomorphism(fact, y_r)
+        # Y on P_0, in the basis T_0 of the free R^k0 that basis0 spans
+        free0 = RLattice.free(ring, len(basis0))
+        module0 = Z2Module(free0, _r_linear(free0, y_abs))
+        phi_z = _higman_endomorphism(module0)
         if phi_z is None:
             raise InvolutionError(
                 "no Higman endomorphism at padding %d" % padding)
-        higman = HigmanCertificate(Z2Module(
-            RLattice.free(ring, k0), _rmat_to_z(ring, y_r, k0)), phi_z)
+        higman = HigmanCertificate(module0, phi_z)
 
     split = InvolutionSplit(
         padding, ambient, _mat(p_bases[1], Damp), _mat(p_bases[-1], Damp),
@@ -1249,12 +1241,10 @@ class Resolution(Record):
     def _actions(self):
         deg = self.ring.degree
         b0 = self.ring.beta_matrix().transpose()
-        fb, fy = _free_z2_blocks(self.ring)
-        ident = IntMatrix.identity(deg)
-        tgt_beta = _block_diag([fb] * self.rank)
-        tgt_y = _block_diag([fy] * self.rank)
-        dom1_beta = _block_diag([b0] * self.a + [fb] * self.b)
-        dom1_y = _block_diag([ident] * self.a + [fy] * self.b)
+        fb, fy = _free_z2_blocks(self.ring, self.b)
+        tgt_beta, tgt_y = _free_z2_blocks(self.ring, self.rank)
+        dom1_beta = _block_diag([b0] * self.a + [fb])
+        dom1_y = _block_diag([IntMatrix.identity(self.a * deg), fy])
         dom2_beta = _block_diag([b0] * self.b)
         dom2_y = IntMatrix.identity(self.b * deg)
         return (tgt_beta, tgt_y, dom1_beta, dom1_y, dom2_beta, dom2_y)
@@ -1307,9 +1297,7 @@ def resolve_z2_module(p: int, rank: int, relations) -> Resolution:
     if rank < 1:
         raise ValueError("rank must be positive")
     check_size("resolve", ring, rank)
-    fb, fy = _free_z2_blocks(ring)
-    tgt_beta = _block_diag([fb] * rank)
-    tgt_y = _block_diag([fy] * rank)
+    tgt_beta, tgt_y = _free_z2_blocks(ring, rank)
 
     rel_rows = [list(map(index, rw)) for rw in relations]
     for rw in rel_rows:
@@ -1318,37 +1306,30 @@ def resolve_z2_module(p: int, rank: int, relations) -> Resolution:
                              % (len(rw), D0))
     rel_mat = _mat(rel_rows, D0)
     K_rows = _row_basis_rows(rel_rows)
-    if K_rows:
-        # K is stable iff K + K.beta + K.Y has the span profile of K
-        Km = IntMatrix.from_rows(K_rows)
-        KY = Km @ tgt_y
-        moved = K_rows + (Km @ tgt_beta).to_rows() + KY.to_rows()
-        if _span_profile(moved, D0) != _span_profile(K_rows, D0):
-            raise ValueError(
-                "non-equivariant presentation: the relation lattice "
-                "is not stable under the beta and Y actions")
-        mK = Km.rows
-        diff = KY + Km.scale(-1)
-        summ = KY + Km
-        cplus = kernel_basis(diff.transpose())
-        cminus = kernel_basis(summ.transpose())
-        if len(cplus) + len(cminus) != mK:
-            raise ResolutionError(
-                "kernel does not split as U_+ (+) U_-: eigenlattice "
-                "ranks %d + %d != %d"
-                % (len(cplus), len(cminus), mK))
-        if not _unimodular(cplus + cminus, mK):
-            raise ResolutionError(
-                "kernel does not split as U_+ (+) U_-: the eigenlattice "
-                "sum has index > 1")
-        u_plus = [_row_act(Km, c) for c in cplus]
-        u_minus = [_row_act(Km, c) for c in cminus]
-        base_plus = _free_r_basis(ring, u_plus, [tgt_beta]) if u_plus else []
-        base_minus = (_free_r_basis(ring, u_minus, [tgt_beta])
-                      if u_minus else [])
-    else:
-        base_plus = []
-        base_minus = []
+    # K is stable iff K + K.beta + K.Y has the span profile of K
+    Km = _mat(K_rows, D0)
+    KY = Km @ tgt_y
+    moved = K_rows + (Km @ tgt_beta).to_rows() + KY.to_rows()
+    if _span_profile(moved, D0) != _span_profile(K_rows, D0):
+        raise ValueError(
+            "non-equivariant presentation: the relation lattice "
+            "is not stable under the beta and Y actions")
+    mK = Km.rows
+    cplus = kernel_basis((KY + Km.scale(-1)).transpose())
+    cminus = kernel_basis((KY + Km).transpose())
+    if len(cplus) + len(cminus) != mK:
+        raise ResolutionError(
+            "kernel does not split as U_+ (+) U_-: eigenlattice "
+            "ranks %d + %d != %d"
+            % (len(cplus), len(cminus), mK))
+    if not _unimodular(cplus + cminus, mK):
+        raise ResolutionError(
+            "kernel does not split as U_+ (+) U_-: the eigenlattice "
+            "sum has index > 1")
+    base_plus = _free_r_basis(ring, [_row_act(Km, c) for c in cplus],
+                              [tgt_beta])
+    base_minus = _free_r_basis(ring, [_row_act(Km, c) for c in cminus],
+                               [tgt_beta])
     a = len(base_plus)
     b = len(base_minus)
 

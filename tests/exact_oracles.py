@@ -11,8 +11,10 @@ scan over all m^4 quadruples, in integers and in Fractions, which the
 two-slice scan replaced, and the class witness substituted back through
 Fraction-built tables, which the one integer pass replaced.  For
 ``numring``: the k^4 GF(2) echelon that solved Higman's equation before
-the mod-2 normal form of Y replaced it, and the row action that walked
-whole matrix rows.  For ``obstruction``: the prime-by-prime local test
+the mod-2 normal form of Y replaced it, the row action that walked
+whole matrix rows, and the Z-matrix of an R-linear map built entry by
+entry from a matrix of ring elements, which the beta-orbits of the
+basis images replaced.  For ``obstruction``: the prime-by-prime local test
 and the Fraction-built divisibility form that the two moduli replaced,
 and the criterion sweep that asked both, and the automorphism
 criterion, once per triple.
@@ -35,7 +37,6 @@ from cyclotwist.exactalg import (
     smith_normal_form,
 )
 from cyclotwist.fusion import FusionRing, tlj
-from cyclotwist.numring import _rmat_to_z
 from cyclotwist.obstruction import (
     ActionQuery,
     exists_automorphism_action,
@@ -247,6 +248,30 @@ def fraction_class(c: Cocycle3):
     return k if g == coboundary(m, beta) else None
 
 
+def rmat_to_z(ring, rmat, k: int) -> IntMatrix:
+    """Z-matrix (row action, power-basis layout) of a k x k matrix of
+    ring elements acting on the right of R^k: row (s, c) is the
+    coefficients of rmat[s][t] beta^c, t = 0..k-1."""
+    deg = ring.degree
+    rows = []
+    for s in range(k):
+        for c in range(deg):
+            row = []
+            shift = PolyZ([0] * c + [1]) if c else PolyZ([1])
+            for t in range(k):
+                row.extend(ring.coeff_vector(ring.reduce(rmat[s][t] * shift)))
+            rows.append(row)
+    return IntMatrix.from_rows(rows) if rows else IntMatrix.zeros(0, 0)
+
+
+def r_entries(module) -> list:
+    """The k x k matrix of ring elements of the Y of a module on the free
+    R^k: entry (s, t) is the t-th block of the image of e_s."""
+    deg, k = module.lattice.ring.degree, module.lattice.rank
+    return [[PolyZ(module.Y.row(s * deg)[t * deg:(t + 1) * deg])
+             for t in range(k)] for s in range(k)]
+
+
 def higman_echelon(ring, y_r):
     """Z-matrix of an R-linear phi with phi + Y phi Y = 1 on R^k, or None:
     L(phi) = 1 mod 2 as one GF(2) echelon over the k^2 * deg unknowns
@@ -268,10 +293,10 @@ def higman_echelon(ring, y_r):
     combo = ech.solve(sum(1 << (s * (k + 1) * deg) for s in range(k)))
     if combo is None:
         return None
-    phi0 = _rmat_to_z(ring, [[PolyZ([(combo >> ((u * k + v) * deg + c)) & 1
-                                     for c in range(deg)])
-                              for v in range(k)] for u in range(k)], k)
-    y = _rmat_to_z(ring, y_r, k)
+    phi0 = rmat_to_z(ring, [[PolyZ([(combo >> ((u * k + v) * deg + c)) & 1
+                                    for c in range(deg)])
+                             for v in range(k)] for u in range(k)], k)
+    y = rmat_to_z(ring, y_r, k)
     rest = IntMatrix.identity(k * deg) - phi0 - y @ phi0 @ y
     return phi0 + IntMatrix.from_rows([[a // 2 for a in row]
                                        for row in rest.to_rows()])

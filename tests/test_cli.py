@@ -127,6 +127,10 @@ def test_cocycle_embed_and_crt(capsys):
     # non-coprime orders are a usage error
     assert run(capsys, ["cocycle", "crt", "--m", "4", "--n", "6",
                         "--k", "1"])[0] == 2
+    # so is an embedding factor past the limit
+    assert run(capsys, ["cocycle", "embed", "--m", "3", "--n", str(10**50),
+                        "--k", "2"]) == (2, "", "error: n must be <= %d\n"
+                                         % 10**14)
 
 
 @pytest.mark.parametrize("argv", [
@@ -256,6 +260,131 @@ def test_galois_non_root_exits_three(capsys, monkeypatch):
                                   "--a", "2"])
     assert code == 3 and out == ""
     assert "invariant violation" in err
+
+
+def _det_off_by_one(monkeypatch):
+    from cyclotwist import fusion
+    real = fusion.global_det
+
+    def det(ring):
+        rep = real(ring)
+        return fusion.DetReport(rep.ring, rep.Z, rep.det_abs + 1, rep.radical)
+
+    monkeypatch.setattr(fusion, "global_det", det)
+
+
+def _factor_dropped(monkeypatch):
+    # one factor of 2 missing: the idempotents no longer sum to 1
+    from cyclotwist import numring
+    real = numring.factor_two
+
+    def factor_two(ring):
+        fac = real(ring)
+        return numring.PrimeFactorTwo(ring, fac.factors[1:], fac.f)
+
+    monkeypatch.setattr(numring, "factor_two", factor_two)
+
+
+def _repeated_factor(monkeypatch):
+    monkeypatch.setattr("cyclotwist.numring._equal_degree_split",
+                        lambda g, d: [g, g])
+
+
+def _dk_generator_bumped(monkeypatch):
+    from cyclotwist import fusion
+    from cyclotwist.exactalg import IntMatrix
+    real = fusion.FusionModule
+
+    def bumped(base, G):
+        entries = list(G.entries)
+        entries[0] += 1
+        return real(base, IntMatrix(G.rows, G.cols, entries))
+
+    monkeypatch.setattr(fusion, "FusionModule", bumped)
+
+
+def _restriction_bumped(monkeypatch):
+    # one entry of each restricted leg moved: the leg is no cocycle
+    from cyclotwist import cocycle
+    real = cocycle._restrict
+
+    def restrict(m, n, k):
+        c = real(m, n, k)
+        return cocycle.Cocycle3(c.m, c.den, (c.nums[0] + 1,) + c.nums[1:])
+
+    monkeypatch.setattr(cocycle, "_restrict", restrict)
+
+
+def _fibonacci_root_wrong(monkeypatch):
+    monkeypatch.setattr("cyclotwist.obstruction._local_roots",
+                        lambda p, e: [1])
+
+
+@pytest.mark.parametrize("argv, breaks, message", [
+    (["fusion", "det", "--tlj", "3"], _det_off_by_one,
+     "det 401 does not match the closed form 400 at k=3"),
+    (["fusion", "det", "--tlj-even", "3"], _det_off_by_one,
+     "even-part det 6 != closed form 5"),
+    (["fusion", "det", "--tlj-even", "4"], _det_off_by_one,
+     "even-part det 37 != closed form 36"),
+    (["fusion", "det", "--pointed", "4"], _det_off_by_one,
+     "pointed det 257 != 256"),
+    (["fusion", "dk", "--level", "4"], _dk_generator_bumped,
+     "U_5(G/2) != 0: the generator does not define a module"),
+    (["sweep", "det", "--max-k", "3"], _det_off_by_one,
+     "determinant table mismatch"),
+    (["sweep", "fibonacci", "--max-n", "50"], _fibonacci_root_wrong, ""),
+    (["numring", "factor2", "--p", "7"], _repeated_factor,
+     "repeated factor: 2 would ramify"),
+    (["numring", "idem", "--p", "17"], _factor_dropped,
+     "idempotents do not sum to 1"),
+    (["cocycle", "crt", "--m", "3", "--n", "4", "--k", "5"],
+     _restriction_bumped, "is not the coboundary of its witness"),
+], ids=["det-tlj", "det-tlj-even-odd", "det-tlj-even-even", "det-pointed",
+        "dk", "sweep-det", "sweep-fibonacci", "factor2", "idem", "crt"])
+def test_broken_route_or_certificate_exits_three(capsys, monkeypatch, argv,
+                                                 breaks, message):
+    # each leaf with two routes or a certificate: break one by monkeypatch
+    breaks(monkeypatch)
+    code, _, err = run(capsys, argv)
+    assert code == 3, err
+    assert err.startswith("invariant violation: ") and message in err
+
+
+def test_even_part_det_at_level_zero_writes_formula_one(capsys, tmp_path):
+    # (k+2)^floor(k/2) is 1 at k = 0, where no even-level note is printed
+    out = tmp_path / "det.json"
+    code, text, _ = run(capsys, ["fusion", "det", "--tlj-even", "0",
+                                 "--json", str(out)])
+    assert code == 0 and "note:" not in text
+    assert json.loads(out.read_text(encoding="utf-8"))["formula"] == 1
+
+
+def test_readme_command_line_examples(capsys, tmp_path):
+    # every command of the README's example block, with the output shown
+    # under it; a trailing comment is the content of its --file
+    readme = (Path(__file__).parents[1] / "README.md").read_text("utf-8")
+    block = readme.split("\n## Command line\n", 1)[1]
+    block = block.split("```sh\n", 1)[1].split("```", 1)[0]
+    examples = []
+    for line in block.splitlines():
+        if line.startswith("$ "):
+            examples.append((line[2:], []))
+        elif line:
+            examples[-1][1].append(line)
+    assert len(examples) == 6
+    for command, shown in examples:
+        command, _, comment = command.partition("#")
+        argv = command.split()
+        assert argv[0] == "cyclotwist"
+        if "--file" in argv:
+            path = tmp_path / argv[argv.index("--file") + 1]
+            path.write_text(comment.strip(), encoding="utf-8")
+            argv[argv.index("--file") + 1] = str(path)
+        code, out, err = run(capsys, argv[1:])
+        assert code == 0 and err == "", command
+        if shown:
+            assert out.splitlines() == shown, command
 
 
 _LIMIT = 10**14

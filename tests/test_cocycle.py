@@ -18,6 +18,7 @@ from cyclotwist.cocycle import (
     is_cocycle,
     omega,
 )
+from cyclotwist.cocycle import _MAX_EMBED_N, _restrict
 from exact_oracles import (
     apply,
     fraction_class,
@@ -318,6 +319,20 @@ def test_embed_check():
                 assert embed_check(m, n, k)
     with pytest.raises(ValueError):
         embed_check(0, 2, 0)
+
+
+def test_tables_read_k_mod_m_and_embed_limits_n():
+    # every table comes from _restrict, which reduces k mod m first, so a
+    # 4,001-digit k builds the table of k mod m
+    big = 10**4000
+    for m in (1, 5, 12):
+        for k in (3, -1):
+            assert omega(m, big * m + k) == omega(m, k)
+            assert _restrict(m, 4, big * m + k) == _restrict(m, 4, k)
+            assert embed_check(m, 3, big * m + k)
+    assert embed_check(2, _MAX_EMBED_N, 1)
+    with pytest.raises(ValueError, match="^n must be <= %d$" % _MAX_EMBED_N):
+        embed_check(2, _MAX_EMBED_N + 1, 1)
 
 
 def test_crt_check():

@@ -45,7 +45,7 @@ from cyclotwist.numring import (
     _galois_images,
     _higman_endomorphism,
     _orbit,
-    _rmat_to_z,
+    _r_linear,
     _row_act,
     _row_basis_rows,
     _same_span,
@@ -58,6 +58,8 @@ from exact_oracles import (
     contains_all,
     det_bareiss,
     higman_echelon,
+    r_entries,
+    rmat_to_z,
     row_act_dense,
     solve_one,
 )
@@ -143,6 +145,9 @@ def test_factor_two_structure():
             assert g.degree() == f
             prod = prod * g
         assert prod == ring.mu.reduce_mod2()
+        # the ring holds one factorization, built on first use
+        assert ring.two_factorization == fac
+        assert ring.two_factorization is ring.two_factorization
         # distinct irreducible factors: squarefree, so 2 is unramified
         for i, g in enumerate(fac.factors):
             for h in fac.factors[i + 1:]:
@@ -718,7 +723,7 @@ def test_involution_split_auto_refuses_padding_past_the_limit(monkeypatch):
     # search stops at padding 1 without building it
     calls = []
     monkeypatch.setattr(numring, "_higman_endomorphism",
-                        lambda ring, y_r: calls.append(len(y_r)))
+                        lambda module: calls.append(module.lattice.rank))
     monkeypatch.setitem(numring._MAX_DIM, "involution", 18)
     with pytest.raises(ValueError) as exc:
         involution_split_auto(free_z2_module(7, 1))
@@ -735,6 +740,40 @@ def test_involution_split_auto_refuses_padding_past_the_limit(monkeypatch):
 def test_constructions_refuse_past_their_limit(build):
     with pytest.raises(ValueError, match="over the limit"):
         build()
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 13])
+def test_r_linear_orbits_match_entrywise_oracle(p):
+    # an R-linear map of R^k from the beta-orbits of its k basis images,
+    # against the matrix built entry by entry from ring elements (of any
+    # degree, so the oracle reduces them mod mu)
+    ring = real_cyclotomic(p)
+    rng = random.Random(p)
+    for k in (0, 1, 2, 3):
+        for _ in range(5):
+            rmat = [[PolyZ([rng.randint(-3, 3) for _ in range(
+                rng.randint(1, 2 * ring.degree + 1))]) for _ in range(k)]
+                for _ in range(k)]
+            images = [[x for a in row for x in ring.coeff_vector(a)]
+                      for row in rmat]
+            assert _r_linear(RLattice.free(ring, k), images) == \
+                rmat_to_z(ring, rmat, k), (p, rmat)
+
+
+@pytest.mark.parametrize("p", [17, 31])
+def test_correction_parity_in_f2_matches_integer_route(p):
+    # lattice_split's stage 2 reads the parity of e_j c mod (2, mu) in
+    # F2[X]; the route it replaced reduced the 0/1 lift d_j of e_j times
+    # c over Z and took each coefficient mod 2.  Every c of f bits
+    ring = real_cyclotomic(p)
+    mu2, f = ring.mu.reduce_mod2(), ring.two_factorization.f
+    for e in idempotents_mod2(ring):
+        d_j = PolyZ(e.coeffs())
+        for bits in range(1 << f):
+            c = PolyZ([(bits >> i) & 1 for i in range(f)])
+            oracle = [a % 2 for a in ring.coeff_vector(ring.reduce(d_j * c))]
+            parity = (e * PolyF2(bits) % mu2).bits
+            assert [parity >> i & 1 for i in range(ring.degree)] == oracle
 
 
 def test_higman_check_direct():
@@ -782,9 +821,9 @@ def dense_higman(ring, y_r):
     sol = solve_one(IntMatrix.from_rows(sys_rows), rhs)
     if sol is None:
         return None
-    return _rmat_to_z(ring, [[PolyZ(sol[(u * k + v) * deg:
-                                        (u * k + v + 1) * deg])
-                              for v in range(k)] for u in range(k)], k)
+    return rmat_to_z(ring, [[PolyZ(sol[(u * k + v) * deg:
+                                       (u * k + v + 1) * deg])
+                             for v in range(k)] for u in range(k)], k)
 
 
 def _rmat_mul(ring, a, b):
@@ -816,10 +855,7 @@ def test_higman_solve_matches_dense_oracle():
     cases = []
     for p, copies in ((5, 1), (5, 2), (7, 1)):
         sp = involution_split(free_z2_module(p, copies))
-        ring, y_z = real_cyclotomic(p), sp.higman.module.Y
-        deg, k = ring.degree, y_z.rows // ring.degree
-        cases.append((ring, [[PolyZ(y_z.row(s * deg)[t * deg:(t + 1) * deg])
-                              for t in range(k)] for s in range(k)]))
+        cases.append((real_cyclotomic(p), r_entries(sp.higman.module)))
     for p in (5, 7):
         ring = real_cyclotomic(p)
         for signs in ((1,), (-1, -1), (1, -1)):
@@ -831,8 +867,8 @@ def test_higman_solve_matches_dense_oracle():
     solvable = 0
     for ring, y_r in cases:
         k = len(y_r)
-        module = Z2Module(RLattice.free(ring, k), _rmat_to_z(ring, y_r, k))
-        phi = _higman_endomorphism(factor_two(ring), y_r)
+        module = Z2Module(RLattice.free(ring, k), rmat_to_z(ring, y_r, k))
+        phi = _higman_endomorphism(module)
         oracle = dense_higman(ring, y_r)
         assert (phi is None) == (oracle is None)
         if phi is not None:
@@ -871,13 +907,12 @@ def test_higman_normal_form_matches_echelon_oracle():
     for p, ks in ((3, (1, 2, 4, 6)), (5, (1, 2, 3, 4)), (7, (2, 3)),
                   (17, (2, 3)), (31, (2,))):
         ring = real_cyclotomic(p)
-        fact = factor_two(ring)
         for _ in range(12):
             k = rng.choice(ks)
             y_r = _random_y(ring, rng, k)
             module = Z2Module(RLattice.free(ring, k),
-                              _rmat_to_z(ring, y_r, k))
-            phi = _higman_endomorphism(fact, y_r)
+                              rmat_to_z(ring, y_r, k))
+            phi = _higman_endomorphism(module)
             oracle = higman_echelon(ring, y_r)
             assert (phi is None) == (oracle is None), (p, y_r)
             if phi is not None:
@@ -895,9 +930,10 @@ def test_higman_verdicts_in_padded_involutions(monkeypatch):
     calls = []
     solve = numring._higman_endomorphism
 
-    def checked(fact, y_r):
-        phi = solve(fact, y_r)
-        assert (phi is None) == (higman_echelon(fact.ring, y_r) is None)
+    def checked(module):
+        phi = solve(module)
+        assert (phi is None) == (higman_echelon(
+            module.lattice.ring, r_entries(module)) is None)
         calls.append(phi is None)
         return phi
 
@@ -1224,7 +1260,7 @@ def test_equivariance_test_matches_containment_oracle():
     # resolve_z2_module refuses a relation lattice K exactly when some
     # K.beta or K.Y row lies outside K
     p = 5
-    fb, fy = _free_z2_blocks(real_cyclotomic(p))
+    fb, fy = _free_z2_blocks(real_cyclotomic(p), 1)
     D0 = fb.rows
     rng = random.Random("equivariance")
     refused = Counter()

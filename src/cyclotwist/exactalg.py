@@ -7,15 +7,19 @@ in this module.  Each solver exists once, here:
 
 * ``IntMatrix``          dense integer matrix, immutable, with a kept view of
   its nonzero entries; products dot a dense row, add rows for a sparse one
-* ``smith_normal_form``  S = U*A*V with unimodular U, V and the divisibility
-  chain d_1 | d_2 | ...; the exactness oracle for all module computations.
-  It runs the one elimination on A with I_m beside it and I_n below.  The
-  other front ends build no transform they do not read:
-  ``elementary_divisors`` runs it on A alone for the bare diagonal, whose
-  product is |det A| for a square A, and ``kernel_basis`` and
-  ``row_basis`` on A with I_n below, for V only
+* ``_smith``             the one Smith elimination, S = U*A*V with
+  unimodular U, V and the divisibility chain d_1 | d_2 | ....  Row
+  operations reach whatever sits beside A, and column operations what
+  sits below, so each front end puts there exactly what it reads:
+  - ``elementary_divisors``: nothing; the bare diagonal, whose product is
+    |det A| for a square A
+  - ``kernel_basis``: I_n below, for V
+  - ``row_basis``: A beside, for U*A
+  - ``coordinates``: the batch beside B^T, for U*w, and I_k below, for V
+  - ``smith_normal_form``: I_m beside and I_n below, for U and V.  No
+    library code calls it; it is the reference the tests compare against
 * ``coordinates``        the one Z-linear solver: for a batch of rows w,
-  an x with x*B = w or None, from one Smith form of B^T
+  an x with x*B = w or None, from one elimination on B^T
 * ``F2Echelon``          the one GF(2) echelon: rank, residue,
   coordinate-tracked solve and the reduced form with its free columns,
   on vectors packed into int bitmasks by ``pack_mod2``
@@ -180,14 +184,15 @@ def _diagonalize(M: list, m: int, n: int) -> None:
     No entry beats a unit, so the search stops at the first +-1, and a
     pivot 1 skips the scan that checks it divides the trailing block.
 
-    Rows past the m-th record the column operations (V below A), and
-    columns past the n-th the row operations (U beside A).  No step
-    touches an entry it cannot change.  At step t, rows t..m-1 are zero
-    left of column t and the rows above t are zero in A from column t
-    on, so row operations, sign flips and the fold run from column t,
-    and column swaps from row t.  Once column t is zero below the pivot,
-    a column operation changes only the pivot row and the rows of V that
-    are nonzero in column t: without transforms, one entry.
+    Rows past the m-th record the column operations (V, if I_n sits
+    below A), and columns past the n-th take the row operations (U times
+    whatever sits beside A).  No step touches an entry it cannot change.
+    At step t, rows t..m-1 are zero left of column t and the rows above t
+    are zero in A from column t on, so row operations, sign flips and the
+    fold run from column t, and column swaps from row t.  Once column t
+    is zero below the pivot, a column operation changes only the pivot
+    row and the rows of V that are nonzero in column t: without
+    transforms, one entry.
     """
     vrows = M[m:]
 
@@ -264,15 +269,25 @@ def _diagonalize(M: list, m: int, n: int) -> None:
         t += 1
 
 
+def _smith(A: IntMatrix, beside=None, below=False) -> list:
+    """The one elimination: A with the m rows ``beside`` next to it and,
+    if ``below``, I_n under it.  Returns the rows, whose leading m x n
+    block is then S = U*A*V, with U*beside to its right and V under it."""
+    M = A.to_rows()
+    if beside is not None:
+        M = [r + list(b) for r, b in zip(M, beside)]
+    if below:
+        M += IntMatrix.identity(A.cols).to_rows()
+    _diagonalize(M, A.rows, A.cols)
+    return M
+
+
 def smith_normal_form(A: IntMatrix) -> SNFResult:
     """Diagonalize A over Z by unimodular row and column operations,
     eliminating on [[A, I_m], [I_n]] so that U and V build up beside
-    and below A."""
+    and below A.  No library code calls it: it is the tests' reference."""
     m, n = A.rows, A.cols
-    M = [row + [int(i == j) for j in range(m)]
-         for i, row in enumerate(A.to_rows())]
-    M += IntMatrix.identity(n).to_rows()
-    _diagonalize(M, m, n)
+    M = _smith(A, IntMatrix.identity(m).to_rows(), below=True)
     return SNFResult(
         S=IntMatrix(m, n, [x for r in M[:m] for x in r[:n]]),
         U=IntMatrix(m, m, [x for r in M[:m] for x in r[n:]]),
@@ -282,18 +297,8 @@ def smith_normal_form(A: IntMatrix) -> SNFResult:
 
 def elementary_divisors(A: IntMatrix) -> list:
     """The Smith-form diagonal of A, without the transforms."""
-    M = A.to_rows()
-    _diagonalize(M, A.rows, A.cols)
+    M = _smith(A)
     return [M[i][i] for i in range(min(A.rows, A.cols))]
-
-
-def _smith_with_v(A: IntMatrix):
-    """The elimination on [[A], [I_n]]: the Smith-form diagonal of A and
-    the rows of V, with no U built."""
-    m, n = A.rows, A.cols
-    M = A.to_rows() + IntMatrix.identity(n).to_rows()
-    _diagonalize(M, m, n)
-    return [M[i][i] for i in range(min(m, n))], M[m:]
 
 
 class PolyZ:
@@ -598,24 +603,25 @@ def coordinates(B: IntMatrix, rows) -> list:
     outside the Z-span of the rows of B; any solution if B is rank
     deficient.
 
-    One Smith form S = U*B^T*V serves the whole batch: x*B = w reads
-    S*y = U*w with x = V*y, so each diagonal entry s_i must divide
-    coordinate i of U*w (past the diagonal, or at s_i = 0, it must be
-    zero).  The products with U and V are read off their rows, with no
-    transposed or intermediate matrix built.
+    One elimination on [[B^T, W], [I_k]], the batch as the columns of W,
+    serves it all: it leaves the Smith form S = U*B^T*V with U*w in
+    place of each w and V below.  x*B = w reads S*y = U*w with x = V*y,
+    so each diagonal entry s_i must divide coordinate i of U*w (past the
+    diagonal, or at s_i = 0, it must be zero).  U is never built.
     """
     rows = [list(map(index, w)) for w in rows]
-    if any(len(w) != B.cols for w in rows):
+    k, n = B.rows, B.cols
+    if any(len(w) != n for w in rows):
         raise ValueError("vector length mismatch")
-    snf = smith_normal_form(B.transpose())
-    diag = snf.diagonal()
-    U, V = snf.U.to_rows(), snf.V.to_rows()
+    M = _smith(B.transpose(), [[w[i] for w in rows] for i in range(n)],
+               below=True)
+    V = M[n:]
     out = []
-    for w in rows:
-        y = [0] * B.rows
-        for i, u in enumerate(U):
-            c = sum(map(mul, u, w))
-            s = diag[i] if i < len(diag) else 0
+    for j in range(k, k + len(rows)):
+        y = [0] * k
+        for i, r in enumerate(M[:n]):
+            c = r[j]
+            s = r[i] if i < k else 0
             # the remainder of c by s, all of c when s = 0
             if c % s if s else c:
                 y = None
@@ -632,26 +638,18 @@ def kernel_basis(A: IntMatrix) -> list:
     The kernel is spanned by the columns of V beyond the SNF rank; that
     span is saturated, so it is the full kernel lattice.
     """
-    diag, V = _smith_with_v(A)
-    r = sum(1 for s in diag if s)
-    return [[row[j] for row in V] for j in range(r, A.cols)]
+    m, n = A.rows, A.cols
+    M = _smith(A, below=True)
+    r = sum(1 for i in range(min(m, n)) if M[i][i])
+    return [[row[j] for row in M[m:]] for j in range(r, n)]
 
 
 def row_basis(A: IntMatrix) -> list:
     """Integer basis of the Z-span of the rows of A: the nonzero rows of
-    U*A for the Smith form S = U*A*V.  A tall A builds no m x m U: row i
-    of U*A = S*V^-1 is s_i times row i of V^-1, and V^-1 = V'*U' from the
-    Smith form U'*V*V' = I of the n x n V.  Otherwise U is the smaller
-    transform and U*A is formed directly.
-    """
-    if A.rows <= A.cols:
-        snf = smith_normal_form(A)
-        return (snf.U @ A).to_rows()[:snf.rank()]
-    diag, V = _smith_with_v(A)
-    r = sum(1 for s in diag if s)
-    inv = smith_normal_form(IntMatrix.from_rows(V))
-    top = IntMatrix(r, A.cols, inv.V.entries[:r * A.cols]) @ inv.U
-    return [[s * x for x in row] for s, row in zip(diag, top.to_rows())]
+    U*A for the Smith form S = U*A*V, read from the elimination on
+    [A, A], whose right half becomes U*A.  Neither U nor V is built."""
+    n = A.cols
+    return [r[n:] for r in _smith(A, A.to_rows()) if any(r[:n])]
 
 
 def pack_mod2(vec) -> int:

@@ -1274,10 +1274,10 @@ class Resolution(Record):
         ker1 = kernel_basis(self.f1.transpose()) if self.f1.rows else []
         if not _same_span(ker1, self.f2.to_rows()):
             return False
-        # exactness at the left end: f2 injective (f3 has rank zero)
-        if self.f2.rows and kernel_basis(self.f2.transpose()):
-            return False
-        return True
+        # exactness at the left end: f2 injective (f3 has rank zero), that
+        # is, its rows are independent
+        f2 = self.f2
+        return _span_profile(f2.to_rows(), f2.cols)[0] == f2.rows
 
 
 def resolve_z2_module(p: int, rank: int, relations) -> Resolution:

@@ -252,6 +252,11 @@ def _snf_case(rng, kind):
     m, n = rng.randint(0, 9), rng.randint(0, 9)
     if kind == "dense":
         return IntMatrix(m, n, [rng.randint(-20, 20) for _ in range(m * n)])
+    if kind == "dense-rect":
+        # tall or wide, with transform entries that grow past 1,000 bits
+        m = rng.randint(10, 24)
+        n = rng.choice([k for k in range(10, 25) if k != m])
+        return IntMatrix(m, n, [rng.randint(-2, 2) for _ in range(m * n)])
     if kind == "sparse-units":
         pool = [0] * 6 + [1, -1] * 3 + [2, -3, 4, 6]
         return IntMatrix(m, n, [rng.choice(pool) for _ in range(m * n)])
@@ -297,11 +302,13 @@ def _row_basis_oracle(a):
 
 
 @pytest.mark.parametrize(
-    "kind", ["dense", "sparse-units", "zero-lines", "low-rank", "unimodular"])
+    "kind", ["dense", "sparse-units", "zero-lines", "low-rank", "unimodular",
+             "dense-rect"])
 def test_row_basis_and_kernel_read_the_smith_transforms(kind):
-    # both come from the elimination on [[A], [I_n]], with no U built
+    # row_basis comes from the elimination on [A, A] and kernel_basis from
+    # the one on [[A], [I_n]]: neither builds U
     rng = random.Random("row-basis/" + kind)
-    for _ in range(120 if kind != "unimodular" else 30):
+    for _ in range({"unimodular": 30, "dense-rect": 40}.get(kind, 120)):
         a = _snf_case(rng, kind)
         snf = smith_normal_form(a)
         r = snf.rank()

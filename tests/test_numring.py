@@ -12,16 +12,20 @@ from cyclotwist.exactalg import (
     PolyZ,
     chebyshev_t2,
     chebyshev_u,
+    coordinates,
     is_prime,
     pack_mod2,
+    row_basis,
     smith_normal_form,
 )
+import cyclotwist.exactalg as exactalg
 import cyclotwist.numring as numring
 from cyclotwist.numring import (
     HigmanCertificate,
     InvolutionError,
     InvolutionSplit,
     RLattice,
+    Resolution,
     ResolutionError,
     SplitCertificate,
     Z2Module,
@@ -305,6 +309,49 @@ def test_constructions_read_the_ring_from_their_input(monkeypatch):
     calls.clear()
     assert res.verify()
     assert calls["real_cyclotomic"] == 0
+
+
+def test_library_builds_no_smith_transforms(monkeypatch):
+    # the full Smith form, U and V included, is the tests' reference: the
+    # solvers and the certificates built on them carry only what they read
+    tall = IntMatrix.from_rows([[2, 4, 0], [6, 8, 3], [3, 5, -1], [1, 1, 7]])
+    mats = [tall, tall.transpose()]
+    bases = [(snf.U @ a).to_rows()[:snf.rank()]
+             for a, snf in zip(mats, map(smith_normal_form, mats))]
+    ring = real_cyclotomic(13)
+    deg = ring.degree
+    gens13 = [[2 * int(j == i) for j in range(2 * deg)] for i in range(deg)]
+    gens13 += [[int(j == i) for j in range(2 * deg)]
+               for i in range(deg, 2 * deg)]
+    # R/2R at p = 5 with trivial Y: relations 2 and Y - 1
+    mod2 = [[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2],
+            [-1, 0, 1, 0], [0, -1, 0, 1]]
+
+    def refused(A):
+        raise AssertionError("smith_normal_form has a library caller")
+
+    monkeypatch.setattr(exactalg, "smith_normal_form", refused)
+    for a, basis in zip(mats, bases):
+        assert row_basis(a) == basis
+        batch = a.to_rows() + [[1] * a.cols, [2] * a.cols]
+        xs = coordinates(a, batch)
+        assert all(x is not None for x in xs[:a.rows])
+        for x, w in zip(xs, batch):
+            assert x is None or apply(a.transpose(), x) == w
+    assert lattice_split(RLattice.free(ring, 2), gens13).verify()
+    assert involution_split(free_z2_module(5, 1)).verify()
+    res = resolve_z2_module(5, 1, mod2)
+    assert (res.a, res.b) == (1, 1) and res.verify()
+
+
+def test_resolution_verify_refuses_non_injective_f2():
+    # M = 0 at p = 5 with f1 the identity of R[Z/2Z] and f2 = 0 on R_+:
+    # equivariant, composite zero, im f1 = relations and im f2 = 0 =
+    # ker f1, so only the injectivity check can refuse it
+    ring = real_cyclotomic(5)
+    one = IntMatrix.identity(4)
+    assert not Resolution(ring, 1, one, 0, 1, one,
+                          IntMatrix.zeros(2, 4)).verify()
 
 
 def test_lattice_split_trivial_cases():

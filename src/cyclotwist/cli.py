@@ -86,11 +86,20 @@ def _json_parts(obj, nl: str = "\n"):
 
 def _emit_json(args, payload: dict) -> None:
     """Write payload and "seed" to the --json path, if given, in the bytes
-    of json.dumps(payload, indent=2, sort_keys=True) + "\\n"."""
+    of json.dumps(payload, indent=2, sort_keys=True) + "\\n".  Python's
+    limit on int-to-str digits is lifted for the write, so a verified
+    certificate with long entries is written whole."""
     if getattr(args, "json_path", None):
-        with open(args.json_path, "w", encoding="utf-8") as fh:
-            fh.writelines(_json_parts(dict(payload, seed=args.seed)))
-            fh.write("\n")
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if limit:   # 0: no limit, or a Python without one
+            sys.set_int_max_str_digits(0)
+        try:
+            with open(args.json_path, "w", encoding="utf-8") as fh:
+                fh.writelines(_json_parts(dict(payload, seed=args.seed)))
+                fh.write("\n")
+        finally:
+            if limit:
+                sys.set_int_max_str_digits(limit)
 
 
 def _load_json(path: str) -> dict:

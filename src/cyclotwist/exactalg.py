@@ -733,10 +733,6 @@ class F2Echelon:
                 w ^= row
         return w
 
-    def free_columns(self, n: int) -> list:
-        """The non-pivot columns among 0..n-1, increasing."""
-        return [j for j in range(n) if j not in self.rows]
-
 
 def factorize(n: int) -> dict:
     """Prime factorization by trial division; {p: exponent}, {} for 1."""

@@ -8,7 +8,8 @@ beta.  Linear algebra comes from ``exactalg``: Smith forms for Z-spans,
 with the questions put to one span asked as one batch of
 ``coordinates``, and its one GF(2) echelon for everything mod 2.  A
 mod-2 action is an integer matrix (beta, an idempotent lift d_i(beta))
-applied to an integer vector, then projected through ``_Quotient``.
+applied to an integer vector, whose class mod N is then read as its
+normal form in the reduced echelon of N mod 2 (``_class``).
 Each certificate is checked in its own verify(), and the constructions
 below return a certificate only after that verify() has passed.
 
@@ -435,33 +436,33 @@ def _meeting_classes(masks, n: int) -> dict:
 
 
 def _unimodular(rows, ncols: int) -> bool:
-    """The rows extend to a Z-basis of Z^ncols: every elementary divisor
-    is 1, one per row.  With ncols rows they are a Z-basis.
+    """The rows extend to a Z-basis of Z^ncols: their span has rank
+    len(rows) and index 1 in its saturation.  With ncols rows they are a
+    Z-basis."""
+    return _span_profile(rows, ncols) == (len(rows), 1)
+
+
+def _span_profile(rows, ncols: int) -> tuple:
+    """(rank, index in its saturation) of the Z-span of the rows: the
+    number of nonzero elementary divisors and their product.
 
     From 32 columns on (below, one elimination costs less than grouping
     the rows), rows sharing no nonzero column are eliminated apart: the
-    matrix, reordered, is block diagonal, and its rows extend to a Z-basis
-    iff each block's rows do on the block's columns (a zero row is a block
-    with none).  A block that covers every column ends the grouping.
+    matrix, reordered, is block diagonal, so over the blocks the ranks
+    add and the indices multiply (a zero row is a block with no columns).
+    A block that covers every column ends the grouping.
     """
     classes = _meeting_classes((sum(1 << j for j, x in enumerate(r) if x)
                                 for r in rows), ncols) if ncols >= 32 else {}
+    rank, index = 0, 1
     for mask, idx in classes.items() or [((1 << ncols) - 1, None)]:
         cols = [j for j in range(ncols) if mask >> j & 1]
         block = rows if idx is None else [rows[i] for i in idx]
         if len(cols) < ncols:
             block = [[r[j] for j in cols] for r in block]
-        diag = elementary_divisors(_mat(block, len(cols)))
-        if len(diag) != len(block) or any(s != 1 for s in diag):
-            return False
-    return True
-
-
-def _span_profile(rows, ncols: int) -> tuple:
-    """(rank, index in its saturation) of the Z-span of the rows: the
-    number of nonzero elementary divisors and their product."""
-    diag = [s for s in elementary_divisors(_mat(rows, ncols)) if s]
-    return len(diag), prod(diag)
+        diag = [s for s in elementary_divisors(_mat(block, len(cols))) if s]
+        rank, index = rank + len(diag), index * prod(diag)
+    return rank, index
 
 
 def _same_span(a, b) -> bool:
@@ -488,28 +489,10 @@ def _row_basis_rows(rows) -> list:
     return row_basis(IntMatrix.from_rows(rows)) if rows else []
 
 
-class _Quotient:
-    """M/N as an F2-space for 2M <= N <= M, by its projection.
-
-    Quotient coordinates are the free columns of the reduced echelon
-    form of N mod 2.  An endomorphism of M that keeps N, such as beta or
-    d_i(beta), acts on M/N by acting on an integer vector, then projecting.
-    """
-
-    def __init__(self, dim: int, n_rows):
-        self.ech = F2Echelon(pack_mod2(v) for v in n_rows)
-        self.ech.reduce()
-        self.dim = dim
-        self.free_cols = self.ech.free_columns(dim)
-        self.qdim = len(self.free_cols)
-
-    def project_vec(self, v) -> int:
-        b = self.ech.normal_form(pack_mod2(v))
-        out = 0
-        for k, j in enumerate(self.free_cols):
-            if (b >> j) & 1:
-                out |= 1 << k
-        return out
+def _class(Q: F2Echelon, v) -> int:
+    """Class of v in M/N, for 2M <= N <= M and Q the reduced echelon of
+    N mod 2: the normal form of v mod 2, zero exactly when v lies in N."""
+    return Q.normal_form(pack_mod2(v))
 
 
 def _embed(gi: int, vec, d: int, nG: int) -> list:
@@ -517,14 +500,6 @@ def _embed(gi: int, vec, d: int, nG: int) -> list:
     out = [0] * (d * nG)
     out[gi * d:(gi + 1) * d] = vec
     return out
-
-
-def _project_amp(Q: _Quotient, vec, d: int, nG: int) -> int:
-    """Class of vec in (M/N)[G], copy gi in bits gi*qdim onwards."""
-    bits = 0
-    for gi in range(nG):
-        bits |= Q.project_vec(vec[gi * d:(gi + 1) * d]) << (gi * Q.qdim)
-    return bits
 
 
 # The largest Z-dimension each lattice construction runs at: split and
@@ -640,7 +615,6 @@ def _free_r_basis(ring: RealCyclotomic, span_rows, blocks) -> list:
     must stay unimodular, so the result is a free basis by construction.
     Raises RuntimeError if the search stalls.
     """
-    dim = sum(b.rows for b in blocks)
     V = _row_basis_rows(span_rows)
     m = len(V)
     deg = ring.degree
@@ -651,8 +625,8 @@ def _free_r_basis(ring: RealCyclotomic, span_rows, blocks) -> list:
         return []
     if deg == 1:  # p = 3: mu(beta) = 0 makes beta = -I, so V is stable
         return V
-    beta_abs = coordinates(IntMatrix.from_rows(V),
-                           [_act(blocks, v) for v in V])
+    Vm = IntMatrix.from_rows(V)
+    beta_abs = coordinates(Vm, [_act(blocks, v) for v in V])
     if None in beta_abs:
         raise ValueError("lattice is not stable under beta")
     beta_abs = IntMatrix.from_rows(beta_abs)
@@ -690,14 +664,7 @@ def _free_r_basis(ring: RealCyclotomic, span_rows, blocks) -> list:
             mod2.reduce()
             if len(chosen) == k:
                 break
-    out = []
-    for cand in chosen:
-        amb = [0] * dim
-        for ci, row in zip(cand, V):
-            if ci:
-                amb = [a + ci * b for a, b in zip(amb, row)]
-        out.append(amb)
-    return out
+    return [_row_act(Vm, cand) for cand in chosen]
 
 
 class SplitCertificate(Record):
@@ -757,7 +724,7 @@ class SplitCertificate(Record):
         return True
 
 
-def _component_bases(Q: _Quotient, A, dbase, beta: IntMatrix, f: int):
+def _component_bases(Q: F2Echelon, A, dbase, beta: IntMatrix, f: int):
     """Stage 1: greedy component bases B_i inside the R-basis A.
 
     Row idx joins B_i when the class of A[idx] d_i(beta) in M/N leaves
@@ -770,14 +737,14 @@ def _component_bases(Q: _Quotient, A, dbase, beta: IntMatrix, f: int):
         B, span = [], F2Echelon()
         for idx, y in enumerate(A):
             x = _row_act(di, y)
-            w = Q.project_vec(x)
+            w = _class(Q, x)
             if not w or not span.residue(w):
                 continue
             for v in _orbit(x, [beta], f):
-                if not span.add(Q.project_vec(v)):
+                if not span.add(_class(Q, v)):
                     raise AssertionError("beta orbit collapsed inside span")
             B.append(idx)
-        if span.rank != F2Echelon(Q.project_vec(v)
+        if span.rank != F2Echelon(_class(Q, v)
                                   for v in di.to_rows()).rank:
             raise AssertionError("component %d not fully spanned" % i)
         B_sets.append(B)
@@ -785,7 +752,7 @@ def _component_bases(Q: _Quotient, A, dbase, beta: IntMatrix, f: int):
     return B_sets, spans
 
 
-def _correct_complements(ring: RealCyclotomic, Q: _Quotient, A, B_sets,
+def _correct_complements(ring: RealCyclotomic, Q: F2Echelon, A, B_sets,
                          spans, idem, dbase, beta: IntMatrix) -> list:
     """Stage 2: correct the complement of each B_j to kill its component,
     returning the corrected rows of A.
@@ -804,7 +771,7 @@ def _correct_complements(ring: RealCyclotomic, Q: _Quotient, A, B_sets,
         for idx in range(len(A)):
             if idx in Bj:
                 continue
-            w = Q.project_vec(_row_act(dbase[j], A[idx]))
+            w = _class(Q, _row_act(dbase[j], A[idx]))
             if not w:
                 continue
             coords = solver.solve(w)
@@ -825,7 +792,7 @@ def _correct_complements(ring: RealCyclotomic, Q: _Quotient, A, B_sets,
     return A
 
 
-def _amplified_supports(Q: _Quotient, A, B_sets, dbase, perm_g,
+def _amplified_supports(Q: F2Echelon, A, B_sets, dbase, perm_g,
                         f: int) -> dict:
     """Stage 3: for each idx in some B_i, in increasing order, the
     components that the class of A[idx] meets in each copy of M[G].  On
@@ -835,7 +802,7 @@ def _amplified_supports(Q: _Quotient, A, B_sets, dbase, perm_g,
     supports = {}
     for idx in sorted({idx for B in B_sets for idx in B}):
         n_y = sum(idx in B for B in B_sets)
-        comp = [Q.project_vec(_row_act(di, A[idx])) for di in dbase]
+        comp = [_class(Q, _row_act(di, A[idx])) for di in dbase]
         per_copy = [frozenset(i for i, j in enumerate(perm) if comp[j])
                     for perm in perm_g]
         if any(len(S) != n_y for S in per_copy):
@@ -879,15 +846,21 @@ def _equalize(A, supports, dbase, perm_g, f: int, d: int):
     return W, replaced
 
 
-def _correct_into_n(Q: _Quotient, A, W, replaced, beta_g, d: int):
+def _correct_into_n(Q: F2Echelon, A, W, replaced, beta_g, d: int):
     """Stage 5: check that the classes of the W orbits are an F2-basis of
     (M/N)[G], then correct every other amplified row of A into N[G] by
     subtracting W orbit rows.  Returns the rows of L_0 and of L_1.
     """
     nG = len(beta_g)
+
+    def amp_class(v):  # class in (M/N)[G], copy gi in bits gi*d onwards
+        return sum(_class(Q, v[gi * d:(gi + 1) * d]) << gi * d
+                   for gi in range(nG))
+
     L0 = [v for w in W for v in _orbit(w, beta_g, nG)]
-    solver = F2Echelon(_project_amp(Q, v, d, nG) for v in L0)
-    if len(L0) != Q.qdim * nG or solver.rank != Q.qdim * nG:
+    solver = F2Echelon(map(amp_class, L0))
+    free = (d - Q.rank) * nG    # F2-dimension of (M/N)[G]
+    if len(L0) != free or solver.rank != free:
         raise AssertionError("amplified classes are not a free basis")
     L1 = []
     for gi in range(nG):
@@ -895,7 +868,7 @@ def _correct_into_n(Q: _Quotient, A, W, replaced, beta_g, d: int):
             if (idx, gi) in replaced:
                 continue
             z = _embed(gi, A[idx], d, nG)
-            qz = _project_amp(Q, z, d, nG)
+            qz = amp_class(z)
             if qz:
                 coords = solver.solve(qz)
                 if coords is None:
@@ -946,7 +919,8 @@ def lattice_split(M: RLattice, n_gens) -> SplitCertificate:
     # the idempotents e_i and the matrices d_i(beta) of their 0/1 lifts
     idem = idempotents_mod2(ring)
     dbase = [PolyZ(e.coeffs()).eval_matrix(beta) for e in idem]
-    Q = _Quotient(d, H)
+    Q = F2Echelon(pack_mod2(v) for v in H)   # N mod 2, read by _class
+    Q.reduce()
     perm_g = list(galois_factor_permutation(ring).values())  # a = 1..deg
     beta_g = _amplify(ring, beta)
 
@@ -1314,15 +1288,13 @@ def resolve_z2_module(p: int, rank: int, relations) -> Resolution:
         raise ValueError(
             "non-equivariant presentation: the relation lattice "
             "is not stable under the beta and Y actions")
-    mK = Km.rows
+    # c K lies in the tau-eigenlattice of K iff c (K Y - tau K) = 0.  K is
+    # Y-stable and Y an involution, so over Q the two eigenspaces of Y on
+    # K are complementary: the ranks add up to rank K, and only the index
+    # of U_+ (+) U_- in K is left to check
     cplus = kernel_basis((KY + Km.scale(-1)).transpose())
     cminus = kernel_basis((KY + Km).transpose())
-    if len(cplus) + len(cminus) != mK:
-        raise ResolutionError(
-            "kernel does not split as U_+ (+) U_-: eigenlattice "
-            "ranks %d + %d != %d"
-            % (len(cplus), len(cminus), mK))
-    if not _unimodular(cplus + cminus, mK):
+    if not _unimodular(cplus + cminus, Km.rows):
         raise ResolutionError(
             "kernel does not split as U_+ (+) U_-: the eigenlattice "
             "sum has index > 1")

@@ -599,6 +599,37 @@ def test_numring_resolve_decline_exits_two(capsys, tmp_path):
     assert "eigenlattice" in err
 
 
+def test_numring_free_basis_stall_exits_two(capsys, tmp_path, monkeypatch):
+    from cyclotwist import numring
+    monkeypatch.setattr(numring, "_FREE_BASIS_MAX_TRIES", 0)
+    f = tmp_path / "split.json"
+    f.write_text(json.dumps({"p": 5, "rank": 1, "n_gens": [[2, 0]]}))
+    code, out, err = run(capsys, ["numring", "split", "--file", str(f)])
+    assert (code, out) == (2, "")
+    assert err == "error: free R-basis search stalled after 0 candidates\n"
+
+
+def test_numring_involution_without_padding_exits_two(capsys, tmp_path,
+                                                      monkeypatch):
+    # with no Higman endomorphism, every padding up to the last is refused
+    from cyclotwist import numring
+    monkeypatch.setattr(numring, "_higman_endomorphism", lambda module: None)
+    f = tmp_path / "invol.json"
+    y = [[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]]
+    f.write_text(json.dumps({"p": 5, "rank": 2, "y": y}))
+    code, out, err = run(capsys, ["numring", "involution", "--file", str(f)])
+    assert (code, out) == (2, "")
+    assert err == ("error: no padding up to 4 admits the decomposition: "
+                   "no Higman endomorphism at padding 4\n")
+
+
+@pytest.mark.parametrize("n", ["0", "200001"])
+def test_sweep_fibonacci_range_exits_two(capsys, n):
+    code, out, err = run(capsys, ["sweep", "fibonacci", "--max-n", n])
+    assert (code, out) == (2, "")
+    assert err == "error: --max-n must be between 1 and 200000\n"
+
+
 def test_numring_scalar_commands(capsys):
     code, out, _ = run(capsys, ["numring", "minpoly", "--p", "11"])
     assert code == 0 and "1 3 -3 -4 1 1" in out

@@ -116,6 +116,27 @@ def test_integers_past_the_digit_limit_fail_alike(obj):
     assert str(ours.value) == str(theirs.value)
 
 
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="no integer string conversion limit")
+@pytest.mark.parametrize("value", [
+    -(10 ** 4999), list(range(-1500, 1500)) + [10 ** 4999] + [7] * 600,
+], ids=["alone", "in-a-run"])
+def test_emit_json_lifts_the_digit_limit_for_the_write(tmp_path, value):
+    # a verified certificate may hold entries past 4,300 digits; the
+    # write gives json's bytes for it, and the limit is back afterwards
+    payload = {"basis": value, "verified": True}
+    out = tmp_path / "long.json"
+    limit = sys.get_int_max_str_digits()
+    _emit_json(Namespace(json_path=str(out), seed=0), payload)
+    assert sys.get_int_max_str_digits() == limit
+    try:
+        sys.set_int_max_str_digits(0)
+        want = oracle(dict(payload, seed=0)) + "\n"
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert out.read_bytes() == want.encode()
+
+
 # A fresh wrapper process runs the command and reads the child's own peak
 # RSS from wait4, so no earlier child of the test process counts.
 _PEAK_RSS = """

@@ -1,6 +1,7 @@
 import functools
 import random
 from collections import Counter
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -42,9 +43,9 @@ from cyclotwist.numring import (
     resolve_z2_module,
 )
 from cyclotwist.numring import (
-    _Quotient,
     _act,
     _amplify,
+    _class,
     _free_z2_blocks,
     _galois_images,
     _higman_endomorphism,
@@ -587,6 +588,23 @@ def _f2_poly_eval(poly, rows, n):
     return res
 
 
+class _Quotient:
+    """M/N in its own coordinates: the non-pivot columns of the reduced
+    echelon of N mod 2, read off the normal form of an integer vector."""
+
+    def __init__(self, d, n_rows):
+        self.ech = F2Echelon(pack_mod2(v) for v in n_rows)
+        self.ech.reduce()
+        self.dim = d
+        self.free_cols = [j for j in range(d) if j not in self.ech.rows]
+        self.qdim = len(self.free_cols)
+
+    def project_vec(self, v):
+        b = _class(self.ech, v)
+        return sum(1 << k for k, j in enumerate(self.free_cols)
+                   if b >> j & 1)
+
+
 def _induced_matrix(Q, A):
     """F2 matrix of the endomorphism A on the quotient, one row per
     quotient coordinate, through the unit vector lifting it."""
@@ -651,6 +669,36 @@ def test_idempotent_actions_match_f2_matrix_oracle():
                     assert _f2_vec_act(Q.project_vec(v), E) == \
                         Q.project_vec(_row_act(dbase[perms[a][i]], v)), \
                         (p, a, i)
+
+
+def test_class_mod_n_is_zero_exactly_on_n():
+    # the normal form of v mod 2 in the reduced echelon of N mod 2 is 0
+    # iff v solves in a Z-basis H of N, and is constant on cosets of N
+    rng = random.Random(0xC1A55)
+    seen = Counter()
+    for p, M, gens in _split_lattices():
+        d = M.dim
+        H = _row_basis_rows(v for g in gens
+                            for v in _orbit(g, [M.beta], M.ring.degree))
+        Q = F2Echelon(pack_mod2(v) for v in H)
+        Q.reduce()
+
+        def member():
+            return _row_act(IntMatrix.from_rows(H),
+                            [rng.randint(-3, 3) for _ in H])
+
+        vecs = [[rng.randint(-3, 3) for _ in range(d)] for _ in range(20)]
+        # members of N, and each moved by one unit vector
+        vecs += [member() for _ in range(10)]
+        vecs += [[x + (j == i % d) for j, x in enumerate(v)]
+                 for i, v in enumerate(vecs[-10:])]
+        for v, x in zip(vecs, coordinates(IntMatrix.from_rows(H), vecs)):
+            assert (_class(Q, v) == 0) == (x is not None), (p, v)
+            seen[x is None] += 1
+            n = member()
+            assert _class(Q, [a + b for a, b in zip(v, n)]) == \
+                _class(Q, v), (p, v, n)
+    assert seen[True] and seen[False]
 
 
 def _xgcd_f2(a, b):
@@ -1116,6 +1164,8 @@ def test_unimodular_by_blocks_matches_one_elimination():
         diag = numring.elementary_divisors(numring._mat(rows, ncols))
         want = len(diag) == len(rows) and all(s == 1 for s in diag)
         assert _unimodular(rows, ncols) == want, rows
+        nonzero = [s for s in diag if s]
+        assert _span_profile(rows, ncols) == (len(nonzero), prod(nonzero))
         seen[want] += 1
     assert seen[True] > 100 and seen[False] > 100
 
@@ -1333,6 +1383,38 @@ def test_equivariance_test_matches_containment_oracle():
         assert was_refused == (not stable), rel
         refused[was_refused] += 1
     assert refused[True] and refused[False]
+
+
+@pytest.mark.parametrize("p, copies", [(3, 2), (5, 2), (7, 2), (13, 1)])
+def test_eigenlattice_ranks_of_a_stable_lattice_add_up(p, copies):
+    # resolve_z2_module checks only the index of U_+ (+) U_- in K: for a
+    # beta- and Y-stable K the two eigenlattice ranks always add up to
+    # rank K, since Y is an involution of K (x Y = x on the x + x Y and
+    # -1 on the x - x Y, whose span holds 2K)
+    ring = real_cyclotomic(p)
+    fb, fy = _free_z2_blocks(ring, copies)
+    rng, seen = random.Random(p), set()
+    for _ in range(20):
+        rel = []
+        for _ in range(rng.randint(1, 3)):
+            # an R[Z/2Z]-orbit, or the beta-orbit of an eigenvector
+            v = [rng.randint(-2, 2) for _ in range(fb.rows)]
+            tau = rng.choice((0, 1, -1))
+            if tau:
+                v = [a + tau * b for a, b in zip(v, _row_act(fy, v))]
+            for w in _orbit(v, [fb], ring.degree):
+                rel += [w] + ([] if tau else [_row_act(fy, w)])
+        K = _row_basis_rows(rel)
+        if not K:
+            continue
+        Km = IntMatrix.from_rows(K)
+        KY = Km @ fy
+        ranks = [len(exactalg.kernel_basis((KY + Km.scale(-tau))
+                                           .transpose()))
+                 for tau in (1, -1)]
+        assert sum(ranks) == len(K), (p, K)
+        seen.add(ranks[0] == ranks[1])
+    assert seen == {True, False}
 
 
 def test_resolution_eigen_split_obstruction():

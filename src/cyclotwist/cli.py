@@ -25,6 +25,9 @@ CIT_DET_POINTED = "pointed fusion det: m^m"
 CIT_CHEB = "level-k generator has characteristic polynomial U_(k+1)(X/2)"
 CIT_PARITY = "index-parity sequence is exact at even levels"
 CIT_ISO = "group-ring shape: even subring with an adjoined sqrt(1)"
+# the scan reads the 2m^3 quadruples with first index 0, 1, which decide
+# all m^4: E = dc has dE = 0, which at first index 1 gives E(b+1,.) from
+# E(b,.) and the slice E(1,.), so E vanishes iff that slice does
 CIT_COCYCLE = "3-cocycle identity on Z/m, checked on all m^4 quadruples"
 CIT_CLASS = "H^3(Z/m; Q/Z) = Z/m with representatives omega_m^k"
 CIT_EMBED = "cocycle restriction along i -> n*i into Z/(m*n)"

@@ -8,7 +8,8 @@ standard cocycles are
 
     omega_m^k(i,j,h) = floor((i+j)/m) * h*k/m   (mod 1),
 
-one per class in H^3(Z/mZ; Q/Z) = Z/mZ.
+one per class in H^3(Z/mZ; Q/Z) = Z/mZ.  Pulled back along i -> n*i,
+omega_{mn}^k is omega_m^k entry by entry, for every n >= 1.
 
 Class identification needs no linear solve.  The sum
 sum_j c(1,j,1) is k/m mod 1 for c cohomologous to omega_m^k, because the
@@ -33,10 +34,8 @@ from ._record import Record
 _MAX_ORDER = 96
 
 
-# embed's table holds numerators over m*n, so its cost grows with the
-# digits of n: at m = 96, as a process on 2 cores, 0.50 s and 74 MB at
-# n = 10, 0.66 s and 84 MB at 10^14, 1.0 s and 193 MB at 10^300 and
-# 2.3 s and 456 MB at 10^1000; a larger n is refused
+# embed builds omega_m^k alone, so no cost depends on n; the bound keeps
+# the set of admitted n, and its refusal message, as they were
 _MAX_EMBED_N = 10**14
 
 
@@ -125,23 +124,17 @@ class NotClassified(ArithmeticError):
 
 
 def omega(m: int, k: int) -> Cocycle3:
-    """The standard cocycle with class k: carry(i,j) * h*k/m mod 1.
+    """The standard cocycle with class k: carry(i,j) * h*k/m mod 1, also
+    omega_{mn}^k pulled back along i -> n*i for every n >= 1, since
+    (ni + nj) // mn = (i + j) // m and n*h*k/(mn) = h*k/m.  It depends
+    on k mod m only, so k is reduced first.
 
     >>> omega(2, 1).value(1, 1, 1)
     Fraction(1, 2)
     """
-    return _restrict(m, 1, k)
-
-
-def _restrict(m: int, n: int, k: int) -> Cocycle3:
-    """omega_{mn}^k pulled back along i -> n*i, as a table on Z/m; its
-    (mn)^3 table is never built.  The values n*h*k/(mn) = h*k/m mod 1
-    depend on k mod m only, so k is reduced first."""
     _check_order(m)
     k %= m
-    mn = m * n
-    return Cocycle3.from_function(
-        m, mn, lambda i, j, h: ((n * i + n * j) // mn) * n * h * k)
+    return Cocycle3.from_function(m, m, lambda i, j, h: (i + j) // m * h * k)
 
 
 def is_cocycle(c: Cocycle3) -> CocycleCheck:
@@ -225,27 +218,33 @@ def cohomology_class(c: Cocycle3) -> CohClass:
     return CohClass(m, k)
 
 
+def _classified(m: int, k: int) -> bool:
+    """omega_m^k classified with its coboundary witness has class k mod m:
+    omega's table against the inline omega of ``cohomology_class``."""
+    return cohomology_class(omega(m, k)).k == k % m
+
+
 def embed_check(m: int, n: int, k: int) -> bool:
-    """Exact identity omega_m^k(i,j,h) = omega_{mn}^k(ni,nj,nh) on all of
-    {0..m-1}^3; the composition-series embedding at the cocycle level.
+    """omega_{mn}^k(ni,nj,nh) = omega_m^k(i,j,h) on {0..m-1}^3, the
+    composition-series embedding at the cocycle level: an identity (see
+    ``omega``), so the one table omega_m^k is certified by its class.
     n is limited to ``_MAX_EMBED_N``."""
     if m < 1 or n < 1:
         raise ValueError("orders must be >= 1")
     if n > _MAX_EMBED_N:
         raise ValueError("n must be <= %d" % _MAX_EMBED_N)
-    return omega(m, k) == _restrict(m, n, k)
+    return _classified(m, k)
 
 
 def crt_check(m: int, n: int, k: int) -> bool:
     """Pull omega_{mn}^k back along (i,j) -> ni+mj and classify each leg.
 
-    For coprime m, n the restriction to the first factor must have class
-    k mod m and the second k mod n; both are decided by
-    ``cohomology_class``, not by syntactic comparison.
+    For coprime m, n the legs are omega_m^k and omega_n^k (see ``omega``),
+    of classes k mod m and k mod n, each decided by ``cohomology_class``;
+    both orders are checked before either table is built.
     """
     if gcd(m, n) != 1:
         raise ValueError("orders must be coprime")
-    return (
-        cohomology_class(_restrict(m, n, k)).k == k % m
-        and cohomology_class(_restrict(n, m, k)).k == k % n
-    )
+    _check_order(m)
+    _check_order(n)
+    return _classified(m, k) and _classified(n, k)

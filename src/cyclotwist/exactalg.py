@@ -319,9 +319,6 @@ class PolyZ:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
-
     def __add__(self, other: "PolyZ") -> "PolyZ":
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
@@ -380,13 +377,6 @@ class PolyZ:
             for j in range(dd + 1):
                 rem[i - dd + j] -= f * d[j]
         return PolyZ(q), PolyZ(rem)
-
-    def divides(self, other: "PolyZ") -> bool:
-        try:
-            _, r = other.divmod_exact(self)
-        except ArithmeticError:
-            return False
-        return r.is_zero()
 
     def compose(self, inner: "PolyZ") -> "PolyZ":
         """self(inner(X)) by Horner's rule on polynomials."""

@@ -15,8 +15,8 @@ below return a certificate only after that verify() has passed.
 
 Contents:
 
-* ``real_cyclotomic``  construct R from p; mu is extracted from the
-  identity mu(X^2 - 2) = U_{p-1}(X/2), an exact integer change of basis
+* ``real_cyclotomic``  construct R from p; mu = U_d(X/2) + U_{d-1}(X/2)
+  with d = (p-1)/2, certified by mu(X^2 - 2) = U_{p-1}(X/2)
 * ``factor_two``       factor mu mod 2 (distinct/equal-degree splitting);
   the ring holds its own as the cached property ``two_factorization``,
   a value derived from its fields, so every construction over one ring
@@ -129,11 +129,11 @@ _MAX_PRIME = 1009
 def real_cyclotomic(p: int) -> RealCyclotomic:
     """Build Z[2cos(2pi/p)] for an odd prime p <= _MAX_PRIME.
 
-    The even-index Chebyshev roots 2cos(2pi*a/p) are picked out exactly:
-    squaring doubles the angle, (2cos t)^2 - 2 = 2cos 2t, so mu is the
-    unique polynomial with mu(X^2 - 2) = U_{p-1}(X/2).  Rewriting the
-    (even) Chebyshev polynomial in powers of X^2 - 2 needs only integer
-    arithmetic.
+    With d = (p-1)/2, mu = U_d(X/2) + U_{d-1}(X/2): at X = 2cos 2t sum to
+    product gives mu = sin(pt)/sin(t) = U_{p-1}(cos t), and squaring
+    doubles the angle, (2cos t)^2 - 2 = 2cos 2t, so mu(X^2 - 2) =
+    U_{p-1}(X/2).  That identity is checked; it determines mu, since
+    f -> f(X^2 - 2) is injective on Z[X], and makes it monic of degree d.
 
     >>> real_cyclotomic(5).mu
     PolyZ([-1, 1, 1])
@@ -143,28 +143,10 @@ def real_cyclotomic(p: int) -> RealCyclotomic:
                          % (_MAX_PRIME, p))
     if not (p % 2 and is_prime(p)):
         raise ValueError("p must be an odd prime, got %r" % (p,))
-    f = chebyshev_u(p - 1)
-    dg = (p - 1) // 2
-    # peel off c_i * (X^2-2)^i from the top
-    pows = [PolyZ([1])]
-    for _ in range(dg):
-        pows.append(pows[-1] * PolyZ([-2, 0, 1]))
-    rem = f
-    coeffs = [0] * (dg + 1)
-    for i in range(dg, -1, -1):
-        if rem.degree() < 2 * i:
-            continue
-        c = rem.coeffs[2 * i]
-        coeffs[i] = c
-        if c:
-            rem = rem - pows[i].scale(c)
-    if not rem.is_zero():
-        raise ArithmeticError("Chebyshev polynomial failed to decompose")
-    mu = PolyZ(coeffs)
-    if not mu.is_monic() or mu.degree() != dg:
-        raise ArithmeticError("unexpected minimal polynomial shape")
-    if not mu.divides(f):
-        raise ArithmeticError("extracted polynomial does not divide U_{p-1}(X/2)")
+    d = (p - 1) // 2
+    mu = chebyshev_u(d) + chebyshev_u(d - 1)
+    if mu.compose(PolyZ([-2, 0, 1])) != chebyshev_u(p - 1):
+        raise ArithmeticError("mu(X^2 - 2) != U_%d(X/2)" % (p - 1))
     return RealCyclotomic(p, mu)
 
 

@@ -9,12 +9,14 @@ pairwise check of the module axioms, both replaced by the module's
 generator and its Chebyshev certificate.  For ``cocycle``: the identity
 scan over all m^4 quadruples, in integers and in Fractions, which the
 two-slice scan replaced, and the class witness substituted back through
-Fraction-built tables, which the one integer pass replaced.  For
-``numring``: the k^4 GF(2) echelon that solved Higman's equation before
-the mod-2 normal form of Y replaced it, the row action that walked
-whole matrix rows, and the Z-matrix of an R-linear map built entry by
-entry from a matrix of ring elements, which the beta-orbits of the
-basis images replaced.  For ``obstruction``: the prime-by-prime local test
+Fraction-built tables, which the one integer pass replaced, and the
+restriction of omega_{mn}^k along i -> n*i over m*n, which omega_m^k
+replaced.  For ``numring``: mu peeled off U_{p-1}(X/2) in powers of
+X^2 - 2, which its closed form replaced, the k^4 GF(2) echelon that
+solved Higman's equation before the mod-2 normal form of Y replaced
+it, the row action that walked whole matrix rows, and the Z-matrix of
+an R-linear map built entry by entry from a matrix of ring elements,
+which the beta-orbits of the basis images replaced.  For ``obstruction``: the prime-by-prime local test
 and the Fraction-built divisibility form that the two moduli replaced,
 and the criterion sweep that asked both, and the automorphism
 criterion, once per triple.
@@ -32,6 +34,7 @@ from cyclotwist.exactalg import (
     IntMatrix,
     PolyZ,
     SNFResult,
+    chebyshev_u,
     factorize,
     radical,
     smith_normal_form,
@@ -246,6 +249,38 @@ def fraction_class(c: Cocycle3):
         beta[j + 1] = [b - g.value(one, j, h)
                        for h, b in enumerate(beta[j])]
     return k if g == coboundary(m, beta) else None
+
+
+def pullback(m: int, n: int, k: int) -> Cocycle3:
+    """omega_{mn}^k pulled back along i -> n*i, as a table on Z/m with
+    numerators over m*n, read entry by entry; its (mn)^3 table is never
+    built."""
+    k %= m
+    mn = m * n
+    return Cocycle3.from_function(
+        m, mn, lambda i, j, h: ((n * i + n * j) // mn) * n * h * k)
+
+
+def minpoly_by_peeling(p: int) -> PolyZ:
+    """mu with mu(X^2 - 2) = U_{p-1}(X/2), by peeling c_i * (X^2 - 2)^i
+    off the (even) Chebyshev polynomial from the top."""
+    f = chebyshev_u(p - 1)
+    dg = (p - 1) // 2
+    pows = [PolyZ([1])]
+    for _ in range(dg):
+        pows.append(pows[-1] * PolyZ([-2, 0, 1]))
+    rem = f
+    coeffs = [0] * (dg + 1)
+    for i in range(dg, -1, -1):
+        if rem.degree() < 2 * i:
+            continue
+        c = rem.coeffs[2 * i]
+        coeffs[i] = c
+        if c:
+            rem = rem - pows[i].scale(c)
+    if not rem.is_zero():
+        raise ArithmeticError("Chebyshev polynomial failed to decompose")
+    return PolyZ(coeffs)
 
 
 def rmat_to_z(ring, rmat, k: int) -> IntMatrix:

@@ -139,14 +139,25 @@ def test_cocycle_embed_and_crt(capsys):
     ["cocycle", "class", "--m", "97", "--k", "1"],
     ["cocycle", "class", "--file", "{table}"],
     ["cocycle", "crt", "--m", "97", "--n", "2", "--k", "1"],
+    # coprime orders, each refused before a table is built
+    ["cocycle", "crt", "--m", "1", "--n", "0", "--k", "0"],
+    ["cocycle", "crt", "--m", "3", "--n", "-1", "--k", "1"],
+    ["cocycle", "crt", "--m", "96", "--n", str(10**4000 + 1), "--k", "1"],
 ])
-def test_cocycle_group_order_limit_exits_two(capsys, tmp_path, argv):
+def test_cocycle_group_order_limit_exits_two(capsys, monkeypatch, tmp_path,
+                                             argv):
+    from cyclotwist import cocycle
+
+    def no_table(*args):
+        raise AssertionError("a table was built before the refusal")
+
+    monkeypatch.setattr(cocycle.Cocycle3, "from_function", no_table)
     table = tmp_path / "big.json"
     table.write_text(json.dumps({"m": 97, "denominator": 1, "values": [0]}))
     argv = [a.replace("{table}", str(table)) for a in argv]
     code, out, err = run(capsys, argv)
     assert code == 2 and out == ""
-    assert "96" in err
+    assert "group order must be >= 1 and <= 96" in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -303,16 +314,24 @@ def _dk_generator_bumped(monkeypatch):
     monkeypatch.setattr(fusion, "FusionModule", bumped)
 
 
-def _restriction_bumped(monkeypatch):
-    # one entry of each restricted leg moved: the leg is no cocycle
+def _omega_bumped(monkeypatch):
+    # one entry of omega's table moved: the table is no cocycle
     from cyclotwist import cocycle
-    real = cocycle._restrict
+    real = cocycle.omega
 
-    def restrict(m, n, k):
-        c = real(m, n, k)
+    def omega(m, k):
+        c = real(m, k)
         return cocycle.Cocycle3(c.m, c.den, (c.nums[0] + 1,) + c.nums[1:])
 
-    monkeypatch.setattr(cocycle, "_restrict", restrict)
+    monkeypatch.setattr(cocycle, "omega", omega)
+
+
+def _chebyshev_perturbed(monkeypatch):
+    from cyclotwist import numring
+    from cyclotwist.exactalg import PolyZ
+    real = numring.chebyshev_u
+    monkeypatch.setattr(numring, "chebyshev_u",
+                        lambda n: real(n) + PolyZ([n == 3]))
 
 
 def _fibonacci_root_wrong(monkeypatch):
@@ -338,10 +357,15 @@ def _fibonacci_root_wrong(monkeypatch):
      "repeated factor: 2 would ramify"),
     (["numring", "idem", "--p", "17"], _factor_dropped,
      "idempotents do not sum to 1"),
+    (["numring", "minpoly", "--p", "7"], _chebyshev_perturbed,
+     "mu(X^2 - 2) != U_6(X/2)"),
+    (["cocycle", "embed", "--m", "3", "--n", "4", "--k", "2"],
+     _omega_bumped, "is not the coboundary of its witness"),
     (["cocycle", "crt", "--m", "3", "--n", "4", "--k", "5"],
-     _restriction_bumped, "is not the coboundary of its witness"),
+     _omega_bumped, "is not the coboundary of its witness"),
 ], ids=["det-tlj", "det-tlj-even-odd", "det-tlj-even-even", "det-pointed",
-        "dk", "sweep-det", "sweep-fibonacci", "factor2", "idem", "crt"])
+        "dk", "sweep-det", "sweep-fibonacci", "factor2", "idem", "minpoly",
+        "embed", "crt"])
 def test_broken_route_or_certificate_exits_three(capsys, monkeypatch, argv,
                                                  breaks, message):
     # each leaf with two routes or a certificate: break one by monkeypatch

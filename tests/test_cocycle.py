@@ -18,12 +18,13 @@ from cyclotwist.cocycle import (
     is_cocycle,
     omega,
 )
-from cyclotwist.cocycle import _MAX_EMBED_N, _restrict
+from cyclotwist.cocycle import _MAX_EMBED_N
 from exact_oracles import (
     apply,
     fraction_class,
     fraction_scan,
     full_scan,
+    pullback,
     sub,
 )
 
@@ -312,23 +313,25 @@ def test_not_classified_on_non_cocycle():
 
 
 def test_embed_check():
-    # the carry structure is preserved under i -> n*i into Z/(mn)
-    for m in (2, 3, 4, 6):
-        for n in (1, 2, 3, 5):
+    # the carry structure is preserved under i -> n*i into Z/(mn): the
+    # pullback over m*n is omega_m^k entry by entry
+    for m in range(1, 7):
+        for n in (1, 2, 3, 5, 10**14):
             for k in range(m):
+                assert pullback(m, n, k) == omega(m, k)
                 assert embed_check(m, n, k)
     with pytest.raises(ValueError):
         embed_check(0, 2, 0)
 
 
 def test_tables_read_k_mod_m_and_embed_limits_n():
-    # every table comes from _restrict, which reduces k mod m first, so a
+    # omega reduces k mod m first, as did the pullback it replaced, so a
     # 4,001-digit k builds the table of k mod m
     big = 10**4000
     for m in (1, 5, 12):
         for k in (3, -1):
             assert omega(m, big * m + k) == omega(m, k)
-            assert _restrict(m, 4, big * m + k) == _restrict(m, 4, k)
+            assert pullback(m, 4, big * m + k) == pullback(m, 4, k)
             assert embed_check(m, 3, big * m + k)
     assert embed_check(2, _MAX_EMBED_N, 1)
     with pytest.raises(ValueError, match="^n must be <= %d$" % _MAX_EMBED_N):

@@ -63,6 +63,7 @@ from exact_oracles import (
     contains_all,
     det_bareiss,
     higman_echelon,
+    minpoly_by_peeling,
     r_entries,
     rmat_to_z,
     row_act_dense,
@@ -100,7 +101,16 @@ def test_minimal_polynomials_frozen():
         ring = real_cyclotomic(p)
         assert ring.mu == PolyZ(coeffs)
         assert ring.degree == (p - 1) // 2
-        assert ring.mu.is_monic()
+        assert ring.mu.coeffs[-1] == 1
+
+
+def test_closed_form_mu_matches_peeling():
+    # mu = U_d(X/2) + U_{d-1}(X/2) against the polynomial peeled off
+    # U_{p-1}(X/2) in powers of X^2 - 2, which it replaced
+    primes = [p for p in range(3, 300, 2) if is_prime(p)]
+    assert len(primes) == 61
+    for p in primes:
+        assert real_cyclotomic(p).mu == minpoly_by_peeling(p)
 
 
 def test_mu_divides_chebyshev():
